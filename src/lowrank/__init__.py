@@ -5,7 +5,12 @@ Solvers for the convex program min ||A||_* + lam ||E||_1 s.t. A + E = D
 augmented Lagrange multiplier methods), an inexact-ALM matrix completion
 solver with factored iterates, deterministic synthetic instance generation,
 convergence diagnostics and a CLI benchmark harness.
+
+Events worth a user's attention, such as a matrix-free operator densified for
+a full SVD, go to the ``lowrank`` logger, which has a ``NullHandler``.
 """
+
+import logging
 
 from .linalg import (
     MatrixNorms,
@@ -49,6 +54,8 @@ from .diagnostics import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "MatrixNorms",

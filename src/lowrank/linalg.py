@@ -1,12 +1,15 @@
 """Dense/sparse matrix primitives: norms, soft thresholding, singular value
 thresholding, observed-entry projections and a truncated SVD with a pluggable
-Lanczos/full backend."""
+Lanczos/full backend. Dense singular value thresholding uses a warm-started
+block iteration (:func:`svt_triplets`)."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
@@ -33,6 +36,20 @@ _FULL_SVD_DIM = 150
 # Partial SVD stops paying off once the requested rank passes this fraction of
 # the small dimension; switch to a full decomposition instead.
 _FULL_SVD_FRACTION = 0.2
+
+# Block iteration of the dense SVT: columns beyond the requested rank, the
+# residual tolerance (relative to the largest singular value) of a triplet above
+# the threshold, the largest Chebyshev filter degree between two Rayleigh-Ritz
+# steps, and the number of products with W^T W after which it gives up and
+# takes the full LAPACK decomposition.
+_BLOCK_OVERSAMPLE = 10
+_BLOCK_TOL = 1e-12
+_BLOCK_MAX_DEGREE = 4
+_BLOCK_MAX_STEPS = 100
+# Philox key of the Gaussian columns that fill the block past the warm start.
+_BLOCK_KEY = 20100918
+
+_log = logging.getLogger("lowrank")
 
 
 class SvdConvergenceError(RuntimeError):
@@ -258,7 +275,7 @@ def truncated_svd(W, k, method="auto"):
     if method not in ("auto", "lanczos", "full"):
         raise ValueError(f"unknown SVD method {method!r}")
     if method == "full":
-        return _full_svd(W.to_dense() if is_op else W, k)
+        return _full_svd(_densify(W, k, "method='full'") if is_op else W, k)
     if method == "lanczos":
         if k >= d:
             raise ValueError("Lanczos backend requires k < min(m, n)")
@@ -267,14 +284,120 @@ def truncated_svd(W, k, method="auto"):
     # auto: pick the cheaper exact route, falling back to dense on trouble
     want_full = k >= d or k > _FULL_SVD_FRACTION * d or (not is_op and d <= _FULL_SVD_DIM)
     if want_full:
-        return _full_svd(W.to_dense() if is_op else W, k)
+        return _full_svd(_densify(W, k, "k above the partial-SVD share") if is_op else W, k)
     try:
         return _lanczos_svd(W.as_linear_operator() if is_op else W, k)
     except SvdConvergenceError:
-        return _full_svd(W.to_dense() if is_op else W, k)
+        return _full_svd(_densify(W, k, "Lanczos did not converge") if is_op else W, k)
 
 
-def svt_triplets(W, eps, sv_hint, method="auto"):
+def _densify(op, k, reason):
+    """``op.to_dense()``, logged: it breaks the operator's memory promise."""
+    _log.warning("densifying a %dx%d SparsePlusLowRank operator for a rank-%d SVD: %s",
+                 op.shape[0], op.shape[1], k, reason)
+    return op.to_dense()
+
+
+def _orth_rows(X):
+    """Orthonormal rows spanning the rows of ``X`` (Householder QR of the
+    row-normalised matrix, so rows of very different lengths lose nothing)."""
+    norms = np.linalg.norm(X, axis=1)
+    norms[norms == 0.0] = 1.0
+    Q, _ = scipy.linalg.qr((X / norms[:, None]).T, mode="economic", overwrite_a=True,
+                           check_finite=False)
+    return np.ascontiguousarray(Q.T)
+
+
+def _rayleigh_ritz(W, Qt):
+    """Ritz triplets of ``W`` on the row space of ``Qt`` (orthonormal rows).
+
+    Returns ``(Ut, s, Vt, Zt, res)``: Ritz vectors as rows, Ritz values in
+    descending order, ``Zt`` the rows of ``W.T @ u_i`` and the residuals
+    ``res_i = ||W.T u_i - s_i v_i||``. ``W v_i = s_i u_i`` holds by
+    construction. Blocks are kept as rows so both products with ``W`` run as
+    row-major GEMMs.
+    """
+    P, R = scipy.linalg.qr((Qt @ W.T).T, mode="economic", overwrite_a=True,
+                           check_finite=False)
+    Ur, s, Vrt = np.linalg.svd(R)
+    Ut = Ur.T @ P.T
+    Vt = Vrt @ Qt
+    Zt = Ut @ W
+    return Ut, s, Vt, Zt, np.linalg.norm(Zt - s[:, None] * Vt, axis=1)
+
+
+def _block_svd(W, eps, k, v0):
+    """Top-``k`` triplets of dense ``W`` for thresholding at ``eps``, by
+    Chebyshev-filtered block subspace iteration with Rayleigh-Ritz.
+
+    The block has ``k + _BLOCK_OVERSAMPLE`` columns: the leading ones are
+    ``v0`` (a guess of the right singular subspace, e.g. the previous SVT's
+    ``V``; may be None, narrower or wider than the block, or rank deficient),
+    the rest Gaussian from a Philox stream keyed by ``_BLOCK_KEY``. It stops
+    when every Ritz triplet among the top ``k`` with value above ``eps`` has
+    residual at most ``_BLOCK_TOL`` times the largest value, and every one at
+    or below ``eps`` has that residual too or satisfies ``s + res < eps``.
+    Ritz values are lower bounds of the singular values, so a k-th Ritz value
+    above ``eps`` proves the hint saturated: ``k`` doubles and the block grows
+    in place.
+
+    Returns ``(tsvd, k)``; ``tsvd`` is None when ``k`` would pass the
+    :data:`_FULL_SVD_FRACTION` share of min(m, n) or the filter has spent
+    ``_BLOCK_MAX_STEPS`` products with ``W.T @ W`` (the caller then takes the
+    full decomposition at that ``k``). The values past the last one above
+    ``eps`` are Ritz values certified below ``eps``, not necessarily converged.
+    """
+    m, n = W.shape
+    d = min(m, n)
+    rng = np.random.Generator(np.random.Philox(key=_BLOCK_KEY))
+    b = min(k + _BLOCK_OVERSAMPLE, d)
+    if v0 is None:
+        v0 = np.zeros((n, 0))
+    v0 = as_matrix(v0, "v0")
+    if v0.shape[0] != n:
+        raise ValueError(f"v0 must have {n} rows, got {v0.shape[0]}")
+    nv = min(v0.shape[1], b)
+    Qt = _orth_rows(np.vstack([v0[:, :nv].T, rng.standard_normal((b - nv, n))]))
+    steps = 0
+    while steps < _BLOCK_MAX_STEPS:
+        Ut, s, Vt, Zt, res = _rayleigh_ritz(W, Qt)
+        steps += 1
+        if s[k - 1] > eps:
+            k = min(2 * k, d)
+            if k > _FULL_SVD_FRACTION * d:
+                return None, k
+            grown = min(k + _BLOCK_OVERSAMPLE, d)
+            Qt = _orth_rows(np.vstack([Vt, rng.standard_normal((grown - b, n))]))
+            b = grown
+            continue
+        tol = _BLOCK_TOL * s[0]
+        lagging = (res[:k] > tol) & ((s[:k] > eps) | (s[:k] + res[:k] >= eps))
+        if not lagging.any():
+            return TruncatedSVD(Ut[:k].T, s[:k], Vt[:k].T), k
+        if s[-1] == 0.0:
+            # the block holds a null vector of W, so the filter interval
+            # below is empty: take a plain power step instead
+            Qt = _orth_rows(Zt)
+            continue
+        # Chebyshev filter of W^T W on [0, s_b^2], started from the Ritz
+        # vectors (W^T W v_i = s_i W^T u_i is already known). The degree is
+        # what the slowest lagging triplet needs at the filter's rate.
+        s_lag, res_lag = s[:k][lagging], res[:k][lagging]
+        target = np.where(s_lag > eps, tol, np.maximum(eps - s_lag, tol))
+        x = 2.0 * (s_lag / s[-1]) ** 2 - 1.0
+        with np.errstate(divide="ignore"):
+            need = np.log(res_lag / target) / np.arccosh(np.maximum(x, 1.0))
+        degree = int(np.clip(np.ceil(need.max()), 1, _BLOCK_MAX_DEGREE))
+        c = s[-1] ** 2
+        X_prev, X = Vt, (2.0 / c) * (s[:, None] * Zt) - Vt
+        for _ in range(degree - 1):
+            X, X_prev = (4.0 / c) * ((X @ W.T) @ W) - 2.0 * X - X_prev, X
+        steps += degree - 1
+        Qt = _orth_rows(X)
+    return None, k
+
+
+def svt_triplets(W, eps, sv_hint, method="auto", v0=None):
     """Singular value thresholding, returned in factored form.
 
     Computes the top ``sv_hint`` triplets of ``W``, keeps those with singular
@@ -282,19 +405,33 @@ def svt_triplets(W, eps, sv_hint, method="auto"):
     computed value clears the threshold the computation is repeated with a
     doubled hint (capped at min(m, n)) so nothing above ``eps`` is missed.
 
+    With ``method="auto"`` a dense ``W`` whose small dimension exceeds
+    :data:`_FULL_SVD_DIM`, at a hint within the :data:`_FULL_SVD_FRACTION`
+    share, goes to a block iteration (:func:`_block_svd`) warm-started from
+    ``v0``, the right singular vectors of a nearby matrix (typically the
+    previous call's ``tsvd.V``); it falls back to the full LAPACK
+    decomposition. Other inputs use :func:`truncated_svd` and ignore ``v0``.
+
     Returns ``(tsvd, svp, s_raw)`` where ``tsvd`` holds the ``svp`` thresholded
-    triplets and ``s_raw`` the raw singular values from the final pass.
+    triplets and ``s_raw`` the raw singular values from the final pass (on the
+    block route, the values below ``eps`` are only certified to be below it).
     """
     if eps < 0:
         raise ValueError("svt threshold must be nonnegative")
     d = min(W.shape)
     sv = int(min(max(sv_hint, 1), d))
-    while True:
+    t = None
+    if (method == "auto" and not isinstance(W, SparsePlusLowRank) and d > _FULL_SVD_DIM
+            and sv <= _FULL_SVD_FRACTION * d):
+        W = as_matrix(W)
+        t, sv = _block_svd(W, eps, sv, v0)
+        if t is None:
+            method = "full"
+    while t is None:
         t = truncated_svd(W, sv, method=method)
-        svp = int((t.s > eps).sum())
-        if svp < sv or sv == d:
-            break
-        sv = min(2 * sv, d)
+        if (t.s > eps).sum() == sv and sv < d:
+            t, sv = None, min(2 * sv, d)
+    svp = int((t.s > eps).sum())
     kept = TruncatedSVD(t.U[:, :svp].copy(), t.s[:svp] - eps, t.V[:, :svp].copy())
     return kept, svp, t.s
 
@@ -320,9 +457,13 @@ def nuclear_norm(W):
 
 
 def spectral_norm(W):
+    """Largest singular value: a top-1 partial SVD (:func:`truncated_svd`)
+    once min(m, n) exceeds :data:`_FULL_SVD_DIM`, LAPACK below that."""
     W = as_matrix(W)
     if not W.any():
         return 0.0
+    if min(W.shape) > _FULL_SVD_DIM:
+        return float(truncated_svd(W, 1).s[0])
     return float(np.linalg.svd(W, compute_uv=False)[0])
 
 
@@ -349,7 +490,7 @@ def dual_gauge(Y, lam):
     Y = as_matrix(Y)
     if not Y.any():
         return 0.0
-    return float(max(np.linalg.svd(Y, compute_uv=False)[0], np.abs(Y).max() / lam))
+    return float(max(spectral_norm(Y), np.abs(Y).max() / lam))
 
 
 def project_omega(W, omega, keep="inside"):

@@ -35,6 +35,9 @@ SV_JUMP = 10
 # Gram subtraction cancels at sqrt(eps)); the stopping test treats such steps
 # as converged in the dual criterion.
 DE_RESOLUTION = float(np.sqrt(np.finfo(np.float64).eps))
+# Observed entries per gather in FactoredMatrix.values_at: the factor rows of a
+# chunk are copied, so its extra memory is O(chunk * rank), not O(|Omega| * rank).
+VALUES_CHUNK = 8192
 
 
 def rho_from_density(rho_s):
@@ -102,10 +105,16 @@ class FactoredMatrix:
         return self.L @ self.R.T
 
     def values_at(self, omega: ObservedSet):
-        """Entries of the product on an observed set without densifying."""
+        """Entries of the product on an observed set without densifying,
+        gathered ``VALUES_CHUNK`` entries at a time."""
+        out = np.zeros(omega.size)
         if self.rank == 0:
-            return np.zeros(omega.size)
-        return np.einsum("ij,ij->i", self.L[omega.row_idx], self.R[omega.col_idx])
+            return out
+        for lo in range(0, omega.size, VALUES_CHUNK):
+            hi = lo + VALUES_CHUNK
+            out[lo:hi] = np.einsum("ij,ij->i", self.L[omega.row_idx[lo:hi]],
+                                   self.R[omega.col_idx[lo:hi]])
+        return out
 
 
 @dataclass
@@ -261,7 +270,6 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         probe = SparsePlusLowRank(D, np.zeros((m, 0)), np.zeros((n, 0)))
         mu = 1.0 / truncated_svd(probe, 1).s[0]
 
-    rows, cols = observed.row_idx, observed.col_idx
     Y = np.zeros(observed.size)
     L = np.zeros((m, 0))
     R = np.zeros((n, 0))
@@ -282,8 +290,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         svn = gap_truncated_rank(t.s, svp, cfg.gap_threshold) if svp else 0
         L_new = t.U[:, :svn] * (t.s[:svn] - 1.0 / mu)
         R_new = t.V[:, :svn].copy()
-        obs_new = (np.einsum("ij,ij->i", L_new[rows], R_new[cols])
-                   if svn else np.zeros(observed.size))
+        obs_new = FactoredMatrix(L_new, R_new).values_at(observed)
 
         delta_e = _delta_e_factored(L_new, R_new, L, R, obs_new, obs_a)
         resid = vals - obs_new

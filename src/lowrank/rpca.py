@@ -273,13 +273,15 @@ def solve_apg(D, cfg=None):
     t = t_prev = 1.0
     trace = []
     svd_count = 0
+    kept = None
     for k in range(1, max_iter + 1):
         coef = (t_prev - 1.0) / t
         YA = A + coef * (A - A_prev)
         YE = E + coef * (E - E_prev)
         half = 0.5 * (YA + YE - D)
         GA = YA - half
-        kept, svp, s_raw = svt_triplets(GA, mu / 2.0, sv)
+        kept, svp, s_raw = svt_triplets(GA, mu / 2.0, sv,
+                                        v0=None if kept is None else kept.V)
         svd_count += 1
         A_next = kept.compose()
         GE = YE - half
@@ -333,10 +335,12 @@ def solve_ealm(D, cfg=None):
     iterates = [] if cfg.keep_iterates else None
     svd_count = 0
     svp = 0
+    kept = None
     for k in range(1, max_outer + 1):
         Aj, Ej = A, E
         while True:
-            kept, svp, s_raw = svt_triplets(D - Ej + Y / mu, 1.0 / mu, sv)
+            kept, svp, s_raw = svt_triplets(D - Ej + Y / mu, 1.0 / mu, sv,
+                                            v0=None if kept is None else kept.V)
             svd_count += 1
             Aj1 = kept.compose()
             Ej1 = shrink(D - Aj1 + Y / mu, lam / mu)
@@ -389,15 +393,18 @@ def solve_ialm(D, cfg=None):
     d = min(D.shape)
     sv = min(cfg.sv0 or SV0_DEFAULTS["ialm"], d)
 
-    Y = D / dual_gauge(D, lam)
+    # the dual gauge of D, built from the one ||D||_2 above
+    Y = D / max(norm2, np.abs(D).max() / lam)
     A = np.zeros_like(D)
     E = np.zeros_like(D)
     trace = []
     iterates = [] if cfg.keep_iterates else None
     svd_count = 0
+    kept = None
     for k in range(1, max_iter + 1):
         E_next = shrink(D - A + Y / mu, lam / mu)
-        kept, svp, s_raw = svt_triplets(D - E_next + Y / mu, 1.0 / mu, sv)
+        kept, svp, s_raw = svt_triplets(D - E_next + Y / mu, 1.0 / mu, sv,
+                                        v0=None if kept is None else kept.V)
         svd_count += 1
         A_next = kept.compose()
         R = D - A_next - E_next

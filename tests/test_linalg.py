@@ -1,7 +1,11 @@
+import logging
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import lowrank.linalg as ll
 from lowrank.linalg import (
     ObservedSet,
     SparsePlusLowRank,
@@ -9,6 +13,7 @@ from lowrank.linalg import (
     norms,
     project_omega,
     shrink,
+    spectral_norm,
     svt,
     svt_triplets,
     truncated_svd,
@@ -216,6 +221,186 @@ def test_svt_hint_reexpansion_catches_everything():
 def test_svt_hint_out_of_range():
     with pytest.raises(ValueError):
         svt(np.eye(4), 0.1, 5)
+
+
+# ------------------------------------------------------- block SVT route
+# Dense inputs with min(m, n) > 150 and a hint within 20% of it take the
+# warm-started block iteration; method="full" is the LAPACK reference.
+
+def with_spectrum(m, n, s, seed):
+    """An m x n matrix with singular values ``s`` and Haar-like factors."""
+    g = rng(seed)
+    U, _ = np.linalg.qr(g.standard_normal((m, len(s))))
+    V, _ = np.linalg.qr(g.standard_normal((n, len(s))))
+    return (U * np.asarray(s)) @ V.T
+
+
+def assert_matches_full(W, eps, hint, v0=None):
+    kb, svp_b, s_b = svt_triplets(W, eps, hint, v0=v0)
+    kf, svp_f, s_f = svt_triplets(W, eps, hint, method="full")
+    assert svp_b == svp_f
+    assert len(s_b) == len(s_f)
+    assert np.allclose(kb.s, kf.s, rtol=1e-10, atol=1e-12 * s_f[0])
+    ref = kf.compose()
+    assert np.linalg.norm(kb.compose() - ref) <= 1e-9 * max(np.linalg.norm(ref), s_f[0])
+    assert np.allclose(kb.U.T @ kb.U, np.eye(svp_b), atol=1e-10)
+    assert np.allclose(kb.V.T @ kb.V, np.eye(svp_b), atol=1e-10)
+    return kb, svp_b, s_b
+
+
+def far_from(values, eps, margin=1e-3):
+    return np.min(np.abs(np.asarray(values) - eps)) > margin * eps
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(151, 260), n=st.integers(151, 260), r=st.integers(1, 20),
+       eps_frac=st.floats(0.05, 1.2), hint_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_svt_matches_full_tall_and_wide(m, n, r, eps_frac, hint_frac, seed):
+    d = min(m, n)
+    g = rng(seed)
+    s = np.sort(np.concatenate([g.uniform(1.0, 10.0, r),
+                                g.uniform(0.0, 0.5, d - r)]))[::-1]
+    eps = eps_frac * 10.0
+    assume(far_from(s, eps))
+    hint = 1 + int(hint_frac * (0.2 * d - 1))
+    W = with_spectrum(m, n, s, seed)
+    assert_matches_full(W, eps, hint)
+    k = hint
+    while (s > eps).sum() >= k:
+        k = 2 * k
+    # the block route gives up only where the doubling passes 20% of d
+    assert (ll._block_svd(W, eps, hint, None)[0] is None) == (k > 0.2 * d)
+
+
+@settings(max_examples=15, deadline=None)
+@given(copies=st.integers(1, 6), delta=st.sampled_from([1e-3, 1e-2, 0.1]),
+       tall=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_svt_clustered_and_repeated_values_around_eps(copies, delta, tall, seed):
+    eps = 1.0
+    s = ([5.0, 4.0, 4.0] + [eps * (1 + delta)] * copies + [eps * (1 - delta)] * copies
+         + list(np.linspace(0.5, 0.0, 120)))
+    m, n = (220, 170) if tall else (170, 220)
+    W = with_spectrum(m, n, s, seed)
+    _, svp, _ = assert_matches_full(W, eps, 3 + copies)
+    assert svp == 3 + copies
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (200, 300)])
+def test_block_svt_threshold_above_top_value(shape):
+    W = rng(21).standard_normal(shape)
+    s1 = np.linalg.svd(W, compute_uv=False)[0]
+    kept, svp, s_raw = assert_matches_full(W, 1.5 * s1, 12)
+    assert svp == 0 and kept.U.shape == (shape[0], 0) and kept.V.shape == (shape[1], 0)
+    assert len(s_raw) == 12 and (s_raw < 1.5 * s1).all()
+
+
+def test_block_svt_saturation_past_fraction_falls_back_to_full():
+    # 60 values above eps from a hint of 8: the block doubles in place to 16
+    # and 32, then 64 passes 20% of 200 and the full SVD takes over
+    s = list(np.linspace(10.0, 2.0, 60)) + list(np.linspace(0.5, 0.0, 140))
+    W = with_spectrum(250, 200, s, 22)
+    with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
+        kept, svp, s_raw = svt_triplets(W, 1.0, 8)
+    assert full.call_count == 1
+    assert svp == 60 and len(s_raw) == 64
+    assert_matches_full(W, 1.0, 8)
+
+
+def test_block_svt_saturation_within_fraction_grows_in_place():
+    s = list(np.linspace(10.0, 2.0, 30)) + list(np.linspace(0.5, 0.0, 170))
+    W = with_spectrum(200, 220, s, 23)
+    with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
+        _, svp, s_raw = svt_triplets(W, 1.0, 5)
+    assert full.call_count == 0
+    assert svp == 30 and len(s_raw) == 40
+    assert_matches_full(W, 1.0, 5)
+
+
+def test_block_svt_step_cap_falls_back_to_full(monkeypatch):
+    monkeypatch.setattr(ll, "_BLOCK_MAX_STEPS", 1)
+    W = rng(24).standard_normal((260, 240))
+    eps = 0.8 * np.linalg.svd(W, compute_uv=False)[0]
+    with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
+        svt_triplets(W, eps, 10)
+    assert full.call_count >= 1
+    assert_matches_full(W, eps, 10)
+
+
+def test_block_svt_stale_warm_starts():
+    s = list(np.linspace(10.0, 2.0, 12)) + list(np.linspace(0.5, 0.0, 180))
+    W = with_spectrum(230, 192, s, 25)
+    V = np.linalg.svd(W)[2].T
+    other = np.linalg.qr(rng(26).standard_normal((192, 40)))[0]
+    for v0 in (V[:, :40],                                 # wider than the block
+               V[:, :3],                                  # narrower
+               np.hstack([V[:, :4], V[:, :4]]),           # repeated columns
+               np.hstack([V[:, :6], np.zeros((192, 4))]),  # zero columns
+               other,                                     # another matrix's
+               np.zeros((192, 0))):
+        assert_matches_full(W, 1.0, 13, v0=v0)
+
+
+def test_block_svt_warm_start_wrong_length_rejected():
+    W = rng(27).standard_normal((200, 180))
+    with pytest.raises(ValueError):
+        svt_triplets(W, 1.0, 5, v0=np.ones((200, 2)))
+
+
+def test_block_svt_is_bit_reproducible():
+    s = list(np.linspace(10.0, 2.0, 15)) + list(np.linspace(0.5, 0.0, 160))
+    W = with_spectrum(210, 175, s, 28)
+    v0 = np.linalg.qr(rng(29).standard_normal((175, 10)))[0]
+    a = svt_triplets(W, 1.0, 16, v0=v0)
+    b = svt_triplets(W.copy(), 1.0, 16, v0=v0.copy())
+    assert a[1] == b[1]
+    for x, y in ((a[0].U, b[0].U), (a[0].s, b[0].s), (a[0].V, b[0].V), (a[2], b[2])):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (200, 300), (400, 400)])
+def test_spectral_norm_partial_route_matches_full(shape):
+    g = rng(30)
+    for W in (g.standard_normal(shape), with_spectrum(*shape, [3.0, 3.0, 1.0], 31)):
+        with mock.patch.object(ll, "_lanczos_svd", wraps=ll._lanczos_svd) as lanczos:
+            got = spectral_norm(W)
+        assert lanczos.call_count == 1
+        expect = np.linalg.svd(W, compute_uv=False)[0]
+        assert abs(got - expect) <= 1e-12 * expect
+
+
+# ------------------------------------------------------ densify fallbacks
+
+def test_operator_densify_logs_one_warning_per_fallback(caplog, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    g = rng(32)
+    om = ObservedSet.from_linear(200, 180, np.sort(g.choice(200 * 180, size=2000,
+                                                            replace=False)))
+    op = SparsePlusLowRank(om.to_csr(g.standard_normal(2000)),
+                           g.standard_normal((200, 2)), g.standard_normal((180, 2)))
+    caplog.set_level(logging.WARNING, logger="lowrank")
+
+    truncated_svd(op, 4)                           # Lanczos: stays matrix-free
+    assert caplog.records == []
+    for call, reason in ((lambda: truncated_svd(op, 50), "partial-SVD share"),
+                         (lambda: truncated_svd(op, 4, method="full"), "method='full'")):
+        caplog.clear()
+        call()
+        assert len(caplog.records) == 1
+        rec = caplog.records[0]
+        assert rec.name == "lowrank" and rec.levelno == logging.WARNING
+        assert "200x180" in rec.getMessage() and reason in rec.getMessage()
+
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.arange(1.0), np.zeros((5, 1)))
+
+    monkeypatch.setattr(ll, "svds", fail)
+    caplog.clear()
+    truncated_svd(op, 4)
+    assert len(caplog.records) == 1
+    assert "rank-4" in caplog.records[0].getMessage()
+    assert "did not converge" in caplog.records[0].getMessage()
 
 
 # ----------------------------------------------------------------- norms

@@ -72,6 +72,38 @@ def test_mc_config_validation():
         McConfig(sv0=0)
 
 
+def test_values_at_matches_dense_product_across_chunks(monkeypatch):
+    import lowrank.mc as mcmod
+
+    g = np.random.Generator(np.random.Philox(40))
+    m, n, k = 150, 140, 4
+    lin = np.sort(g.choice(m * n, size=2 * mcmod.VALUES_CHUNK + 1234, replace=False))
+    om = ObservedSet.from_linear(m, n, lin)
+    # integer-valued factors: every product and sum is exact, so the gathered
+    # values must equal the dense product bit for bit, chunk edges included
+    F = FactoredMatrix(g.integers(-9, 10, (m, k)).astype(float),
+                       g.integers(-9, 10, (n, k)).astype(float))
+    got = F.values_at(om)
+    assert np.array_equal(got, F.to_dense()[om.row_idx, om.col_idx])
+    # and chunking does not change the floating-point result
+    F = FactoredMatrix(g.standard_normal((m, k)), g.standard_normal((n, k)))
+    chunked = F.values_at(om)
+    monkeypatch.setattr(mcmod, "VALUES_CHUNK", om.size)
+    assert np.array_equal(chunked, F.values_at(om))
+    assert np.array_equal(FactoredMatrix(np.zeros((m, 0)), np.zeros((n, 0))).values_at(om),
+                          np.zeros(om.size))
+
+
+def test_mc_solver_gathers_through_values_at():
+    from unittest import mock
+
+    inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
+    with mock.patch.object(FactoredMatrix, "values_at", autospec=True,
+                           side_effect=FactoredMatrix.values_at) as spy:
+        res = solve_mc_ialm(inst.omega, inst.d_values)
+    assert spy.call_count == res.iterations
+
+
 def test_factored_matrix_contract():
     F = FactoredMatrix(np.zeros((5, 2)), np.zeros((4, 2)))
     assert F.shape == (5, 4) and F.rank == 2
