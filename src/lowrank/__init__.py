@@ -13,14 +13,11 @@ a full SVD, go to the ``lowrank`` logger, which has a ``NullHandler``.
 import logging
 
 from .linalg import (
-    MatrixNorms,
     ObservedSet,
     SparsePlusLowRank,
     SvdConvergenceError,
     TruncatedSVD,
     dual_gauge,
-    norms,
-    project_omega,
     shrink,
     svt,
     truncated_svd,
@@ -58,14 +55,11 @@ __version__ = "0.1.0"
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
-    "MatrixNorms",
     "ObservedSet",
     "SparsePlusLowRank",
     "SvdConvergenceError",
     "TruncatedSVD",
     "dual_gauge",
-    "norms",
-    "project_omega",
     "shrink",
     "svt",
     "truncated_svd",

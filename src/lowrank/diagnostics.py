@@ -9,7 +9,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import as_matrix, dual_gauge, shrink, spectral_norm, svt_triplets
+from .linalg import as_matrix, shrink, spectral_norm, svt_triplets
 from .problems import RpcaInstance
 from .rpca import RpcaConfig, solve_ealm
 
@@ -161,13 +161,14 @@ def divergence_demo(instance: RpcaInstance, bad_e0_scale, growth,
     D = instance.d
     m, n = D.shape
     lam = instance.lam
-    mu0 = 1.25 / spectral_norm(D)
+    norm2 = spectral_norm(D)
+    mu0 = 1.25 / norm2
     cap = mu_cap_factor * mu0 if mu_cap_factor is not None else None
     rng = np.random.Generator(np.random.Philox([instance.seed, 1]))
     signs = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
     E = bad_e0_scale * signs
     A = np.zeros_like(D)
-    Y = D / dual_gauge(D, lam)
+    Y = D / max(norm2, np.abs(D).max() / lam)
     d = min(m, n)
     mu = mu0
     for k in range(1, max_iter + 1):

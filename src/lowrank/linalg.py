@@ -1,7 +1,7 @@
-"""Dense/sparse matrix primitives: norms, soft thresholding, singular value
-thresholding, observed-entry projections and a truncated SVD with a pluggable
-Lanczos/full backend. Dense singular value thresholding uses a warm-started
-block iteration (:func:`svt_triplets`)."""
+"""Dense/sparse matrix primitives: soft thresholding, singular value
+thresholding, spectral norms, observed index sets and a truncated SVD that
+picks Lanczos or full LAPACK by size. Dense singular value thresholding uses
+a warm-started block iteration or one LAPACK SVD (:func:`svt_triplets`)."""
 
 from __future__ import annotations
 
@@ -17,18 +17,14 @@ __all__ = [
     "SvdConvergenceError",
     "ObservedSet",
     "TruncatedSVD",
-    "MatrixNorms",
     "SparsePlusLowRank",
     "as_matrix",
     "shrink",
     "truncated_svd",
     "svt",
     "svt_triplets",
-    "norms",
-    "nuclear_norm",
     "spectral_norm",
     "dual_gauge",
-    "project_omega",
 ]
 
 # Below this dimension a Lanczos run costs more than LAPACK on the dense array.
@@ -177,15 +173,6 @@ class TruncatedSVD:
         return (self.U * self.s) @ self.V.T
 
 
-@dataclass(frozen=True)
-class MatrixNorms:
-    nuclear: float
-    l1: float
-    frobenius: float
-    spectral: float
-    max_abs: float
-
-
 @dataclass
 class SparsePlusLowRank:
     """Implicit ``S + L @ R.T`` operator for matrix-free partial SVDs.
@@ -233,8 +220,14 @@ def shrink(W, eps):
     return np.sign(W) * np.maximum(np.abs(W) - eps, 0.0)
 
 
-def _full_svd(W, k):
+def _full_svd(W, k, eps=None):
+    """Top-``k`` triplets from one LAPACK SVD. Given ``eps``, ``k`` first
+    doubles (capped at min(m, n)) while the k-th value is above ``eps``, the
+    rank a saturated SVT hint grows to; only the kept columns are copied."""
     U, s, Vt = np.linalg.svd(W, full_matrices=False)
+    if eps is not None:
+        while k < s.size and s[k - 1] > eps:
+            k = min(2 * k, s.size)
     return TruncatedSVD(U[:, :k].copy(), s[:k].copy(), Vt[:k].T.copy())
 
 
@@ -253,16 +246,15 @@ def _lanczos_svd(op, k):
     return TruncatedSVD(U[:, order], s[order], Vt[order].T)
 
 
-def truncated_svd(W, k, method="auto"):
+def truncated_svd(W, k):
     """Top-``k`` singular triplets of a dense matrix or SparsePlusLowRank operator.
 
-    ``method`` is one of ``auto`` (Lanczos with a full-SVD fallback once k
-    exceeds a :data:`_FULL_SVD_FRACTION` share of the small dimension),
-    ``lanczos`` or ``full``. Dense full decomposition requires a
-    materializable input.
+    Lanczos (ARPACK) unless a full LAPACK decomposition is cheaper: k at
+    min(m, n) or past a :data:`_FULL_SVD_FRACTION` share of it, or a dense
+    input no larger than :data:`_FULL_SVD_DIM`. Lanczos non-convergence also
+    falls back to LAPACK; an operator is densified (and logged) for it.
 
-    Raises ``ValueError`` for k out of range and :class:`SvdConvergenceError`
-    if the iterative backend fails where no fallback is allowed.
+    Raises ``ValueError`` for k out of range.
     """
     is_op = isinstance(W, SparsePlusLowRank)
     if not is_op:
@@ -272,16 +264,6 @@ def truncated_svd(W, k, method="auto"):
     if not (1 <= k <= d):
         raise ValueError(f"k must be in [1, {d}], got {k}")
 
-    if method not in ("auto", "lanczos", "full"):
-        raise ValueError(f"unknown SVD method {method!r}")
-    if method == "full":
-        return _full_svd(_densify(W, k, "method='full'") if is_op else W, k)
-    if method == "lanczos":
-        if k >= d:
-            raise ValueError("Lanczos backend requires k < min(m, n)")
-        return _lanczos_svd(W.as_linear_operator() if is_op else W, k)
-
-    # auto: pick the cheaper exact route, falling back to dense on trouble
     want_full = k >= d or k > _FULL_SVD_FRACTION * d or (not is_op and d <= _FULL_SVD_DIM)
     if want_full:
         return _full_svd(_densify(W, k, "k above the partial-SVD share") if is_op else W, k)
@@ -397,46 +379,41 @@ def _block_svd(W, eps, k, v0):
     return None, k
 
 
-def svt_triplets(W, eps, sv_hint, method="auto", v0=None):
-    """Singular value thresholding, returned in factored form.
+def svt_triplets(W, eps, sv_hint, v0=None):
+    """Singular value thresholding of dense ``W``, returned in factored form.
 
     Computes the top ``sv_hint`` triplets of ``W``, keeps those with singular
-    value strictly above ``eps`` and subtracts ``eps`` from them. When every
-    computed value clears the threshold the computation is repeated with a
-    doubled hint (capped at min(m, n)) so nothing above ``eps`` is missed.
+    value strictly above ``eps`` and subtracts ``eps`` from them. While every
+    computed value clears the threshold the hint doubles (capped at
+    min(m, n)), so nothing above ``eps`` is missed.
 
-    With ``method="auto"`` a dense ``W`` whose small dimension exceeds
-    :data:`_FULL_SVD_DIM`, at a hint within the :data:`_FULL_SVD_FRACTION`
-    share, goes to a block iteration (:func:`_block_svd`) warm-started from
-    ``v0``, the right singular vectors of a nearby matrix (typically the
-    previous call's ``tsvd.V``); it falls back to the full LAPACK
-    decomposition. Other inputs use :func:`truncated_svd` and ignore ``v0``.
+    When the small dimension exceeds :data:`_FULL_SVD_DIM` and the hint is
+    within the :data:`_FULL_SVD_FRACTION` share of it, a block iteration
+    (:func:`_block_svd`) warm-started from ``v0``, the right singular vectors
+    of a nearby matrix (typically the previous call's ``tsvd.V``), computes
+    the triplets. Every other input, and every block fallback, takes one full
+    LAPACK SVD and doubles the hint over its values; ``v0`` is then ignored.
 
     Returns ``(tsvd, svp, s_raw)`` where ``tsvd`` holds the ``svp`` thresholded
-    triplets and ``s_raw`` the raw singular values from the final pass (on the
+    triplets and ``s_raw`` the raw singular values at the final hint (on the
     block route, the values below ``eps`` are only certified to be below it).
     """
     if eps < 0:
         raise ValueError("svt threshold must be nonnegative")
+    W = as_matrix(W)
     d = min(W.shape)
     sv = int(min(max(sv_hint, 1), d))
     t = None
-    if (method == "auto" and not isinstance(W, SparsePlusLowRank) and d > _FULL_SVD_DIM
-            and sv <= _FULL_SVD_FRACTION * d):
-        W = as_matrix(W)
+    if d > _FULL_SVD_DIM and sv <= _FULL_SVD_FRACTION * d:
         t, sv = _block_svd(W, eps, sv, v0)
-        if t is None:
-            method = "full"
-    while t is None:
-        t = truncated_svd(W, sv, method=method)
-        if (t.s > eps).sum() == sv and sv < d:
-            t, sv = None, min(2 * sv, d)
+    if t is None:
+        t = _full_svd(W, sv, eps)
     svp = int((t.s > eps).sum())
     kept = TruncatedSVD(t.U[:, :svp].copy(), t.s[:svp] - eps, t.V[:, :svp].copy())
     return kept, svp, t.s
 
 
-def svt(W, eps, sv_hint, method="auto"):
+def svt(W, eps, sv_hint):
     """Proximal map of ``eps * ||.||_*`` on dense ``W``.
 
     Returns ``(A, svp)`` with ``A`` dense and ``svp`` the count of singular
@@ -446,14 +423,10 @@ def svt(W, eps, sv_hint, method="auto"):
     W = as_matrix(W)
     if not (1 <= sv_hint <= min(W.shape)):
         raise ValueError("sv_hint out of range")
-    kept, svp, _ = svt_triplets(W, eps, sv_hint, method=method)
+    kept, svp, _ = svt_triplets(W, eps, sv_hint)
     if svp == 0:
         return np.zeros_like(W), 0
     return kept.compose(), svp
-
-
-def nuclear_norm(W):
-    return float(np.linalg.svd(as_matrix(W), compute_uv=False).sum())
 
 
 def spectral_norm(W):
@@ -467,21 +440,6 @@ def spectral_norm(W):
     return float(np.linalg.svd(W, compute_uv=False)[0])
 
 
-def norms(W):
-    """All norms used by the solvers, computed from one full SVD."""
-    W = as_matrix(W)
-    if W.size == 0 or not W.any():
-        return MatrixNorms(0.0, 0.0, 0.0, 0.0, 0.0)
-    s = np.linalg.svd(W, compute_uv=False)
-    return MatrixNorms(
-        nuclear=float(s.sum()),
-        l1=float(np.abs(W).sum()),
-        frobenius=float(np.linalg.norm(W)),
-        spectral=float(s[0]),
-        max_abs=float(np.abs(W).max()),
-    )
-
-
 def dual_gauge(Y, lam):
     """max(||Y||_2, ||Y||_inf / lam): the gauge whose unit ball is the dual
     feasible set; used to scale multiplier initializations."""
@@ -491,20 +449,3 @@ def dual_gauge(Y, lam):
     if not Y.any():
         return 0.0
     return float(max(spectral_norm(Y), np.abs(Y).max() / lam))
-
-
-def project_omega(W, omega, keep="inside"):
-    """Projection onto an observed set: zero out entries outside (``inside``)
-    or inside (``outside``) the set. The two projections sum to ``W``."""
-    W = as_matrix(W)
-    if (W.shape[0], W.shape[1]) != (omega.rows, omega.cols):
-        raise ValueError("matrix shape does not match the observed set")
-    if keep == "inside":
-        out = np.zeros_like(W)
-        out[omega.row_idx, omega.col_idx] = W[omega.row_idx, omega.col_idx]
-        return out
-    if keep == "outside":
-        out = W.copy()
-        out[omega.row_idx, omega.col_idx] = 0.0
-        return out
-    raise ValueError(f"keep must be 'inside' or 'outside', got {keep!r}")

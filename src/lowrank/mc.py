@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import ObservedSet, SparsePlusLowRank, truncated_svd
-from .rpca import IterRecord
+from .rpca import IterRecord, _report_v1
 
 __all__ = [
     "McConfig",
@@ -141,29 +141,10 @@ class McResult:
         return self.A.rank
 
     def report(self, config=None, a_star=None):
-        last = self.trace[-1] if self.trace else None
-        out = {
-            "schema": "lowrank.solve.v1",
-            "algorithm": "mc-ialm",
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "svd_count": self.svd_count,
-            "rank": self.rank,
-            "final": {
-                "feas": last.feas if last else 0.0,
-                "dual_est": last.dual_est if last else 0.0,
-                "objective": last.objective if last else 0.0,
-            },
-            "trace": [r.to_dict() for r in self.trace],
-        }
-        if config is not None:
-            out["config"] = config.to_dict()
-        if a_star is not None:
-            a_star = np.asarray(a_star)
-            out["rel_error"] = float(
-                np.linalg.norm(self.A.to_dense() - a_star) / np.linalg.norm(a_star)
-            )
-        return out
+        """The ``lowrank.solve.v1`` summary; the error against ``a_star``
+        densifies the iterate (desk scale only)."""
+        return _report_v1(self, "mc-ialm", {"rank": self.rank}, config, a_star,
+                          self.A.to_dense)
 
 
 def gap_truncated_rank(singular_values, svp, gap_threshold=GAP_THRESHOLD):
@@ -305,8 +286,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         if iterates is not None:
             iterates.append(McIterate(L.copy(), R.copy(), Y.copy(), mu))
 
-        sv = svn + 1 if svn < sv_used else min(svn + cfg.sv_jump, d)
-        sv = max(sv, 1)
+        sv = predict_rank_mc(svp, sv_used, t.s, d, cfg.gap_threshold, cfg.sv_jump)
         dual_ok = dual < cfg.eps2 or delta_e <= DE_RESOLUTION * a_norm
         if feas < cfg.eps1 and dual_ok:
             return McResult(FactoredMatrix(L, R), True, k, svd_count, trace,

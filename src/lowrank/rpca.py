@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import as_matrix, dual_gauge, shrink, spectral_norm, svt_triplets
+from .linalg import as_matrix, shrink, spectral_norm, svt_triplets
 from .problems import round_half_up
 
 __all__ = [
@@ -137,35 +137,49 @@ class SolveResult:
         """JSON-ready summary: config echo, counts, final residuals and the
         full trace; includes the relative recovery error when the ground
         truth is supplied."""
-        last = self.trace[-1] if self.trace else None
-        out = {
-            "schema": "lowrank.solve.v1",
-            "algorithm": self.algorithm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "svd_count": self.svd_count,
-            "rank": self.rank,
-            "e_card": self.e_card,
-            "final": {
-                "feas": last.feas if last else 0.0,
-                "dual_est": last.dual_est if last else 0.0,
-                "objective": last.objective if last else 0.0,
-            },
-            "trace": [r.to_dict() for r in self.trace],
-        }
-        if config is not None:
-            out["config"] = config.to_dict()
-        if self.Y is not None and self.Y.any():
-            lam = config.lam if config is not None and config.lam is not None \
-                else 1.0 / np.sqrt(self.A.shape[0])
-            out["final"]["spectral_y"] = spectral_norm(self.Y)
-            out["final"]["linf_y_over_lambda"] = float(np.abs(self.Y).max() / lam)
-        if a_star is not None:
-            a_star = np.asarray(a_star)
-            denom = np.linalg.norm(a_star)
-            out["rel_error"] = float(np.linalg.norm(self.A - a_star) / denom) \
-                if denom else float(np.linalg.norm(self.A))
-        return out
+        return _report_v1(self, self.algorithm, {"rank": self.rank, "e_card": self.e_card},
+                          config, a_star, lambda: self.A, self.Y)
+
+
+def _report_v1(result, algorithm, counts, config, a_star, dense_a, Y=None):
+    """The ``lowrank.solve.v1`` dict of a recovery or completion result.
+
+    ``counts`` follow ``svd_count``. With ``a_star`` the dict gets the
+    relative error ||A - a_star||_F / ||a_star||_F (||A||_F when ``a_star`` is
+    zero), where ``dense_a()`` returns the dense iterate ``A``: a freshly
+    materialized one is then a temporary that numpy subtracts in place, so
+    the error costs one dense matrix, not two. A nonzero final multiplier
+    ``Y`` adds its gauge values, with lam taken from ``config`` or
+    rows ** -0.5.
+    """
+    last = result.trace[-1] if result.trace else None
+    out = {
+        "schema": "lowrank.solve.v1",
+        "algorithm": algorithm,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "svd_count": result.svd_count,
+        **counts,
+        "final": {
+            "feas": last.feas if last else 0.0,
+            "dual_est": last.dual_est if last else 0.0,
+            "objective": last.objective if last else 0.0,
+        },
+        "trace": [r.to_dict() for r in result.trace],
+    }
+    if config is not None:
+        out["config"] = config.to_dict()
+    if Y is not None and Y.any():
+        lam = config.lam if config is not None and config.lam is not None \
+            else 1.0 / np.sqrt(Y.shape[0])
+        out["final"]["spectral_y"] = spectral_norm(Y)
+        out["final"]["linf_y_over_lambda"] = float(np.abs(Y).max() / lam)
+    if a_star is not None:
+        a_star = np.asarray(a_star)
+        denom = np.linalg.norm(a_star)
+        out["rel_error"] = float(np.linalg.norm(dense_a() - a_star) / denom) \
+            if denom else float(np.linalg.norm(dense_a()))
+    return out
 
 
 def predict_rank(svp, sv, d):
@@ -322,13 +336,15 @@ def solve_ealm(D, cfg=None):
     lam = _resolve_lam(cfg, D)
     dnorm = np.linalg.norm(D)
     sgn = np.sign(D)
-    mu = cfg.mu0 if cfg.mu0 is not None else 0.5 / spectral_norm(sgn)
+    norm2 = spectral_norm(sgn)
+    mu = cfg.mu0 if cfg.mu0 is not None else 0.5 / norm2
     rho = cfg.rho if cfg.rho is not None else 6.0
     max_outer = cfg.max_iter or MAX_ITER_DEFAULTS["ealm"]
     d = min(D.shape)
     sv = min(cfg.sv0 or SV0_DEFAULTS["ealm"], d)
 
-    Y = sgn / dual_gauge(sgn, lam)
+    # the dual gauge of sign(D), whose largest entry is 1
+    Y = sgn / max(norm2, 1.0 / lam)
     A = np.zeros_like(D)
     E = np.zeros_like(D)
     trace = []

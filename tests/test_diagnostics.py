@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,17 @@ def test_divergence_demo_bounded_schedule_control():
     stalled, err = divergence_demo(inst, 0.0, 10.0, mu_cap_factor=30.0)
     assert not stalled
     assert err < 1e-2
+
+
+def test_divergence_demo_takes_one_spectral_norm(monkeypatch):
+    import lowrank.diagnostics as diag
+    import lowrank.linalg as ll
+
+    spy = mock.Mock(wraps=ll.spectral_norm)
+    monkeypatch.setattr(ll, "spectral_norm", spy)
+    monkeypatch.setattr(diag, "spectral_norm", spy)
+    divergence_demo(gen_rpca(30, 2, 0.05, 11), 1e3, 10.0)
+    assert spy.call_count == 1
 
 
 def test_divergence_demo_growth_precondition():

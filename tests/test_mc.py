@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,28 @@ def test_mc_trace_and_report(mc50):
     for a, b in zip(mus, mus[1:]):
         assert b / a == pytest.approx(rho, rel=1e-12)
     assert all(r.e_card == inst.omega.complement_size for r in res.trace)
+
+
+def test_mc_report_zero_ground_truth(mc50):
+    # a zero a_star reports the plain error norm, as the recovery report does,
+    # instead of dividing by zero
+    _, res = mc50
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = res.report(a_star=np.zeros((50, 50)))
+    assert rep["rel_error"] == float(np.linalg.norm(res.A.to_dense()))
+
+
+def test_mc_solver_predicts_rank_through_predict_rank_mc():
+    from unittest import mock
+
+    inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
+    with mock.patch("lowrank.mc.predict_rank_mc", wraps=predict_rank_mc) as spy:
+        res = solve_mc_ialm(inst.omega, inst.d_values)
+    assert spy.call_count == res.iterations
+    # each call's result is the next iteration's partial-SVD dimension
+    for call, nxt in zip(spy.call_args_list, res.trace[1:]):
+        assert predict_rank_mc(*call.args) == nxt.sv_pred
 
 
 def test_mc_rank_path_stabilizes_at_true_rank(mc50):

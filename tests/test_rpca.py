@@ -209,6 +209,20 @@ def test_deterministic_traces(small_instance):
         assert ra.to_dict() == rb.to_dict()
 
 
+def test_ealm_takes_one_spectral_norm_of_sign_d():
+    # ||sign(D)||_2 sets both mu0 and the initial multiplier; above d = 150
+    # it is the solve's only Lanczos run (SVT takes the block or LAPACK route)
+    from unittest import mock
+
+    import lowrank.linalg as ll
+
+    inst = gen_rpca(200, 10, 0.05, 7)
+    with mock.patch.object(ll, "_lanczos_svd", wraps=ll._lanczos_svd) as lanczos:
+        res = solve_ealm(inst.d)
+    assert res.converged
+    assert lanczos.call_count == 1
+
+
 # --------------------------------------------------------------- reports
 
 def test_report_contents(small_instance):
