@@ -2,8 +2,7 @@
 sweeps and trace verification.
 
 Exit codes: 0 success, 1 solver non-convergence, 2 invalid input. A JSON
-config file (``--config``) may supply any flag; explicit flags win. The
-``LOWRANK_THREADS`` environment variable caps benchmark worker slots.
+config file (``--config``) may supply any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,8 +26,6 @@ RPCA_SOLVERS = {"it": solve_it, "apg": solve_apg, "ealm": solve_ealm, "ialm": so
 
 
 def _add_common_solver_flags(p):
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="sparsity weight (default: rows ** -0.5)")
     p.add_argument("--mu0", type=float, default=None, help="initial penalty")
     p.add_argument("--rho", type=float, default=None, help="penalty growth factor")
     p.add_argument("--eps1", type=float, default=None, help="feasibility tolerance")
@@ -61,6 +57,8 @@ def build_parser():
     s = sub.add_parser("solve-rpca", help="run one recovery solver")
     s.add_argument("--alg", choices=sorted(RPCA_SOLVERS), required=True)
     s.add_argument("--input", required=True, help="dense matrix (.csv or .mtx)")
+    s.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="sparsity weight (default: rows ** -0.5)")
     _add_common_solver_flags(s)
     s.add_argument("--truth", default=None, help="ground-truth low-rank matrix")
     s.add_argument("--output-a", default=None)
@@ -144,87 +142,62 @@ def _cmd_gen(args):
     return 0
 
 
-def _rpca_config(args):
-    kw = {}
-    for name in ("lam", "mu0", "rho", "eps1", "eps2", "max_iter"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    return RpcaConfig(**kw)
+def _config(cls, args):
+    """``cls`` (RpcaConfig or McConfig) from the solver flags that are set."""
+    names = ("lam", "mu0", "rho", "eps1", "eps2", "max_iter")
+    return cls(**{n: getattr(args, n) for n in names
+                  if getattr(args, n, None) is not None})
+
+
+def _finish_solve(args, res, cfg):
+    """Write the solve report where ``--trace`` asks, print the summary line
+    and return the exit code."""
+    a_star = _read_dense(args.truth) if args.truth else None
+    report = res.report(config=cfg, a_star=a_star)
+    if args.trace:
+        with open(args.trace, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+    line = report["algorithm"] + ":" + "".join(
+        f" {key}={report[key]}" for key in
+        ("converged", "iterations", "svd_count", "rank", "e_card") if key in report)
+    if "rel_error" in report:
+        line += f" rel_error={report['rel_error']:.3e}"
+    print(line)
+    return 0 if res.converged else 1
 
 
 def _cmd_solve_rpca(args):
     D = _read_dense(args.input)
-    cfg = _rpca_config(args)
+    cfg = _config(RpcaConfig, args)
     res = RPCA_SOLVERS[args.alg](D, cfg)
-    a_star = _read_dense(args.truth) if args.truth else None
-    report = res.report(config=cfg, a_star=a_star)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
     if args.output_a:
         mio.write_dense_csv(args.output_a, res.A)
     if args.output_e:
         mio.write_dense_csv(args.output_e, res.E)
-    line = (f"{args.alg}: converged={res.converged} iterations={res.iterations} "
-            f"svd_count={res.svd_count} rank={res.rank} e_card={res.e_card}")
-    if "rel_error" in report:
-        line += f" rel_error={report['rel_error']:.3e}"
-    print(line)
-    return 0 if res.converged else 1
+    return _finish_solve(args, res, cfg)
 
 
 def _cmd_solve_mc(args):
     omega, values = mio.read_observed(args.input)
-    kw = {}
-    for name in ("mu0", "rho", "eps1", "eps2", "max_iter"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    cfg = McConfig(**kw)
+    cfg = _config(McConfig, args)
     res = solve_mc_ialm(omega, values, cfg)
-    a_star = _read_dense(args.truth) if args.truth else None
-    report = res.report(config=cfg, a_star=a_star)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
     if args.dense_output:
         mio.write_dense_csv(args.dense_output, res.A.to_dense())
-    line = (f"mc-ialm: converged={res.converged} iterations={res.iterations} "
-            f"rank={res.rank}")
-    if "rel_error" in report:
-        line += f" rel_error={report['rel_error']:.3e}"
-    print(line)
-    return 0 if res.converged else 1
+    return _finish_solve(args, res, cfg)
 
 
-def _bench_cell_rpca(alg, inst):
-    cfg = RpcaConfig()
+def _bench_row(inst, algorithm, solve):
+    """One CSV row: the timed ``solve()`` of ``inst`` and its counts."""
     t0 = time.perf_counter()
-    res = RPCA_SOLVERS[alg](inst.d, cfg)
+    res = solve()
     elapsed = time.perf_counter() - t0
+    A = res.A if isinstance(res.A, np.ndarray) else res.A.to_dense()
     return {
-        "m": inst.m, "algorithm": alg,
-        "rel_error": inst.rel_error(res.A),
-        "rank": res.rank, "e_card": res.e_card,
-        "svd_count": res.svd_count,
-        "wall_time_seconds": round(elapsed, 3),
-        "converged": res.converged,
-    }
-
-
-def _bench_cell_mc(inst):
-    cfg = McConfig()
-    t0 = time.perf_counter()
-    res = solve_mc_ialm(inst.omega, inst.d_values, cfg)
-    elapsed = time.perf_counter() - t0
-    return {
-        "m": inst.m, "algorithm": "ialm",
-        "rel_error": inst.rel_error(res.A.to_dense()),
-        "rank": res.rank, "iter": res.iterations,
-        "svd_count": res.svd_count,
+        "m": inst.m, "algorithm": algorithm,
+        "rel_error": inst.rel_error(A),
+        "rank": res.rank, "e_card": getattr(res, "e_card", None),
+        "iter": res.iterations, "svd_count": res.svd_count,
         "wall_time_seconds": round(elapsed, 3),
         "converged": res.converged,
     }
@@ -232,7 +205,6 @@ def _bench_cell_mc(inst):
 
 def _cmd_bench(args):
     m = args.scale
-    workers = max(1, int(os.environ.get("LOWRANK_THREADS", "1")))
     if args.table in (1, 2):
         rank_frac = args.rank_frac if args.rank_frac is not None else \
             (0.05 if args.table == 1 else 0.10)
@@ -242,8 +214,8 @@ def _cmd_bench(args):
             if a not in RPCA_SOLVERS:
                 raise ValueError(f"unknown solver {a!r}")
         inst = gen_rpca(m, r, args.corruption, args.seed)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: _bench_cell_rpca(a, inst), algs))
+        rows = [_bench_row(inst, a, lambda: RPCA_SOLVERS[a](inst.d, RpcaConfig()))
+                for a in algs]
         columns = ["m", "algorithm", "rel_error", "rank", "e_card",
                    "svd_count", "wall_time_seconds", "converged"]
     else:
@@ -251,7 +223,8 @@ def _cmd_bench(args):
         r = max(1, round_half_up(rank_frac * m))
         p = round_half_up(args.p_ratio * degrees_of_freedom(m, r))
         inst = gen_mc(m, r, p, args.seed)
-        rows = [_bench_cell_mc(inst)]
+        rows = [_bench_row(inst, "ialm",
+                           lambda: solve_mc_ialm(inst.omega, inst.d_values, McConfig()))]
         columns = ["m", "algorithm", "rel_error", "rank", "iter",
                    "svd_count", "wall_time_seconds", "converged"]
 

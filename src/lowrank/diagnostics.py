@@ -9,9 +9,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import as_matrix, shrink, spectral_norm, svt_triplets
+from .linalg import as_matrix, spectral_norm
 from .problems import RpcaInstance
-from .rpca import RpcaConfig, solve_ealm
+from .rpca import RpcaConfig, _ialm_sweep, solve_ealm
 
 __all__ = [
     "KktReport",
@@ -142,40 +142,31 @@ def objective_rate_check(objectives, mus, f_star, fit_count=3, slack=1.05):
     return C, ok
 
 
-def divergence_demo(instance: RpcaInstance, bad_e0_scale, growth,
-                    mu_cap_factor=None, max_iter=100, stall_error=STALL_ERROR):
-    """Run the inexact ALM iteration with a forced geometric penalty schedule
-    mu_k = mu0 * growth**k and a sparse iterate initialized to
-    ``bad_e0_scale`` times a random sign matrix.
+def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None,
+                    max_iter=100, stall_error=STALL_ERROR):
+    """Run the inexact ALM sweep from zero iterates under a forced geometric
+    penalty schedule mu_k = mu0 * growth**k.
 
-    With ``growth`` >= 3 the inverse penalties are summable, so a bad enough
-    start leaves the iterates stuck far from the optimum: ``stalled`` reports
-    whether the final recovery error exceeds ``stall_error``. Passing
-    ``mu_cap_factor`` bounds the schedule at that multiple of mu0 (making the
-    inverse sum diverge again), which restores convergence and serves as the
-    control run. The sign matrix is drawn from a Philox stream keyed by
-    (instance seed, 1).
+    With ``growth`` >= 3 the inverse penalties are summable, so the iterates
+    stall far from the optimum: ``stalled`` reports whether the final
+    recovery error exceeds ``stall_error``. Passing ``mu_cap_factor`` bounds
+    the schedule at that multiple of mu0 (making the inverse sum diverge
+    again), which restores convergence and serves as the control run. Each
+    sweep takes a full-dimension partial SVD with no warm start.
     """
     if growth < 3:
         raise ValueError("growth must be at least 3 so the inverse penalties are summable")
     D = instance.d
-    m, n = D.shape
     lam = instance.lam
     norm2 = spectral_norm(D)
     mu0 = 1.25 / norm2
     cap = mu_cap_factor * mu0 if mu_cap_factor is not None else None
-    rng = np.random.Generator(np.random.Philox([instance.seed, 1]))
-    signs = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
-    E = bad_e0_scale * signs
     A = np.zeros_like(D)
     Y = D / max(norm2, np.abs(D).max() / lam)
-    d = min(m, n)
+    d = min(D.shape)
     mu = mu0
     for k in range(1, max_iter + 1):
-        E = shrink(D - A + Y / mu, lam / mu)
-        kept, svp, _ = svt_triplets(D - E + Y / mu, 1.0 / mu, d)
-        A = kept.compose()
-        Y = Y + mu * (D - A - E)
+        _, A, Y = _ialm_sweep(D, A, Y, mu, lam, d)[:3]
         mu = mu0 * growth**k
         if cap is not None:
             mu = min(mu, cap)

@@ -28,6 +28,8 @@ __all__ = [
     "solve_mc_ialm",
 ]
 
+# Rank heuristic: first SVD hint, truncating gap ratio, hint jump on saturation.
+SV0 = 5
 GAP_THRESHOLD = 2.0
 SV_JUMP = 10
 # A step smaller than this multiple of ||A||_F cannot be distinguished from
@@ -58,22 +60,15 @@ class McConfig:
     eps1: float = 1e-7
     eps2: float = 1e-6
     max_iter: int = 500
-    sv0: int = 5
-    gap_threshold: float = GAP_THRESHOLD
-    sv_jump: int = SV_JUMP
     keep_iterates: bool = False
 
     def __post_init__(self):
-        for name in ("mu0", "eps1", "eps2"):
+        for name in ("mu0", "eps1", "eps2", "max_iter"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.rho is not None and self.rho <= 1:
             raise ValueError("rho must exceed 1")
-        if self.max_iter < 1 or self.sv0 < 1 or self.sv_jump < 1:
-            raise ValueError("max_iter, sv0 and sv_jump must be positive")
-        if self.gap_threshold <= 0:
-            raise ValueError("gap_threshold must be positive")
 
     def to_dict(self):
         return asdict(self)
@@ -147,9 +142,9 @@ class McResult:
                           self.A.to_dense)
 
 
-def gap_truncated_rank(singular_values, svp, gap_threshold=GAP_THRESHOLD):
+def gap_truncated_rank(singular_values, svp):
     """Truncate the threshold count at the largest ratio between successive
-    singular values when that ratio exceeds ``gap_threshold``.
+    singular values when that ratio exceeds ``GAP_THRESHOLD``.
 
     A zero trailing value makes the ratio +inf at that position; the returned
     count never exceeds ``svp``.
@@ -163,25 +158,24 @@ def gap_truncated_rank(singular_values, svp, gap_threshold=GAP_THRESHOLD):
         ratios = s[:-1] / s[1:]
     ratios = np.where(np.isnan(ratios), 1.0, ratios)
     max_id = int(np.argmax(ratios))
-    if ratios[max_id] <= gap_threshold:
+    if ratios[max_id] <= GAP_THRESHOLD:
         return int(svp)
     return int(min(svp, max_id + 1))
 
 
-def predict_rank_mc(svp, sv, singular_values, d, gap_threshold=GAP_THRESHOLD,
-                    sv_jump=SV_JUMP):
+def predict_rank_mc(svp, sv, singular_values, d):
     """Next partial-SVD dimension under the gap-truncation scheme: one more
-    than the truncated count while it fits, a jump of ``sv_jump`` once it
+    than the truncated count while it fits, a jump of ``SV_JUMP`` once it
     saturates."""
     s = np.asarray(singular_values, dtype=np.float64)
     if s.size == 0:
         raise ValueError("singular value list must be nonempty")
     if not (0 <= svp <= sv <= d) or s.size != sv:
         raise ValueError("expected 0 <= svp <= sv <= d with sv singular values")
-    svn = gap_truncated_rank(s, svp, gap_threshold)
+    svn = gap_truncated_rank(s, svp)
     if svn < sv:
         return svn + 1
-    return min(svn + sv_jump, d)
+    return min(svn + SV_JUMP, d)
 
 
 def _delta_e_factored(L_new, R_new, L_old, R_old, obs_new, obs_old):
@@ -255,20 +249,18 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     L = np.zeros((m, 0))
     R = np.zeros((n, 0))
     obs_a = np.zeros(observed.size)
-    sv = min(cfg.sv0, d)
+    sv = min(SV0, d)
     comp = observed.complement_size
     trace: list[IterRecord] = []
     iterates = [] if cfg.keep_iterates else None
-    svd_count = 0
     for k in range(1, cfg.max_iter + 1):
         # D - E_k + Y/mu = (sparse correction on the samples) + L R^T
         sparse_part = observed.to_csr(vals + Y / mu - obs_a)
         op = SparsePlusLowRank(sparse_part, L, R)
         sv_used = min(sv, d)
         t = truncated_svd(op, sv_used)
-        svd_count += 1
         svp = int((t.s > 1.0 / mu).sum())
-        svn = gap_truncated_rank(t.s, svp, cfg.gap_threshold) if svp else 0
+        svn = gap_truncated_rank(t.s, svp) if svp else 0
         L_new = t.U[:, :svn] * (t.s[:svn] - 1.0 / mu)
         R_new = t.V[:, :svn].copy()
         obs_new = FactoredMatrix(L_new, R_new).values_at(observed)
@@ -286,11 +278,11 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         if iterates is not None:
             iterates.append(McIterate(L.copy(), R.copy(), Y.copy(), mu))
 
-        sv = predict_rank_mc(svp, sv_used, t.s, d, cfg.gap_threshold, cfg.sv_jump)
+        sv = predict_rank_mc(svp, sv_used, t.s, d)
         dual_ok = dual < cfg.eps2 or delta_e <= DE_RESOLUTION * a_norm
-        if feas < cfg.eps1 and dual_ok:
-            return McResult(FactoredMatrix(L, R), True, k, svd_count, trace,
-                            iterates=iterates)
+        converged = feas < cfg.eps1 and dual_ok
+        if converged:
+            break
         mu = rho * mu
-    return McResult(FactoredMatrix(L, R), False, cfg.max_iter, svd_count, trace,
+    return McResult(FactoredMatrix(L, R), converged, k, k, trace,
                     iterates=iterates)

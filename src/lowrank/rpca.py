@@ -23,7 +23,7 @@ __all__ = [
     "Iterate",
     "SolveResult",
     "predict_rank",
-    "t_sequence",
+    "t_next",
     "solve_it",
     "solve_apg",
     "solve_ealm",
@@ -59,7 +59,6 @@ class RpcaConfig:
     eps1: float = 1e-7
     eps2: float = 1e-5
     max_iter: int | None = None
-    sv0: int | None = None
     it_tau: float | None = None
     it_delta: float = 1.0
     apg_mu_bar: float | None = None
@@ -68,8 +67,8 @@ class RpcaConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        for name in ("lam", "mu0", "eps1", "eps2", "it_tau", "it_delta",
-                     "apg_mu_bar", "inner_tol"):
+        for name in ("lam", "mu0", "eps1", "eps2", "max_iter", "it_tau",
+                     "it_delta", "apg_mu_bar", "inner_tol"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -77,10 +76,6 @@ class RpcaConfig:
             raise ValueError("rho must exceed 1")
         if not (0.0 < self.apg_eta < 1.0):
             raise ValueError("apg_eta must lie in (0, 1)")
-        for name in ("max_iter", "sv0"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be a positive integer")
 
     def to_dict(self):
         return asdict(self)
@@ -124,10 +119,16 @@ class SolveResult:
     svd_count: int
     trace: list[IterRecord]
     algorithm: str
-    rank: int
-    e_card: int
     Y: np.ndarray | None = None
     iterates: list[Iterate] | None = None
+
+    @property
+    def rank(self):
+        return self.trace[-1].rank_a
+
+    @property
+    def e_card(self):
+        return self.trace[-1].e_card
 
     @property
     def objective(self):
@@ -192,13 +193,9 @@ def predict_rank(svp, sv, d):
     return min(svp + round_half_up(0.05 * d), d)
 
 
-def t_sequence(n):
-    """First ``n`` momentum weights t_0 = 1, t_{k+1} = (1 + sqrt(4 t_k^2 + 1)) / 2."""
-    out = [1.0]
-    for _ in range(n - 1):
-        t = out[-1]
-        out.append((1.0 + np.sqrt(4.0 * t * t + 1.0)) / 2.0)
-    return out
+def t_next(t):
+    """The momentum weight after ``t``: (1 + sqrt(4 t^2 + 1)) / 2, from t_0 = 1."""
+    return (1.0 + np.sqrt(4.0 * t * t + 1.0)) / 2.0
 
 
 def _e_card(E):
@@ -210,8 +207,7 @@ def _zero_result(D, algorithm):
     rec = IterRecord(iter=1, mu=0.0, feas=0.0, dual_est=0.0, rank_a=0,
                      e_card=0, sv_pred=0, svp=0, objective=0.0)
     return SolveResult(A=Z, E=Z.copy(), converged=True, iterations=1,
-                       svd_count=0, trace=[rec], algorithm=algorithm,
-                       rank=0, e_card=0, Y=Z.copy())
+                       svd_count=0, trace=[rec], algorithm=algorithm, Y=Z.copy())
 
 
 def _resolve_lam(cfg, D):
@@ -241,10 +237,8 @@ def solve_it(D, cfg=None):
     Y = np.zeros_like(D)
     E_prev = np.zeros_like(D)
     trace = []
-    svd_count = 0
     for k in range(1, max_iter + 1):
         kept, svp, _ = svt_triplets(Y, tau, d)
-        svd_count += 1
         A = kept.compose()
         E = shrink(Y, lam * tau)
         R = D - A - E
@@ -254,11 +248,10 @@ def solve_it(D, cfg=None):
         obj = float(kept.s.sum() + lam * np.abs(E).sum())
         trace.append(IterRecord(k, tau, feas, dual, svp, _e_card(E), d, svp, obj))
         E_prev = E
-        if feas < cfg.eps1:
-            return SolveResult(A, E, True, k, svd_count, trace, "it",
-                               rank=svp, e_card=_e_card(E), Y=Y)
-    return SolveResult(A, E, False, max_iter, svd_count, trace, "it",
-                       rank=svp, e_card=_e_card(E), Y=Y)
+        converged = feas < cfg.eps1
+        if converged:
+            break
+    return SolveResult(A, E, converged, k, k, trace, "it", Y=Y)
 
 
 def solve_apg(D, cfg=None):
@@ -280,13 +273,12 @@ def solve_apg(D, cfg=None):
     eta = cfg.apg_eta
     max_iter = cfg.max_iter or MAX_ITER_DEFAULTS["apg"]
     d = min(D.shape)
-    sv = min(cfg.sv0 or SV0_DEFAULTS["apg"], d)
+    sv = min(SV0_DEFAULTS["apg"], d)
 
     A = A_prev = np.zeros_like(D)
     E = E_prev = np.zeros_like(D)
     t = t_prev = 1.0
     trace = []
-    svd_count = 0
     kept = None
     for k in range(1, max_iter + 1):
         coef = (t_prev - 1.0) / t
@@ -296,11 +288,9 @@ def solve_apg(D, cfg=None):
         GA = YA - half
         kept, svp, s_raw = svt_triplets(GA, mu / 2.0, sv,
                                         v0=None if kept is None else kept.V)
-        svd_count += 1
         A_next = kept.compose()
         GE = YE - half
         E_next = shrink(GE, lam * mu / 2.0)
-        t_next = (1.0 + np.sqrt(4.0 * t * t + 1.0)) / 2.0
         mu_used = mu
         mu = max(eta * mu, mu_bar)
 
@@ -311,13 +301,12 @@ def solve_apg(D, cfg=None):
         trace.append(IterRecord(k, mu_used, feas, dual, svp, _e_card(E_next),
                                 sv_used, svp, obj))
         A_prev, A, E_prev, E = A, A_next, E, E_next
-        t_prev, t = t, t_next
+        t_prev, t = t, t_next(t)
         sv = predict_rank(svp, sv_used, d)
-        if feas < cfg.eps1:
-            return SolveResult(A, E, True, k, svd_count, trace, "apg",
-                               rank=svp, e_card=_e_card(E))
-    return SolveResult(A, E, False, max_iter, svd_count, trace, "apg",
-                       rank=svp, e_card=_e_card(E))
+        converged = feas < cfg.eps1
+        if converged:
+            break
+    return SolveResult(A, E, converged, k, k, trace, "apg")
 
 
 def solve_ealm(D, cfg=None):
@@ -341,7 +330,7 @@ def solve_ealm(D, cfg=None):
     rho = cfg.rho if cfg.rho is not None else 6.0
     max_outer = cfg.max_iter or MAX_ITER_DEFAULTS["ealm"]
     d = min(D.shape)
-    sv = min(cfg.sv0 or SV0_DEFAULTS["ealm"], d)
+    sv = min(SV0_DEFAULTS["ealm"], d)
 
     # the dual gauge of sign(D), whose largest entry is 1
     Y = sgn / max(norm2, 1.0 / lam)
@@ -350,7 +339,6 @@ def solve_ealm(D, cfg=None):
     trace = []
     iterates = [] if cfg.keep_iterates else None
     svd_count = 0
-    svp = 0
     kept = None
     for k in range(1, max_outer + 1):
         Aj, Ej = A, E
@@ -375,14 +363,13 @@ def solve_ealm(D, cfg=None):
         trace.append(IterRecord(k, mu, feas, dual, svp, _e_card(E), sv, svp, obj))
         if iterates is not None:
             iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))
-        if feas < cfg.eps1:
-            return SolveResult(A, E, True, k, svd_count, trace, "ealm",
-                               rank=svp, e_card=_e_card(E), Y=Y,
-                               iterates=iterates)
+        converged = feas < cfg.eps1
+        if converged:
+            break
         sv = min(svp + round_half_up(0.1 * d), d)
         mu = rho * mu
-    return SolveResult(A, E, False, max_outer, svd_count, trace, "ealm",
-                       rank=svp, e_card=_e_card(E), Y=Y, iterates=iterates)
+    return SolveResult(A, E, converged, k, svd_count, trace, "ealm", Y=Y,
+                       iterates=iterates)
 
 
 def solve_ialm(D, cfg=None):
@@ -407,7 +394,7 @@ def solve_ialm(D, cfg=None):
     rho = cfg.rho if cfg.rho is not None else 1.6
     max_iter = cfg.max_iter or MAX_ITER_DEFAULTS["ialm"]
     d = min(D.shape)
-    sv = min(cfg.sv0 or SV0_DEFAULTS["ialm"], d)
+    sv = min(SV0_DEFAULTS["ialm"], d)
 
     # the dual gauge of D, built from the one ||D||_2 above
     Y = D / max(norm2, np.abs(D).max() / lam)
@@ -415,33 +402,36 @@ def solve_ialm(D, cfg=None):
     E = np.zeros_like(D)
     trace = []
     iterates = [] if cfg.keep_iterates else None
-    svd_count = 0
     kept = None
     for k in range(1, max_iter + 1):
-        E_next = shrink(D - A + Y / mu, lam / mu)
-        kept, svp, s_raw = svt_triplets(D - E_next + Y / mu, 1.0 / mu, sv,
-                                        v0=None if kept is None else kept.V)
-        svd_count += 1
-        A_next = kept.compose()
-        R = D - A_next - E_next
-        Y = Y + mu * R
-
-        feas = float(np.linalg.norm(R) / dnorm)
+        E_next, A, Y, r_norm, kept, svp, s_raw = _ialm_sweep(
+            D, A, Y, mu, lam, sv, None if kept is None else kept.V)
+        feas = float(r_norm / dnorm)
         dual = float(mu * np.linalg.norm(E_next - E) / dnorm)
         obj = float(kept.s.sum() + lam * np.abs(E_next).sum())
         sv_used = len(s_raw)
         trace.append(IterRecord(k, mu, feas, dual, svp, _e_card(E_next),
                                 sv_used, svp, obj))
-        A, E = A_next, E_next
+        E = E_next
         if iterates is not None:
             iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))
         sv = predict_rank(svp, sv_used, d)
-        done = feas < cfg.eps1 and dual < cfg.eps2
+        converged = feas < cfg.eps1 and dual < cfg.eps2
         if dual < cfg.eps2:
             mu = rho * mu
-        if done:
-            return SolveResult(A, E, True, k, svd_count, trace, "ialm",
-                               rank=svp, e_card=_e_card(E), Y=Y,
-                               iterates=iterates)
-    return SolveResult(A, E, False, max_iter, svd_count, trace, "ialm",
-                       rank=svp, e_card=_e_card(E), Y=Y, iterates=iterates)
+        if converged:
+            break
+    return SolveResult(A, E, converged, k, k, trace, "ialm", Y=Y,
+                       iterates=iterates)
+
+
+def _ialm_sweep(D, A, Y, mu, lam, sv, v0=None):
+    """One inexact-ALM sweep at penalty ``mu``: shrink E, threshold A (hint
+    ``sv``, warm start ``v0``), step Y along R = D - A - E. Returns
+    ``(E, A, Y, ||R||_F, kept, svp, s_raw)``; only the norm of R is returned,
+    so no residual matrix outlives the sweep."""
+    E = shrink(D - A + Y / mu, lam / mu)
+    kept, svp, s_raw = svt_triplets(D - E + Y / mu, 1.0 / mu, sv, v0=v0)
+    A = kept.compose()
+    R = D - A - E
+    return E, A, Y + mu * R, np.linalg.norm(R), kept, svp, s_raw

@@ -100,6 +100,15 @@ def test_solve_mc_and_dense_output(tmp_path):
     assert np.linalg.norm(A - A_star) / np.linalg.norm(A_star) < 1e-4
 
 
+def test_solve_mc_rejects_lambda(tmp_path):
+    # completion has no sparsity weight, so the flag is a usage error
+    out = tmp_path / "inst"
+    run("gen", "--kind", "mc", "--m", "30", "--r", "2",
+        "--p-ratio", "5", "--seed", "3", "--out", str(out))
+    assert run("solve-mc", "--input", str(out / "observed.mtx"),
+               "--lambda", "0.1") == 2
+
+
 def test_solve_mc_empty_observation_exits_two(tmp_path):
     empty = ObservedSet(4, 4, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     path = tmp_path / "empty.mtx"
@@ -130,8 +139,7 @@ def test_bench_table3_mc_columns(tmp_path):
     assert lines[2].split(",")[3] == "2"
 
 
-def test_bench_rows_sorted_deterministically(tmp_path, monkeypatch):
-    monkeypatch.setenv("LOWRANK_THREADS", "2")
+def test_bench_rows_sorted_deterministically(tmp_path):
     out = tmp_path / "bench.csv"
     assert run("bench", "--table", "1", "--scale", "30",
                "--algs", "ialm,ealm", "--seed", "1", "--out", str(out)) == 0

@@ -136,7 +136,7 @@ def test_objective_rate_check_validation():
 
 def test_divergence_demo_documented_triple():
     inst = gen_rpca(30, 2, 0.05, 11)
-    stalled, err = divergence_demo(inst, 1e3, 10.0)
+    stalled, err = divergence_demo(inst, 10.0)
     assert stalled and err > 1e-2
 
 
@@ -149,7 +149,7 @@ def test_divergence_demo_standard_schedule_converges():
 
 def test_divergence_demo_bounded_schedule_control():
     inst = gen_rpca(30, 2, 0.05, 11)
-    stalled, err = divergence_demo(inst, 0.0, 10.0, mu_cap_factor=30.0)
+    stalled, err = divergence_demo(inst, 10.0, mu_cap_factor=30.0)
     assert not stalled
     assert err < 1e-2
 
@@ -161,14 +161,24 @@ def test_divergence_demo_takes_one_spectral_norm(monkeypatch):
     spy = mock.Mock(wraps=ll.spectral_norm)
     monkeypatch.setattr(ll, "spectral_norm", spy)
     monkeypatch.setattr(diag, "spectral_norm", spy)
-    divergence_demo(gen_rpca(30, 2, 0.05, 11), 1e3, 10.0)
+    divergence_demo(gen_rpca(30, 2, 0.05, 11), 10.0)
     assert spy.call_count == 1
+
+
+def test_divergence_demo_runs_the_ialm_sweep(monkeypatch):
+    import lowrank.diagnostics as diag
+    from lowrank.rpca import _ialm_sweep
+
+    spy = mock.Mock(wraps=_ialm_sweep)
+    monkeypatch.setattr(diag, "_ialm_sweep", spy)
+    divergence_demo(gen_rpca(30, 2, 0.05, 11), 10.0, max_iter=7)
+    assert spy.call_count == 7
 
 
 def test_divergence_demo_growth_precondition():
     inst = gen_rpca(10, 1, 0.05, 1)
     with pytest.raises(ValueError):
-        divergence_demo(inst, 1.0, 2.0)
+        divergence_demo(inst, 2.0)
 
 
 # ----------------------------------------------------------- verify_report

@@ -70,8 +70,6 @@ def test_mc_config_validation():
         McConfig(rho=0.9)
     with pytest.raises(ValueError):
         McConfig(eps1=0)
-    with pytest.raises(ValueError):
-        McConfig(sv0=0)
 
 
 def test_values_at_matches_dense_product_across_chunks(monkeypatch):

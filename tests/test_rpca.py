@@ -9,7 +9,7 @@ from lowrank.rpca import (
     solve_ealm,
     solve_ialm,
     solve_it,
-    t_sequence,
+    t_next,
 )
 
 ALL_SOLVERS = [solve_it, solve_apg, solve_ealm, solve_ialm]
@@ -54,9 +54,20 @@ def test_predict_rank_validation():
 # ------------------------------------------------------------ t sequence
 
 def test_t_sequence_law_holds():
-    ts = t_sequence(200)
+    ts = [1.0]
+    for _ in range(199):
+        ts.append(t_next(ts[-1]))
     for tk, tk1 in zip(ts, ts[1:]):
         assert tk1 * tk1 - tk1 <= tk * tk * (1 + 1e-12) + 1e-12
+
+
+def test_apg_steps_momentum_with_t_next(small_instance):
+    from unittest import mock
+
+    with mock.patch("lowrank.rpca.t_next", wraps=t_next) as spy:
+        res = solve_apg(small_instance.d)
+    assert res.converged
+    assert spy.call_count == res.iterations
 
 
 # ------------------------------------------------------------ zero input
@@ -83,12 +94,14 @@ def test_config_validation():
         RpcaConfig(max_iter=0)
 
 
-def test_max_iter_exhaustion_returns_trace():
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_max_iter_exhaustion_returns_trace(solver):
     inst = gen_rpca(15, 1, 0.05, 4)
-    res = solve_ialm(inst.d, RpcaConfig(max_iter=3))
+    res = solver(inst.d, RpcaConfig(max_iter=3))
     assert not res.converged
-    assert res.iterations == 3
-    assert len(res.trace) == 3
+    assert res.iterations == 3 == len(res.trace)
+    assert res.rank == res.trace[-1].rank_a
+    assert res.e_card == res.trace[-1].e_card
 
 
 # ------------------------------------------------- cross-solver agreement
