@@ -2,7 +2,8 @@
 sweeps and trace verification.
 
 Exit codes: 0 success, 1 solver non-convergence, 2 invalid input. A JSON
-config file (``--config``) may supply any flag; explicit flags win.
+config file (``--config``) may supply any flag of the subcommand; explicit
+flags win, and a key the subcommand has no flag for is invalid input.
 """
 
 from __future__ import annotations
@@ -89,17 +90,34 @@ def build_parser():
     return ap
 
 
-def _apply_config_file(args):
+def _subcommand_flags(ap, command):
+    """Config key -> dest for each long flag of ``command`` (``max-iter`` and
+    ``max_iter`` both name ``--max-iter``; ``lambda`` names ``--lambda``)."""
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt[2:].replace("-", "_"): action.dest
+            for action in sub.choices[command]._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and action.dest != "help"}
+
+
+def _apply_config_file(args, ap):
     if not args.config:
         return
     with open(args.config) as fh:
         overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{args.config}: expected a JSON object of flag values")
+    flags = _subcommand_flags(ap, args.command)
+    unknown = []
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if attr == "lambda":
-            attr = "lam"
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        dest = flags.get(key.replace("-", "_"))
+        if dest is None:
+            unknown.append(key)
+        elif getattr(args, dest) is None:
+            setattr(args, dest, value)
+    if unknown:
+        raise ValueError(f"{args.config}: no {args.command} flag for config keys "
+                         + ", ".join(sorted(unknown)))
 
 
 def _read_dense(path):
@@ -277,7 +295,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code or 0) if exc.code != 2 else 2
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, ap)
         handler = {
             "gen": _cmd_gen,
             "solve-rpca": _cmd_solve_rpca,

@@ -173,12 +173,14 @@ class TruncatedSVD:
         return (self.U * self.s) @ self.V.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparsePlusLowRank:
     """Implicit ``S + L @ R.T`` operator for matrix-free partial SVDs.
 
     ``S`` is any scipy sparse matrix; ``L``/``R`` are tall factors (may have
-    zero columns). Only matvec products are formed in the solver hot path.
+    zero columns). Only products with vectors and column blocks are formed
+    in the solver hot path. The transpose of ``S`` is taken once (for CSR a
+    CSC view sharing its arrays), so the operator is frozen.
     """
 
     S: sparse.spmatrix
@@ -189,6 +191,7 @@ class SparsePlusLowRank:
         m, n = self.S.shape
         if self.L.shape[0] != m or self.R.shape[0] != n or self.L.shape[1] != self.R.shape[1]:
             raise ValueError("factor shapes inconsistent with sparse part")
+        object.__setattr__(self, "_St", self.S.T)
 
     @property
     def shape(self):
@@ -198,11 +201,15 @@ class SparsePlusLowRank:
         return self.S @ x + self.L @ (self.R.T @ x)
 
     def rmatvec(self, y):
-        return self.S.T @ y + self.R @ (self.L.T @ y)
+        return self._St @ y + self.R @ (self.L.T @ y)
+
+    def matmat(self, X):
+        """``matvec`` of each column of ``X`` as one sparse-times-dense product."""
+        return self.S @ X + self.L @ (self.R.T @ X)
 
     def as_linear_operator(self):
         return LinearOperator(self.shape, matvec=self.matvec, rmatvec=self.rmatvec,
-                              dtype=np.float64)
+                              matmat=self.matmat, dtype=np.float64)
 
     def to_dense(self):
         return np.asarray(self.S.todense()) + self.L @ self.R.T

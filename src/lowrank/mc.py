@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .linalg import ObservedSet, SparsePlusLowRank, truncated_svd
 from .rpca import IterRecord, _report_v1
@@ -40,6 +41,9 @@ DE_RESOLUTION = float(np.sqrt(np.finfo(np.float64).eps))
 # Observed entries per gather in FactoredMatrix.values_at: the factor rows of a
 # chunk are copied, so its extra memory is O(chunk * rank), not O(|Omega| * rank).
 VALUES_CHUNK = 8192
+# Bits of each row that the split projections of the step formula carry: about
+# the 64-bit mantissa of the extended precision they are summed in.
+SLICE_BITS = 60
 
 
 def rho_from_density(rho_s):
@@ -107,8 +111,9 @@ class FactoredMatrix:
             return out
         for lo in range(0, omega.size, VALUES_CHUNK):
             hi = lo + VALUES_CHUNK
-            out[lo:hi] = np.einsum("ij,ij->i", self.L[omega.row_idx[lo:hi]],
-                                   self.R[omega.col_idx[lo:hi]])
+            left = self.L.take(omega.row_idx[lo:hi], axis=0)
+            right = self.R.take(omega.col_idx[lo:hi], axis=0)
+            out[lo:hi] = np.einsum("ij,ij->i", left, right)
         return out
 
 
@@ -178,33 +183,66 @@ def predict_rank_mc(svp, sv, singular_values, d):
     return min(svn + SV_JUMP, d)
 
 
+def _exact_slices(X, inner):
+    """Split the rows of ``X`` into slices X = X_1 + X_2 + ... whose products
+    with slices of another matrix, summed over ``inner`` terms, are exact in
+    float64 (the error-free splitting of Ozaki, Ogita, Oishi and Rump, 2012).
+
+    Each slice keeps 53 - beta bits on its row's power of two, with
+    2 * beta >= 53 + log2(inner), so a slice product never needs more than
+    53 bits; enough slices are taken to carry ``SLICE_BITS`` of each row.
+    """
+    beta = (54 + int(inner).bit_length()) // 2
+    # 2**e bounds the row, and each slice leaves a rest below 2**(e - 53 + beta)
+    sigma = np.ldexp(1.0, np.frexp(np.abs(X).max(axis=1, keepdims=True))[1] + beta)
+    slices = []
+    for _ in range(-(-SLICE_BITS // (53 - beta))):
+        hi = (X + sigma) - sigma
+        slices.append(hi)
+        X = X - hi
+        sigma = np.ldexp(sigma, beta - 53)
+    return slices
+
+
+def _projection(Q, S):
+    """``Q.T @ S`` to about ``SLICE_BITS`` bits, as an extended-precision
+    array: the sum of the exact float64 products of the slices of both
+    operands, leaving out the products below that resolution."""
+    qs = _exact_slices(np.ascontiguousarray(Q.T), Q.shape[0])
+    ss = _exact_slices(np.ascontiguousarray(S.T), S.shape[0])
+    out = np.zeros((Q.shape[1], S.shape[1]), dtype=np.longdouble)
+    for i, q in enumerate(qs):
+        for s in ss[:len(qs) - i]:
+            out += q @ s.T
+    return out
+
+
 def _delta_e_factored(L_new, R_new, L_old, R_old, obs_new, obs_old):
     """||off-sample part of (A_new - A_old)||_F via the Gram identity
     sqrt(||dA||_F^2 - ||on-sample dA||_F^2), with the radicand clamped at
     zero against rounding.
 
-    The difference dA is the product of the stacked factors [L_new L_old]
-    and [R_new -R_old]^T. Its norm is computed by projecting onto
-    orthonormal bases of the stacked factors and taking the norm of the
-    small core, with the projections accumulated in extended precision:
-    forming it from Gram traces directly cancels catastrophically once the
-    step is small relative to ||A||_F. Cost stays O((m + n) k^2) with no
-    dense intermediate.
+    The difference dA is the product of the stacked factors Ls = [L_new L_old]
+    and Rs = [R_new -R_old]. Its norm is that of the small core
+    (QL^T Ls) (QR^T Rs)^T, with QL, QR orthonormal bases of the stacked
+    factors from float64 QR. The cancellation between the new and the old
+    term happens inside that core, so the projections are summed from exact
+    float64 products of split operands (:func:`_projection`) and the core is
+    formed in extended precision; the float64 error of the bases only enters
+    at second order. A float64 core (the QR triangles, say) would carry an
+    absolute error of eps * ||A||_F, and the Gram traces of the stacked
+    factors one of sqrt(eps) * ||A||_F, once the step is small relative to
+    ||A||_F. Cost stays O((m + n) k^2) BLAS work with no dense intermediate.
     """
     Ls = np.hstack([L_new, L_old])
     Rs = np.hstack([R_new, -R_old])
-    if Ls.shape[1] == 0:
-        da2 = np.longdouble(0.0)
-    else:
-        QL, _ = np.linalg.qr(Ls, mode="reduced")
-        QR_, _ = np.linalg.qr(Rs, mode="reduced")
-        SL = QL.T.astype(np.longdouble) @ Ls.astype(np.longdouble)
-        SR = QR_.T.astype(np.longdouble) @ Rs.astype(np.longdouble)
-        core = SL @ SR.T
+    da2 = 0.0
+    if Ls.shape[1]:
+        core = (_projection(np.linalg.qr(Ls)[0], Ls)
+                @ _projection(np.linalg.qr(Rs)[0], Rs).T)
         da2 = np.sum(core * core)
-    diff = obs_new.astype(np.longdouble) - obs_old.astype(np.longdouble)
-    dobs2 = np.sum(diff * diff)
-    return float(np.sqrt(max(da2 - dobs2, np.longdouble(0.0))))
+    diff = obs_new - obs_old
+    return float(np.sqrt(max(da2 - diff @ diff, 0.0)))
 
 
 def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
@@ -254,8 +292,11 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     trace: list[IterRecord] = []
     iterates = [] if cfg.keep_iterates else None
     for k in range(1, cfg.max_iter + 1):
-        # D - E_k + Y/mu = (sparse correction on the samples) + L R^T
-        sparse_part = observed.to_csr(vals + Y / mu - obs_a)
+        # D - E_k + Y/mu = (sparse correction on the samples) + L R^T; the
+        # correction shares D's index arrays, whose entry order is the sample
+        # order because the observed set is sorted row-major without duplicates
+        sparse_part = sparse.csr_matrix((vals + Y / mu - obs_a, D.indices, D.indptr),
+                                        shape=D.shape)
         op = SparsePlusLowRank(sparse_part, L, R)
         sv_used = min(sv, d)
         t = truncated_svd(op, sv_used)

@@ -198,8 +198,10 @@ def t_next(t):
     return (1.0 + np.sqrt(4.0 * t * t + 1.0)) / 2.0
 
 
-def _e_card(E):
-    return int((np.abs(E) > ZERO_TOL).sum())
+def _e_stats(E):
+    """(||E||_1, count of entries above ZERO_TOL) from one pass of |E|."""
+    abs_e = np.abs(E)
+    return float(abs_e.sum()), int((abs_e > ZERO_TOL).sum())
 
 
 def _zero_result(D, algorithm):
@@ -245,8 +247,9 @@ def solve_it(D, cfg=None):
         Y = Y + delta * R
         feas = float(np.linalg.norm(R) / dnorm)
         dual = float(np.linalg.norm(E - E_prev) / dnorm)
-        obj = float(kept.s.sum() + lam * np.abs(E).sum())
-        trace.append(IterRecord(k, tau, feas, dual, svp, _e_card(E), d, svp, obj))
+        e_l1, e_card = _e_stats(E)
+        obj = float(kept.s.sum() + lam * e_l1)
+        trace.append(IterRecord(k, tau, feas, dual, svp, e_card, d, svp, obj))
         E_prev = E
         converged = feas < cfg.eps1
         if converged:
@@ -296,10 +299,10 @@ def solve_apg(D, cfg=None):
 
         feas = float(np.linalg.norm(D - A_next - E_next) / dnorm)
         dual = float(mu_used * np.linalg.norm(E_next - E) / dnorm)
-        obj = float(kept.s.sum() + lam * np.abs(E_next).sum())
+        e_l1, e_card = _e_stats(E_next)
+        obj = float(kept.s.sum() + lam * e_l1)
         sv_used = len(s_raw)
-        trace.append(IterRecord(k, mu_used, feas, dual, svp, _e_card(E_next),
-                                sv_used, svp, obj))
+        trace.append(IterRecord(k, mu_used, feas, dual, svp, e_card, sv_used, svp, obj))
         A_prev, A, E_prev, E = A, A_next, E, E_next
         t_prev, t = t, t_next(t)
         sv = predict_rank(svp, sv_used, d)
@@ -359,8 +362,9 @@ def solve_ealm(D, cfg=None):
         R = D - A - E
         Y = Y + mu * R
         feas = float(np.linalg.norm(R) / dnorm)
-        obj = float(kept.s.sum() + lam * np.abs(E).sum())
-        trace.append(IterRecord(k, mu, feas, dual, svp, _e_card(E), sv, svp, obj))
+        e_l1, e_card = _e_stats(E)
+        obj = float(kept.s.sum() + lam * e_l1)
+        trace.append(IterRecord(k, mu, feas, dual, svp, e_card, sv, svp, obj))
         if iterates is not None:
             iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))
         converged = feas < cfg.eps1
@@ -408,10 +412,10 @@ def solve_ialm(D, cfg=None):
             D, A, Y, mu, lam, sv, None if kept is None else kept.V)
         feas = float(r_norm / dnorm)
         dual = float(mu * np.linalg.norm(E_next - E) / dnorm)
-        obj = float(kept.s.sum() + lam * np.abs(E_next).sum())
+        e_l1, e_card = _e_stats(E_next)
+        obj = float(kept.s.sum() + lam * e_l1)
         sv_used = len(s_raw)
-        trace.append(IterRecord(k, mu, feas, dual, svp, _e_card(E_next),
-                                sv_used, svp, obj))
+        trace.append(IterRecord(k, mu, feas, dual, svp, e_card, sv_used, svp, obj))
         E = E_next
         if iterates is not None:
             iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))

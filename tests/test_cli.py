@@ -167,3 +167,48 @@ def test_config_file_supplies_flags(tmp_path):
     # config file caps the iterations, so the solve cannot converge
     assert run("--config", str(cfg), "solve-rpca", "--alg", "ialm",
                "--input", str(out / "d.csv")) == 1
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run("gen", "--kind", "mc", "--m", "30", "--r", "2",
+        "--p-ratio", "5", "--seed", "3", "--out", str(out))
+    cfg = tmp_path / "cfg.json"
+    # a key without a solve-mc flag, and a typo of max-iter
+    cfg.write_text(json.dumps({"lambda": 0.1, "max_iters": 2}))
+    assert run("--config", str(cfg), "solve-mc", "--input", str(out / "observed.mtx")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lambda" in err and "max_iters" in err
+    cfg.write_text(json.dumps([2]))
+    assert run("--config", str(cfg), "solve-mc", "--input", str(out / "observed.mtx")) == 2
+    # top-level namespace entries are not flags of the subcommand
+    for key in ("command", "config"):
+        cfg.write_text(json.dumps({key: "solve-rpca"}))
+        assert run("--config", str(cfg), "solve-mc",
+                   "--input", str(out / "observed.mtx")) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_config_file_takes_flag_names_not_dests(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run("gen", "--kind", "rpca", "--m", "20", "--r", "1",
+        "--frac", "0.05", "--seed", "3", "--out", str(out))
+    cfg = tmp_path / "cfg.json"
+    # --lambda stores into `lam`, but `lam` is not a flag
+    cfg.write_text(json.dumps({"lam": 0.3}))
+    assert run("--config", str(cfg), "solve-rpca", "--alg", "ialm",
+               "--input", str(out / "d.csv")) == 2
+    assert "lam" in capsys.readouterr().err
+
+
+def test_config_file_lambda_alias_for_solve_rpca(tmp_path):
+    out = tmp_path / "inst"
+    run("gen", "--kind", "rpca", "--m", "20", "--r", "1",
+        "--frac", "0.05", "--seed", "3", "--out", str(out))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": 0.3, "max_iter": 2}))
+    trace = tmp_path / "trace.json"
+    assert run("--config", str(cfg), "solve-rpca", "--alg", "ialm",
+               "--input", str(out / "d.csv"), "--trace", str(trace)) == 1
+    rep = json.loads(trace.read_text())
+    assert rep["config"]["lam"] == 0.3 and rep["iterations"] == 2

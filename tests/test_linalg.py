@@ -467,6 +467,21 @@ def test_observed_set_extract_scatter_roundtrip():
     assert back[1, 0] == 0.0
 
 
+def test_observed_set_csr_data_in_index_order():
+    # completion reuses one CSR pattern and writes values in the set's order,
+    # which holds because the set is sorted row-major with no duplicates;
+    # explicit zeros must keep their slots
+    g = rng(21)
+    om = ObservedSet.from_linear(40, 30, np.sort(g.choice(1200, size=300, replace=False)))
+    v = g.standard_normal(300)
+    v[::7] = 0.0
+    S = om.to_csr(v)
+    assert S.has_sorted_indices and S.nnz == om.size
+    assert np.array_equal(S.data, v)
+    assert np.array_equal(S.indices, om.col_idx)
+    assert np.array_equal(np.repeat(np.arange(40), np.diff(S.indptr)), om.row_idx)
+
+
 # ------------------------------------------------------ SparsePlusLowRank
 
 def test_sparse_plus_low_rank_matvec_matches_dense():
@@ -481,6 +496,29 @@ def test_sparse_plus_low_rank_matvec_matches_dense():
     y = g.standard_normal(9)
     assert np.allclose(op.matvec(x), dense @ x, atol=1e-12)
     assert np.allclose(op.rmatvec(y), dense.T @ y, atol=1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(9, 7), (7, 9)])
+@pytest.mark.parametrize("k", [0, 3])
+def test_sparse_plus_low_rank_block_product_matches_columns(m, n, k):
+    g = rng(22)
+    om = ObservedSet.from_linear(m, n, np.sort(g.choice(m * n, size=20, replace=False)))
+    op = SparsePlusLowRank(om.to_csr(g.standard_normal(20)),
+                           g.standard_normal((m, k)), g.standard_normal((n, k)))
+    dense = op.to_dense()
+    X = g.standard_normal((n, 4))
+    y = g.standard_normal(m)
+    stacked = np.column_stack([op.matvec(x) for x in X.T])
+    assert np.allclose(op.matmat(X), stacked, rtol=1e-14, atol=1e-14)
+    # rmatvec goes through the transpose taken once at construction
+    assert np.allclose(op.rmatvec(y), dense.T @ y, atol=1e-12)
+    assert np.allclose(op.matmat(X), dense @ X, atol=1e-12)
+    # the LinearOperator hands whole blocks to the block product, so a
+    # partial SVD recovers its singular vectors without per-column callbacks
+    lin = op.as_linear_operator()
+    with mock.patch.object(SparsePlusLowRank, "matvec") as mv:
+        assert np.array_equal(lin.matmat(X), op.matmat(X))
+    assert mv.call_count == 0
 
 
 def test_truncated_svd_on_operator_matches_dense():

@@ -2,14 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowrank.linalg import ObservedSet, SparsePlusLowRank
 from lowrank.mc import (
+    DE_RESOLUTION,
     FactoredMatrix,
     McConfig,
     gap_truncated_rank,
     predict_rank_mc,
     rho_from_density,
+    _delta_e_factored,
+    _exact_slices,
+    _projection,
     solve_mc_ialm,
 )
 from lowrank.problems import degrees_of_freedom, gen_mc
@@ -102,6 +107,19 @@ def test_mc_solver_gathers_through_values_at():
                            side_effect=FactoredMatrix.values_at) as spy:
         res = solve_mc_ialm(inst.omega, inst.d_values)
     assert spy.call_count == res.iterations
+
+
+def test_mc_solver_builds_one_sparse_pattern_per_solve():
+    # every iteration reuses the index arrays of the one CSR matrix of the
+    # samples; only its values change
+    from unittest import mock
+
+    inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
+    with mock.patch.object(ObservedSet, "to_csr", autospec=True,
+                           side_effect=ObservedSet.to_csr) as spy:
+        res = solve_mc_ialm(inst.omega, inst.d_values)
+    assert res.iterations > 1
+    assert spy.call_count == 1
 
 
 def test_factored_matrix_contract():
@@ -214,6 +232,79 @@ def test_mc_factored_delta_e_matches_dense(mc50):
         if dense > 1e-12:
             assert abs(fact - dense) / dense < 1e-8
         prev, L_old, R_old, obs_old = A, snap.L, snap.R, obs_new
+
+
+@pytest.mark.parametrize("inner", [7, 1000])
+def test_projection_matches_exact_rational_product(inner):
+    # columns spread over 16 decades; the reference is exact rational arithmetic
+    from fractions import Fraction
+
+    g = np.random.Generator(np.random.Philox(inner))
+    Q = g.standard_normal((inner, 3)) * 10.0 ** g.uniform(-8, 8, size=3)
+    S = g.standard_normal((inner, 4)) * 10.0 ** g.uniform(-8, 8, size=4)
+
+    def exact_dot(x, y):
+        return sum(Fraction(a) * Fraction(b) for a, b in zip(x, y))
+
+    # every product of two slices is exact in float64
+    for x in _exact_slices(np.ascontiguousarray(Q.T), inner):
+        for y in _exact_slices(np.ascontiguousarray(S.T), inner):
+            P = x @ y.T
+            assert all(Fraction(P[i, j]) == exact_dot(x[i], y[j])
+                       for i in range(3) for j in range(4))
+    got = _projection(Q, S)
+    tol = 8 * np.finfo(np.longdouble).eps
+    for i in range(3):
+        for j in range(4):
+            err = abs(Fraction(*got[i, j].as_integer_ratio()) - exact_dot(Q[:, i], S[:, j]))
+            assert err <= tol * Fraction(np.abs(Q[:, i]) @ np.abs(S[:, j]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 30), n=st.integers(1, 30), k_new=st.integers(0, 30),
+       k_old=st.integers(0, 30), step_exp=st.floats(0.0, -np.log10(DE_RESOLUTION)),
+       frac=st.floats(0.05, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_factored_delta_e_matches_dense_reference(m, n, k_new, k_old, step_exp, frac,
+                                                  seed):
+    # tall and wide shapes, either rank (zero included) and steps from ||A||_F
+    # down to DE_RESOLUTION * ||A||_F. The factors are shaped like the
+    # solver's: L carries the scale, R has (nearly) orthonormal columns; the
+    # columns only one side has are scaled by the step, so the step stays small
+    g = np.random.Generator(np.random.Philox(seed))
+    d = min(m, n)
+    k_new, k_old = min(k_new, d), min(k_old, d)
+    K, c = max(k_new, k_old), min(k_new, k_old)
+    h = 10.0 ** -step_exp
+    BL = g.standard_normal((m, K)) * 10.0 ** g.uniform(-3.0, 3.0)
+    BR = np.linalg.qr(g.standard_normal((n, K)))[0] if K else np.zeros((n, 0))
+    L_old, R_old = BL[:, :k_old].copy(), BR[:, :k_old].copy()
+    L_new, R_new = BL[:, :k_new].copy(), BR[:, :k_new].copy()
+    L_old[:, c:] *= h
+    L_new[:, c:] *= h
+    L_new[:, :c] += h * g.standard_normal((m, c)) * np.abs(BL[:, :c]).max(initial=0.0)
+    R_new[:, :c] += h * g.standard_normal((n, c))
+    om = ObservedSet.from_linear(m, n, np.sort(g.choice(
+        m * n, size=max(1, min(m * n, round(frac * m * n))), replace=False)))
+    obs_new = FactoredMatrix(L_new, R_new).values_at(om)
+    obs_old = FactoredMatrix(L_old, R_old).values_at(om)
+
+    fact = _delta_e_factored(L_new, R_new, L_old, R_old, obs_new, obs_old)
+    A_new, A_old = L_new @ R_new.T, L_old @ R_old.T
+    dA = A_new - A_old
+    dense = np.linalg.norm(np.where(om.mask(), 0.0, dA))
+    assert np.isfinite(fact) and fact >= 0.0
+    if dense == 0.0:
+        return
+    # criterion 10's rule: compare where the dense float64 reference resolves
+    # the step 1e-8 relative, its noise floor being ~eps * sqrt(mn) * max|A|
+    # (with a margin of 2). The identity subtracts ||on-sample dA||^2 from
+    # ||dA||^2, which scales any input error by ||dA||^2 / ||off-sample dA||^2,
+    # so that factor multiplies the floor
+    floor = np.finfo(np.float64).eps * np.sqrt(m * n) * max(
+        np.abs(A_new).max(), np.abs(A_old).max())
+    amplification = (np.linalg.norm(dA) / dense) ** 2
+    if dense >= 2e8 * floor * amplification:
+        assert abs(fact - dense) <= 1e-8 * dense
 
 
 def test_mc_hot_path_never_densifies(monkeypatch):
