@@ -15,11 +15,8 @@ import logging
 from .linalg import (
     ObservedSet,
     SparsePlusLowRank,
-    SvdConvergenceError,
     TruncatedSVD,
-    dual_gauge,
     shrink,
-    svt,
     truncated_svd,
 )
 from .problems import McInstance, RpcaInstance, gen_mc, gen_rpca
@@ -57,11 +54,8 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 __all__ = [
     "ObservedSet",
     "SparsePlusLowRank",
-    "SvdConvergenceError",
     "TruncatedSVD",
-    "dual_gauge",
     "shrink",
-    "svt",
     "truncated_svd",
     "McInstance",
     "RpcaInstance",

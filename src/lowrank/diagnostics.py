@@ -28,6 +28,9 @@ __all__ = [
 DUAL_FEAS_SLACK = 1e-3
 LYAPUNOV_REL_SLACK = 1e-8
 STALL_ERROR = 1e-2
+# objective_rate_check: points that fit C, and the multiplicative slack on the rest
+RATE_FIT_COUNT = 3
+RATE_SLACK = 1.05
 
 
 @dataclass(frozen=True)
@@ -68,18 +71,19 @@ def kkt_report(D, A, E, Y, lam, mu_prev, delta_e_norm):
     )
 
 
-def dual_feasibility(Y, lam, slack=DUAL_FEAS_SLACK):
+def dual_feasibility(Y, lam):
     """Check that a multiplier sits (almost) inside the dual-feasible set.
 
     Returns ``(spectral, scaled_linf, ok)`` with ``ok`` true when both
-    ||Y||_2 and ||Y||_inf / lam are at most 1 + ``slack``.
+    ||Y||_2 and ||Y||_inf / lam are at most 1 + :data:`DUAL_FEAS_SLACK`.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     Y = as_matrix(Y, "Y")
     spectral = spectral_norm(Y)
     scaled_linf = float(np.abs(Y).max() / lam) if Y.size else 0.0
-    return spectral, scaled_linf, bool(spectral <= 1.0 + slack and scaled_linf <= 1.0 + slack)
+    ok = spectral <= 1.0 + DUAL_FEAS_SLACK and scaled_linf <= 1.0 + DUAL_FEAS_SLACK
+    return spectral, scaled_linf, bool(ok)
 
 
 def _unpack_iterate(item):
@@ -109,12 +113,13 @@ def lyapunov_trace(iterates, e_star, y_star):
     return out
 
 
-def lyapunov_increases(values, rel_slack=LYAPUNOV_REL_SLACK):
-    """Indices k where V_{k+1} exceeds V_k beyond the relative slack."""
+def lyapunov_increases(values):
+    """Indices k where V_{k+1} exceeds V_k beyond the relative slack
+    :data:`LYAPUNOV_REL_SLACK`."""
     v = np.asarray(values, dtype=np.float64)
     bad = []
     for k in range(v.size - 1):
-        if v[k + 1] > v[k] * (1.0 + rel_slack):
+        if v[k + 1] > v[k] * (1.0 + LYAPUNOV_REL_SLACK):
             bad.append(k + 1)
     return bad
 
@@ -126,30 +131,30 @@ def high_accuracy_reference(D, lam=None, tol=1e-10):
     return solve_ealm(D, cfg)
 
 
-def objective_rate_check(objectives, mus, f_star, fit_count=3, slack=1.05):
-    """Fit C from the first ``fit_count`` points of |obj_k - f*| <= C / mu_k
-    and verify the bound (with multiplicative ``slack``) on the rest.
+def objective_rate_check(objectives, mus, f_star):
+    """Fit C from the first :data:`RATE_FIT_COUNT` points of
+    |obj_k - f*| <= C / mu_k and verify the bound (with multiplicative
+    :data:`RATE_SLACK`) on the rest.
 
     Returns ``(C, ok)`` where ``ok`` lists one boolean per remaining point.
     """
     obj = np.asarray(objectives, dtype=np.float64)
     mus = np.asarray(mus, dtype=np.float64)
-    if obj.size != mus.size or obj.size < fit_count + 1:
-        raise ValueError("need matching objective/mu arrays longer than fit_count")
+    if obj.size != mus.size or obj.size < RATE_FIT_COUNT + 1:
+        raise ValueError(f"need matching objective/mu arrays of over {RATE_FIT_COUNT} points")
     gaps = np.abs(obj - f_star)
-    C = float((gaps[:fit_count] * mus[:fit_count]).max())
-    ok = [bool(gaps[k] <= slack * C / mus[k]) for k in range(fit_count, obj.size)]
+    C = float((gaps[:RATE_FIT_COUNT] * mus[:RATE_FIT_COUNT]).max())
+    ok = [bool(gaps[k] <= RATE_SLACK * C / mus[k]) for k in range(RATE_FIT_COUNT, obj.size)]
     return C, ok
 
 
-def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None,
-                    max_iter=100, stall_error=STALL_ERROR):
+def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None, max_iter=100):
     """Run the inexact ALM sweep from zero iterates under a forced geometric
     penalty schedule mu_k = mu0 * growth**k.
 
     With ``growth`` >= 3 the inverse penalties are summable, so the iterates
     stall far from the optimum: ``stalled`` reports whether the final
-    recovery error exceeds ``stall_error``. Passing ``mu_cap_factor`` bounds
+    recovery error exceeds :data:`STALL_ERROR`. Passing ``mu_cap_factor`` bounds
     the schedule at that multiple of mu0 (making the inverse sum diverge
     again), which restores convergence and serves as the control run. Each
     sweep takes a full-dimension partial SVD with no warm start.
@@ -171,7 +176,7 @@ def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None,
         if cap is not None:
             mu = min(mu, cap)
     final_error = instance.rel_error(A)
-    return final_error > stall_error, final_error
+    return final_error > STALL_ERROR, final_error
 
 
 def _check(name, status, detail):

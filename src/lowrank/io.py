@@ -59,22 +59,27 @@ def write_coordinate_mm(path, omega, values):
 
 
 def _mm_header(line):
+    """``(kind, field, symmetry)`` of a Matrix Market banner line."""
     parts = line.strip().lower().split()
-    if len(parts) < 4 or parts[0] != "%%matrixmarket" or parts[1] != "matrix":
+    if len(parts) != 5 or parts[0] != "%%matrixmarket" or parts[1] != "matrix":
         raise ValueError("not a Matrix Market file")
-    return parts[2], parts[3:]
+    return parts[2:]
 
 
 def read_mm(path):
     """Read a Matrix Market file.
 
     Returns a dense array for ``array`` files and ``(ObservedSet, values)``
-    for ``coordinate`` files.
+    for ``coordinate`` files. Only ``general`` files are read: the body of a
+    symmetric, skew-symmetric or Hermitian file stores one triangle, which
+    this reader does not mirror.
     """
     with open(path) as fh:
-        kind, qualifiers = _mm_header(fh.readline())
-        if "complex" in qualifiers or "pattern" in qualifiers:
+        kind, field, symmetry = _mm_header(fh.readline())
+        if field in ("complex", "pattern"):
             raise ValueError("only real-valued Matrix Market files are supported")
+        if symmetry != "general":
+            raise ValueError(f"only general Matrix Market files are supported, got {symmetry!r}")
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()

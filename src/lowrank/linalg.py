@@ -11,20 +11,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
+from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 __all__ = [
-    "SvdConvergenceError",
     "ObservedSet",
     "TruncatedSVD",
     "SparsePlusLowRank",
     "as_matrix",
     "shrink",
     "truncated_svd",
-    "svt",
     "svt_triplets",
     "spectral_norm",
-    "dual_gauge",
 ]
 
 # Below this dimension a Lanczos run costs more than LAPACK on the dense array.
@@ -46,17 +43,6 @@ _BLOCK_MAX_STEPS = 100
 _BLOCK_KEY = 20100918
 
 _log = logging.getLogger("lowrank")
-
-
-class SvdConvergenceError(RuntimeError):
-    """Raised when the iterative SVD backend fails to converge.
-
-    Carries the number of Lanczos iterations completed in ``iterations``.
-    """
-
-    def __init__(self, message, iterations=0):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 def as_matrix(a, name="matrix"):
@@ -99,14 +85,6 @@ class ObservedSet:
         object.__setattr__(self, "col_idx", ci)
 
     @classmethod
-    def from_pairs(cls, rows, cols, pairs):
-        """Build from an iterable of (i, j) pairs; sorts, rejects duplicates."""
-        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        arr = arr[order]
-        return cls(rows, cols, arr[:, 0].copy(), arr[:, 1].copy())
-
-    @classmethod
     def from_linear(cls, rows, cols, linear):
         """Build from row-major linear indices (``i * cols + j``)."""
         lin = np.sort(np.asarray(linear, dtype=np.int64))
@@ -119,31 +97,6 @@ class ObservedSet:
     @property
     def complement_size(self):
         return self.rows * self.cols - self.size
-
-    def linear(self):
-        return self.row_idx * self.cols + self.col_idx
-
-    def mask(self):
-        """Dense boolean mask of the set (desk scale only)."""
-        m = np.zeros((self.rows, self.cols), dtype=bool)
-        m[self.row_idx, self.col_idx] = True
-        return m
-
-    def extract(self, W):
-        """Values of ``W`` on the set, in index order."""
-        W = np.asarray(W)
-        if W.shape != (self.rows, self.cols):
-            raise ValueError("shape mismatch")
-        return W[self.row_idx, self.col_idx]
-
-    def scatter(self, values):
-        """Dense matrix with ``values`` placed on the set, zeros elsewhere."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.size,):
-            raise ValueError("values must align with the index set")
-        W = np.zeros((self.rows, self.cols))
-        W[self.row_idx, self.col_idx] = values
-        return W
 
     def to_csr(self, values):
         values = np.asarray(values, dtype=np.float64)
@@ -240,15 +193,7 @@ def _full_svd(W, k, eps=None):
 
 def _lanczos_svd(op, k):
     d = min(op.shape)
-    v0 = np.full(d, 1.0 / np.sqrt(d))
-    try:
-        U, s, Vt = svds(op, k=k, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise SvdConvergenceError(
-            f"Lanczos SVD did not converge for k={k}", iterations=len(exc.eigenvalues)
-        ) from exc
-    except ArpackError as exc:
-        raise SvdConvergenceError(f"Lanczos SVD failed: {exc}") from exc
+    U, s, Vt = svds(op, k=k, v0=np.full(d, 1.0 / np.sqrt(d)))
     order = np.argsort(-s)
     return TruncatedSVD(U[:, order], s[order], Vt[order].T)
 
@@ -258,8 +203,9 @@ def truncated_svd(W, k):
 
     Lanczos (ARPACK) unless a full LAPACK decomposition is cheaper: k at
     min(m, n) or past a :data:`_FULL_SVD_FRACTION` share of it, or a dense
-    input no larger than :data:`_FULL_SVD_DIM`. Lanczos non-convergence also
-    falls back to LAPACK; an operator is densified (and logged) for it.
+    input no larger than :data:`_FULL_SVD_DIM`. An ARPACK failure
+    (``ArpackError``, of which ``ArpackNoConvergence`` is one) also falls back
+    to LAPACK; an operator is densified (and logged) for it.
 
     Raises ``ValueError`` for k out of range.
     """
@@ -276,7 +222,7 @@ def truncated_svd(W, k):
         return _full_svd(_densify(W, k, "k above the partial-SVD share") if is_op else W, k)
     try:
         return _lanczos_svd(W.as_linear_operator() if is_op else W, k)
-    except SvdConvergenceError:
+    except ArpackError:
         return _full_svd(_densify(W, k, "Lanczos did not converge") if is_op else W, k)
 
 
@@ -420,22 +366,6 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     return kept, svp, t.s
 
 
-def svt(W, eps, sv_hint):
-    """Proximal map of ``eps * ||.||_*`` on dense ``W``.
-
-    Returns ``(A, svp)`` with ``A`` dense and ``svp`` the count of singular
-    values strictly above ``eps``; see :func:`svt_triplets` for the hint
-    re-expansion contract.
-    """
-    W = as_matrix(W)
-    if not (1 <= sv_hint <= min(W.shape)):
-        raise ValueError("sv_hint out of range")
-    kept, svp, _ = svt_triplets(W, eps, sv_hint)
-    if svp == 0:
-        return np.zeros_like(W), 0
-    return kept.compose(), svp
-
-
 def spectral_norm(W):
     """Largest singular value: a top-1 partial SVD (:func:`truncated_svd`)
     once min(m, n) exceeds :data:`_FULL_SVD_DIM`, LAPACK below that."""
@@ -446,13 +376,3 @@ def spectral_norm(W):
         return float(truncated_svd(W, 1).s[0])
     return float(np.linalg.svd(W, compute_uv=False)[0])
 
-
-def dual_gauge(Y, lam):
-    """max(||Y||_2, ||Y||_inf / lam): the gauge whose unit ball is the dual
-    feasible set; used to scale multiplier initializations."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    Y = as_matrix(Y)
-    if not Y.any():
-        return 0.0
-    return float(max(spectral_norm(Y), np.abs(Y).max() / lam))

@@ -56,6 +56,14 @@ def sample_without_replacement(n_total, k, rng):
     return picked
 
 
+def _rel_error(A, a_star):
+    """||A - a_star||_F / ||a_star||_F, or ||A||_F when ``a_star`` is zero."""
+    denom = np.linalg.norm(a_star)
+    if denom == 0.0:
+        return float(np.linalg.norm(A))
+    return float(np.linalg.norm(A - a_star) / denom)
+
+
 @dataclass(frozen=True)
 class RpcaInstance:
     """Ground-truth decomposition D = A* + E* with known rank and support."""
@@ -72,19 +80,12 @@ class RpcaInstance:
         return self.d.shape[0]
 
     @property
-    def n(self):
-        return self.d.shape[1]
-
-    @property
     def lam(self):
         """Default sparsity weight for this instance: m ** -0.5."""
         return 1.0 / np.sqrt(self.m)
 
     def rel_error(self, A):
-        denom = np.linalg.norm(self.a_star)
-        if denom == 0.0:
-            return float(np.linalg.norm(A))
-        return float(np.linalg.norm(A - self.a_star) / denom)
+        return _rel_error(A, self.a_star)
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class McInstance:
         return self.omega.size
 
     def rel_error(self, A):
-        return float(np.linalg.norm(A - self.a_star) / np.linalg.norm(self.a_star))
+        return _rel_error(A, self.a_star)
 
 
 def gen_rpca(m, r, corruption_frac, seed):

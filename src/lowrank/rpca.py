@@ -36,6 +36,12 @@ ZERO_TOL = 1e-12
 
 MAX_ITER_DEFAULTS = {"it": 100_000, "apg": 1000, "ealm": 100, "ialm": 1000}
 SV0_DEFAULTS = {"apg": 5, "ealm": 10, "ialm": 10}
+# Iterative thresholding: tau = IT_TAU_FACTOR * ||D||_2, multiplier step IT_DELTA.
+IT_TAU_FACTOR = 20.0
+IT_DELTA = 1.0
+# APG continuation: mu decays by APG_ETA per iteration down to APG_MU_BAR_FACTOR * mu0.
+APG_ETA = 0.9
+APG_MU_BAR_FACTOR = 1e-9
 
 
 @dataclass
@@ -45,12 +51,11 @@ class RpcaConfig:
 
     * ``ialm``: mu0 = 1.25 / ||D||_2, rho = 1.6, eps1 = 1e-7, eps2 = 1e-5
     * ``ealm``: mu0 = 0.5 / ||sign(D)||_2, rho = 6, inner_tol = 1e-6
-    * ``apg``:  mu0 = 0.99 * ||D||_2, eta = 0.9, mu_bar = 1e-9 * mu0
-    * ``it``:   tau = 20 * ||D||_2, delta = 1 (step-size choice for this
-      method is known to be difficult; it is included for completeness, not
-      speed)
+    * ``apg``:  mu0 = 0.99 * ||D||_2
 
-    ``lam`` defaults to ``rows ** -0.5``.
+    ``lam`` defaults to ``rows ** -0.5``. APG's eta and mu_bar and IT's tau
+    and delta come from the module constants :data:`APG_ETA`,
+    :data:`APG_MU_BAR_FACTOR`, :data:`IT_TAU_FACTOR` and :data:`IT_DELTA`.
     """
 
     lam: float | None = None
@@ -59,23 +64,16 @@ class RpcaConfig:
     eps1: float = 1e-7
     eps2: float = 1e-5
     max_iter: int | None = None
-    it_tau: float | None = None
-    it_delta: float = 1.0
-    apg_mu_bar: float | None = None
-    apg_eta: float = 0.9
     inner_tol: float = 1e-6
     keep_iterates: bool = False
 
     def __post_init__(self):
-        for name in ("lam", "mu0", "eps1", "eps2", "max_iter", "it_tau",
-                     "it_delta", "apg_mu_bar", "inner_tol"):
+        for name in ("lam", "mu0", "eps1", "eps2", "max_iter", "inner_tol"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.rho is not None and self.rho <= 1:
             raise ValueError("rho must exceed 1")
-        if not (0.0 < self.apg_eta < 1.0):
-            raise ValueError("apg_eta must lie in (0, 1)")
 
     def to_dict(self):
         return asdict(self)
@@ -221,8 +219,10 @@ def solve_it(D, cfg=None):
 
     Each sweep applies singular value thresholding (threshold tau) and soft
     thresholding (threshold lam * tau) to the running multiplier, then takes
-    a step of size ``it_delta`` along the constraint violation. Stops once
-    the scaled feasibility residual drops below ``eps1``; hitting
+    a step of size :data:`IT_DELTA` along the constraint violation, with
+    tau = :data:`IT_TAU_FACTOR` * ||D||_2 (step-size choice for this method
+    is known to be difficult; it is included for completeness, not speed).
+    Stops once the scaled feasibility residual drops below ``eps1``; hitting
     ``max_iter`` returns ``converged=False`` with the full trace.
     """
     cfg = cfg or RpcaConfig()
@@ -231,8 +231,7 @@ def solve_it(D, cfg=None):
         return _zero_result(D, "it")
     lam = _resolve_lam(cfg, D)
     dnorm = np.linalg.norm(D)
-    tau = cfg.it_tau if cfg.it_tau is not None else 20.0 * spectral_norm(D)
-    delta = cfg.it_delta
+    tau = IT_TAU_FACTOR * spectral_norm(D)
     max_iter = cfg.max_iter or MAX_ITER_DEFAULTS["it"]
     d = min(D.shape)
 
@@ -244,7 +243,7 @@ def solve_it(D, cfg=None):
         A = kept.compose()
         E = shrink(Y, lam * tau)
         R = D - A - E
-        Y = Y + delta * R
+        Y = Y + IT_DELTA * R
         feas = float(np.linalg.norm(R) / dnorm)
         dual = float(np.linalg.norm(E - E_prev) / dnorm)
         e_l1, e_card = _e_stats(E)
@@ -263,7 +262,8 @@ def solve_apg(D, cfg=None):
     Momentum points for both blocks share the weight (t_{k-1} - 1) / t_k;
     each iteration takes half-step gradient corrections, one SVT at
     mu_k / 2, one shrink at lam * mu_k / 2, then decays the smoothing
-    parameter by ``apg_eta`` down to the floor ``apg_mu_bar``.
+    parameter by :data:`APG_ETA` down to the floor
+    :data:`APG_MU_BAR_FACTOR` * mu0.
     """
     cfg = cfg or RpcaConfig()
     D = as_matrix(D, "D")
@@ -272,8 +272,7 @@ def solve_apg(D, cfg=None):
     lam = _resolve_lam(cfg, D)
     dnorm = np.linalg.norm(D)
     mu = cfg.mu0 if cfg.mu0 is not None else 0.99 * spectral_norm(D)
-    mu_bar = cfg.apg_mu_bar if cfg.apg_mu_bar is not None else 1e-9 * mu
-    eta = cfg.apg_eta
+    mu_bar = APG_MU_BAR_FACTOR * mu
     max_iter = cfg.max_iter or MAX_ITER_DEFAULTS["apg"]
     d = min(D.shape)
     sv = min(SV0_DEFAULTS["apg"], d)
@@ -295,7 +294,7 @@ def solve_apg(D, cfg=None):
         GE = YE - half
         E_next = shrink(GE, lam * mu / 2.0)
         mu_used = mu
-        mu = max(eta * mu, mu_bar)
+        mu = max(APG_ETA * mu, mu_bar)
 
         feas = float(np.linalg.norm(D - A_next - E_next) / dnorm)
         dual = float(mu_used * np.linalg.norm(E_next - E) / dnorm)

@@ -16,7 +16,7 @@ from lowrank.diagnostics import (
     lyapunov_increases,
     lyapunov_trace,
 )
-from lowrank.linalg import shrink, svt
+from lowrank.linalg import shrink, svt_triplets
 from lowrank.mc import McConfig, _delta_e_factored, solve_mc_ialm
 from lowrank.problems import degrees_of_freedom, gen_mc, gen_rpca
 from lowrank.rpca import RpcaConfig, solve_apg, solve_ealm, solve_ialm
@@ -109,7 +109,7 @@ def test_criterion_06_prox_oracles():
         # svt on a 6x6: output beats 200 random perturbations, margin 1e-10
         W6 = g.standard_normal((6, 6)) * 2
         eps6 = float(g.uniform(0.2, 1.5))
-        A, _ = svt(W6, eps6, 6)
+        A = svt_triplets(W6, eps6, 6)[0].compose()
         obj = (eps6 * np.linalg.svd(A, compute_uv=False).sum()
                + 0.5 * np.linalg.norm(A - W6) ** 2)
         for _ in range(200):
@@ -170,13 +170,14 @@ def test_criterion_10_mc_identities():
     inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), DEMO_SEED)
     res = solve_mc_ialm(inst.omega, inst.d_values, McConfig(keep_iterates=True))
     omega = inst.omega
-    mask = omega.mask()
     rows, cols = omega.row_idx, omega.col_idx
+    mask = np.zeros((50, 50), dtype=bool)
+    mask[rows, cols] = True
 
     # multiplier support: zero off the sample set at every iteration
     support_ok = True
     for snap in res.iterates:
-        Y = omega.scatter(snap.y_values)
+        Y = omega.to_csr(snap.y_values).toarray()
         off = Y.copy()
         off[rows, cols] = 0.0
         if off.any():

@@ -116,6 +116,14 @@ def test_solve_mc_empty_observation_exits_two(tmp_path):
     assert run("solve-mc", "--input", str(path)) == 2
 
 
+def test_solve_mc_symmetric_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "sym.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "3 3 3\n1 1 4.0\n2 1 5.0\n3 3 1.0\n")
+    assert run("solve-mc", "--input", str(path)) == 2
+    assert "only general" in capsys.readouterr().err
+
+
 def test_bench_table1_csv_schema(tmp_path):
     out = tmp_path / "bench.csv"
     assert run("bench", "--table", "1", "--scale", "40", "--algs", "ialm",

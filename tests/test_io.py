@@ -43,18 +43,19 @@ def test_dense_mm_is_column_major_on_disk(tmp_path):
 
 
 def test_coordinate_roundtrip_keeps_explicit_zeros(tmp_path):
-    om = ObservedSet.from_pairs(4, 5, [(0, 1), (2, 3), (3, 0)])
+    om = ObservedSet(4, 5, [0, 2, 3], [1, 3, 0])
     vals = np.array([1.25, 0.0, -7.5])
     path = tmp_path / "om.mtx"
     mio.write_coordinate_mm(path, om, vals)
     om2, vals2 = mio.read_observed(path)
     assert om2.rows == 4 and om2.cols == 5
-    assert np.array_equal(om2.linear(), om.linear())
+    assert np.array_equal(om2.row_idx, om.row_idx)
+    assert np.array_equal(om2.col_idx, om.col_idx)
     assert np.array_equal(vals2, vals)
 
 
 def test_coordinate_indices_are_one_based_on_disk(tmp_path):
-    om = ObservedSet.from_pairs(3, 3, [(0, 0)])
+    om = ObservedSet(3, 3, [0], [0])
     path = tmp_path / "om.mtx"
     mio.write_coordinate_mm(path, om, np.array([2.0]))
     lines = path.read_text().splitlines()
@@ -71,7 +72,7 @@ def test_read_coordinate_sorts_entries(tmp_path):
         "2 2 5.0\n"
     )
     om, vals = mio.read_observed(path)
-    assert list(om.linear()) == [1, 4, 6]
+    assert list(om.row_idx * om.cols + om.col_idx) == [1, 4, 6]
     assert list(vals) == [4.0, 5.0, 9.0]
 
 
@@ -86,6 +87,20 @@ def test_read_mm_rejects_garbage(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("hello\n1 1\n0\n")
     with pytest.raises(ValueError):
+        mio.read_mm(path)
+
+
+@pytest.mark.parametrize("body", [
+    "coordinate real symmetric\n2 2 2\n1 1 4.0\n2 1 5.0\n",
+    "coordinate real skew-symmetric\n2 2 1\n2 1 5.0\n",
+    "array real symmetric\n2 2\n4.0\n5.0\n6.0\n",
+], ids=["coordinate-symmetric", "coordinate-skew", "array-symmetric"])
+def test_read_mm_rejects_non_general_symmetry(tmp_path, body):
+    # a symmetric file stores one triangle; reading it as general would drop
+    # the mirrored entries without an error
+    path = tmp_path / "sym.mtx"
+    path.write_text("%%MatrixMarket matrix " + body)
+    with pytest.raises(ValueError, match="only general"):
         mio.read_mm(path)
 
 

@@ -20,6 +20,13 @@ from lowrank.mc import (
 from lowrank.problems import degrees_of_freedom, gen_mc
 
 
+def _mask(omega):
+    """Dense boolean mask of an observed set."""
+    mask = np.zeros((omega.rows, omega.cols), dtype=bool)
+    mask[omega.row_idx, omega.col_idx] = True
+    return mask
+
+
 @pytest.fixture(scope="module")
 def mc50():
     inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 11)
@@ -173,7 +180,7 @@ def test_mc_multiplier_supported_on_omega(mc50):
     inst, res = mc50
     # stored sparse by construction; densify and re-check the complement
     for snap in res.iterates[:: max(1, len(res.iterates) // 10)]:
-        Y = inst.omega.scatter(snap.y_values)
+        Y = inst.omega.to_csr(snap.y_values).toarray()
         outside = Y.copy()
         outside[inst.omega.row_idx, inst.omega.col_idx] = 0.0
         assert not outside.any()
@@ -182,11 +189,11 @@ def test_mc_multiplier_supported_on_omega(mc50):
 def test_mc_e_identity(mc50):
     # E from the complement projection equals pi_Omega(A) - A within 1e-12
     inst, res = mc50
-    D = inst.omega.scatter(inst.d_values)
-    mask = inst.omega.mask()
+    D = inst.omega.to_csr(inst.d_values).toarray()
+    mask = _mask(inst.omega)
     for snap in res.iterates[:: max(1, len(res.iterates) // 8)]:
         A = snap.L @ snap.R.T
-        Y = inst.omega.scatter(snap.y_values)
+        Y = inst.omega.to_csr(snap.y_values).toarray()
         lhs = D - A + Y / snap.mu
         lhs[mask] = 0.0
         rhs = np.where(mask, A, 0.0) - A
@@ -198,8 +205,8 @@ def test_mc_dual_surrogate_overestimates_true_distance(mc50):
     # Y_{k-1} + mu (D - A_k - E_{k-1}) to the set of matrices supported on
     # the sample set
     inst, res = mc50
-    D = inst.omega.scatter(inst.d_values)
-    mask = inst.omega.mask()
+    D = inst.omega.to_csr(inst.d_values).toarray()
+    mask = _mask(inst.omega)
     y_prev = np.zeros((50, 50))
     a_prev = np.zeros((50, 50))
     for snap in res.iterates:
@@ -210,13 +217,13 @@ def test_mc_dual_surrogate_overestimates_true_distance(mc50):
         true_dist = np.linalg.norm(np.where(mask, 0.0, y_hat))
         surrogate = snap.mu * np.linalg.norm(e_now - e_prev)
         assert surrogate >= true_dist - 1e-9 * max(1.0, true_dist)
-        y_prev = inst.omega.scatter(snap.y_values)
+        y_prev = inst.omega.to_csr(snap.y_values).toarray()
         a_prev = A
 
 
 def test_mc_factored_delta_e_matches_dense(mc50):
     inst, res = mc50
-    mask = inst.omega.mask()
+    mask = _mask(inst.omega)
     prev = np.zeros((50, 50))
     rows, cols = inst.omega.row_idx, inst.omega.col_idx
     from lowrank.mc import _delta_e_factored
@@ -291,7 +298,7 @@ def test_factored_delta_e_matches_dense_reference(m, n, k_new, k_old, step_exp, 
     fact = _delta_e_factored(L_new, R_new, L_old, R_old, obs_new, obs_old)
     A_new, A_old = L_new @ R_new.T, L_old @ R_old.T
     dA = A_new - A_old
-    dense = np.linalg.norm(np.where(om.mask(), 0.0, dA))
+    dense = np.linalg.norm(np.where(_mask(om), 0.0, dA))
     assert np.isfinite(fact) and fact >= 0.0
     if dense == 0.0:
         return

@@ -92,7 +92,8 @@ def test_gen_mc_table_protocol_counts():
 def test_gen_mc_full_observation():
     inst = gen_mc(12, 2, 144, 4)
     assert inst.omega.size == 144
-    assert list(inst.omega.linear()) == list(range(144))
+    omega = inst.omega
+    assert list(omega.row_idx * omega.cols + omega.col_idx) == list(range(144))
 
 
 def test_gen_mc_small_arithmetic():
@@ -105,7 +106,8 @@ def test_gen_mc_deterministic():
     a = gen_mc(30, 2, 200, 9)
     b = gen_mc(30, 2, 200, 9)
     assert np.array_equal(a.a_star, b.a_star)
-    assert np.array_equal(a.omega.linear(), b.omega.linear())
+    assert np.array_equal(a.omega.row_idx, b.omega.row_idx)
+    assert np.array_equal(a.omega.col_idx, b.omega.col_idx)
 
 
 def test_gen_mc_validation():
@@ -113,3 +115,16 @@ def test_gen_mc_validation():
         gen_mc(10, 2, 101, 0)
     with pytest.raises(ValueError):
         gen_mc(10, 11, 5, 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rel_error_of_zero_truth_is_norm_of_estimate():
+    # both instance kinds measure the estimate itself when a_star is zero,
+    # with no 0/0 on the way
+    mc = gen_mc(10, 0, 20, 1)
+    rpca = gen_rpca(10, 0, 0.1, 1)
+    for inst in (mc, rpca):
+        assert inst.rel_error(np.zeros((10, 10))) == 0.0
+        assert inst.rel_error(np.full((10, 10), 0.5)) == pytest.approx(5.0)
+    inst = gen_mc(10, 2, 50, 1)
+    assert inst.rel_error(2.0 * inst.a_star) == pytest.approx(1.0)

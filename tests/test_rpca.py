@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from lowrank.linalg import spectral_norm
 from lowrank.problems import gen_rpca
 from lowrank.rpca import (
+    APG_ETA,
+    APG_MU_BAR_FACTOR,
     RpcaConfig,
     predict_rank,
     solve_apg,
@@ -89,8 +92,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RpcaConfig(eps1=-1e-7)
     with pytest.raises(ValueError):
-        RpcaConfig(apg_eta=1.0)
-    with pytest.raises(ValueError):
         RpcaConfig(max_iter=0)
 
 
@@ -167,12 +168,11 @@ def test_it_needs_orders_of_magnitude_more_iterations():
 # ----------------------------------------------------------- trace rules
 
 def test_ialm_feasibility_identity_bit_exact():
-    from lowrank.linalg import dual_gauge
-
     inst = gen_rpca(30, 2, 0.05, 11)
     res = solve_ialm(inst.d, RpcaConfig(keep_iterates=True))
     D = inst.d
-    y_prev = D / dual_gauge(D, inst.lam)
+    # Y_0 = D / max(||D||_2, ||D||_inf / lam), the dual gauge of D
+    y_prev = D / max(spectral_norm(D), np.abs(D).max() / inst.lam)
     for snap in res.iterates:
         replay = y_prev + snap.mu * (D - snap.a - snap.e)
         assert np.array_equal(replay, snap.y)
@@ -264,10 +264,13 @@ def test_rectangular_input_accepted():
     assert feas < 1e-7
 
 
-def test_apg_momentum_with_custom_floor(small_instance):
-    # configurable continuation floor: a higher floor stops earlier/looser
-    res = solve_apg(small_instance.d, RpcaConfig(apg_mu_bar=1e-3, max_iter=500))
-    assert res.iterations <= 500
-    mus = [r.mu for r in res.trace]
-    assert all(b <= a + 1e-15 for a, b in zip(mus, mus[1:]))
-    assert min(mus) >= 1e-3 - 1e-15
+def test_apg_momentum_with_custom_floor(small_instance, monkeypatch):
+    # continuation: mu decays by APG_ETA per iteration down to the floor
+    # APG_MU_BAR_FACTOR * mu0, at the defaults and under a custom floor
+    for factor in (APG_MU_BAR_FACTOR, 1e-3):
+        monkeypatch.setattr("lowrank.rpca.APG_MU_BAR_FACTOR", factor)
+        res = solve_apg(small_instance.d, RpcaConfig(max_iter=500))
+        mus = [r.mu for r in res.trace]
+        floor = factor * mus[0]
+        assert all(b == max(APG_ETA * a, floor) for a, b in zip(mus, mus[1:]))
+        assert min(mus) >= floor
