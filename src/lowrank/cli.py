@@ -2,8 +2,9 @@
 sweeps and trace verification.
 
 Exit codes: 0 success, 1 solver non-convergence, 2 invalid input. A JSON
-config file (``--config``) may supply any flag of the subcommand; explicit
-flags win, and a key the subcommand has no flag for is invalid input.
+config file (``--config``) may supply any flag of the subcommand, parsed
+exactly like the flag; explicit flags win, and a key the subcommand has no
+flag for is invalid input. Flags are spelled in full.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ def _add_common_solver_flags(p):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="lowrank",
+    ap = argparse.ArgumentParser(prog="lowrank", allow_abbrev=False,
                                  description="Low-rank plus sparse recovery toolkit")
     ap.add_argument("--config", default=None,
                     help="JSON file supplying defaults for any flag")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a synthetic instance")
+    g = sub.add_parser("gen", help="generate a synthetic instance", allow_abbrev=False)
     g.add_argument("--kind", choices=("rpca", "mc"), required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--r", type=int, required=True)
@@ -55,7 +56,7 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output directory")
 
-    s = sub.add_parser("solve-rpca", help="run one recovery solver")
+    s = sub.add_parser("solve-rpca", help="run one recovery solver", allow_abbrev=False)
     s.add_argument("--alg", choices=sorted(RPCA_SOLVERS), required=True)
     s.add_argument("--input", required=True, help="dense matrix (.csv or .mtx)")
     s.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -65,14 +66,15 @@ def build_parser():
     s.add_argument("--output-a", default=None)
     s.add_argument("--output-e", default=None)
 
-    c = sub.add_parser("solve-mc", help="complete a matrix from samples")
+    c = sub.add_parser("solve-mc", help="complete a matrix from samples", allow_abbrev=False)
     c.add_argument("--input", required=True, help="observed entries (.mtx coordinate)")
     _add_common_solver_flags(c)
     c.add_argument("--truth", default=None)
     c.add_argument("--dense-output", default=None,
                    help="materialize the completed matrix to CSV (desk scale only)")
 
-    b = sub.add_parser("bench", help="benchmark sweep at a configurable scale")
+    b = sub.add_parser("bench", help="benchmark sweep at a configurable scale",
+                       allow_abbrev=False)
     b.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
     b.add_argument("--scale", type=int, required=True, help="matrix dimension m")
     b.add_argument("--algs", default=None,
@@ -83,41 +85,34 @@ def build_parser():
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
-    k = sub.add_parser("check", help="verify invariants on a solve report")
+    k = sub.add_parser("check", help="verify invariants on a solve report", allow_abbrev=False)
     k.add_argument("--trace", required=True, help="JSON report from a solve")
     k.add_argument("--manifest", default=None, help="instance manifest JSON")
     k.add_argument("--out", default=None, help="verdict JSON path (default: stdout)")
     return ap
 
 
-def _subcommand_flags(ap, command):
-    """Config key -> dest for each long flag of ``command`` (``max-iter`` and
-    ``max_iter`` both name ``--max-iter``; ``lambda`` names ``--lambda``)."""
-    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    return {opt[2:].replace("-", "_"): action.dest
-            for action in sub.choices[command]._actions
-            for opt in action.option_strings
-            if opt.startswith("--") and action.dest != "help"}
-
-
-def _apply_config_file(args, ap):
-    if not args.config:
-        return
-    with open(args.config) as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
-        raise ValueError(f"{args.config}: expected a JSON object of flag values")
-    flags = _subcommand_flags(ap, args.command)
-    unknown = []
-    for key, value in overrides.items():
-        dest = flags.get(key.replace("-", "_"))
-        if dest is None:
-            unknown.append(key)
-        elif getattr(args, dest) is None:
-            setattr(args, dest, value)
-    if unknown:
-        raise ValueError(f"{args.config}: no {args.command} flag for config keys "
-                         + ", ".join(sorted(unknown)))
+def _config_argv(argv):
+    """``argv`` with its ``--config`` file's entries spliced in right after the
+    subcommand as ``--key=value`` flags (``_`` read as ``-``): the parser then
+    types and checks them like flags, and a later explicit flag wins."""
+    pre = argparse.ArgumentParser(prog="lowrank", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = pre.parse_known_args(argv)
+    if not known.config or not known.rest:
+        return argv
+    with open(known.config) as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
+        raise ValueError(f"{known.config}: expected a JSON object of flag values")
+    bad = [key for key, value in entries.items() if type(value) not in (str, int, float)]
+    if bad:
+        raise ValueError(f"{known.config}: expected a string or a number for "
+                         + ", ".join(bad))
+    at = len(argv) - len(known.rest) + 1
+    return argv[:at] + [f"--{key.replace('_', '-')}={value}"
+                        for key, value in entries.items()] + argv[at:]
 
 
 def _read_dense(path):
@@ -131,13 +126,13 @@ def _read_dense(path):
 
 def _cmd_gen(args):
     os.makedirs(args.out, exist_ok=True)
-    manifest = {"kind": args.kind, "m": args.m, "r": args.r, "seed": args.seed,
-                "lambda": args.m ** -0.5}
+    manifest = {"kind": args.kind, "m": args.m, "r": args.r, "seed": args.seed}
     if args.kind == "rpca":
         inst = gen_rpca(args.m, args.r, args.frac, args.seed)
         mio.write_dense_csv(os.path.join(args.out, "d.csv"), inst.d)
         mio.write_dense_csv(os.path.join(args.out, "a_star.csv"), inst.a_star)
         mio.write_dense_csv(os.path.join(args.out, "e_star.csv"), inst.e_star)
+        manifest["lambda"] = inst.lam
         manifest["e_card"] = inst.e_card
         manifest["corruption_frac"] = args.frac
     else:
@@ -290,12 +285,7 @@ def _cmd_check(args):
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return int(exc.code or 0) if exc.code != 2 else 2
-    try:
-        _apply_config_file(args, ap)
+        args = ap.parse_args(_config_argv(sys.argv[1:] if argv is None else list(argv)))
         handler = {
             "gen": _cmd_gen,
             "solve-rpca": _cmd_solve_rpca,
@@ -304,6 +294,9 @@ def main(argv=None):
             "check": _cmd_check,
         }[args.command]
         return handler(args)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors already; normalize other codes
+        return int(exc.code or 0) if exc.code != 2 else 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import as_matrix, spectral_norm
 from .problems import RpcaInstance
-from .rpca import RpcaConfig, _ialm_sweep, solve_ealm
+from .rpca import RpcaConfig, _dual_start, _ialm_sweep, solve_ealm
 
 __all__ = [
     "KktReport",
@@ -167,7 +167,7 @@ def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None, max_iter
     mu0 = 1.25 / norm2
     cap = mu_cap_factor * mu0 if mu_cap_factor is not None else None
     A = np.zeros_like(D)
-    Y = D / max(norm2, np.abs(D).max() / lam)
+    Y = _dual_start(D, norm2, lam)
     d = min(D.shape)
     mu = mu0
     for k in range(1, max_iter + 1):

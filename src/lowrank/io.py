@@ -1,10 +1,10 @@
 """Matrix file formats.
 
 Dense matrices travel as headerless CSV (one row per line, ``.`` decimal
-separator) or Matrix Market ``array`` files; observed-entry data travels as
-Matrix Market ``coordinate`` files with 1-based indices on the wire and
-0-based indices in memory. Values are written with ``repr``-faithful
-precision so a write/read round trip is bit-identical.
+separator); Matrix Market ``array`` files are read too. Observed-entry data
+travels as Matrix Market ``coordinate`` files with 1-based indices on the
+wire and 0-based indices in memory. Values are written with
+``repr``-faithful precision so a write/read round trip is bit-identical.
 """
 
 from __future__ import annotations
@@ -17,29 +17,12 @@ _FMT = "%.17g"
 
 
 def write_dense_csv(path, W):
-    W = as_matrix(W)
-    with open(path, "w") as fh:
-        for row in W:
-            fh.write(",".join(_FMT % v for v in row))
-            fh.write("\n")
+    np.savetxt(path, as_matrix(W), fmt=_FMT, delimiter=",")
 
 
 def read_dense_csv(path):
     W = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     return as_matrix(W, name=str(path))
-
-
-def write_dense_mm(path, W):
-    """Matrix Market array format (column-major body, as the format requires)."""
-    W = as_matrix(W)
-    m, n = W.shape
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{m} {n}\n")
-        for j in range(n):
-            for i in range(m):
-                fh.write(_FMT % W[i, j])
-                fh.write("\n")
 
 
 def write_coordinate_mm(path, omega, values):
@@ -51,11 +34,11 @@ def write_coordinate_mm(path, omega, values):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (omega.size,):
         raise ValueError("values must align with the observed set")
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{omega.rows} {omega.cols} {omega.size}\n")
-        for i, j, v in zip(omega.row_idx, omega.col_idx, values):
-            fh.write(f"{i + 1} {j + 1} {_FMT % v}\n")
+    # indices pass through float64, exact below 2**53
+    np.savetxt(path, np.column_stack([omega.row_idx + 1, omega.col_idx + 1, values]),
+               fmt=("%d", "%d", _FMT), comments="",
+               header="%%MatrixMarket matrix coordinate real general\n"
+                      f"{omega.rows} {omega.cols} {omega.size}")
 
 
 def _mm_header(line):
@@ -72,7 +55,8 @@ def read_mm(path):
     Returns a dense array for ``array`` files and ``(ObservedSet, values)``
     for ``coordinate`` files. Only ``general`` files are read: the body of a
     symmetric, skew-symmetric or Hermitian file stores one triangle, which
-    this reader does not mirror.
+    this reader does not mirror. Unlike ``scipy.io.mmread``, it keeps the
+    sign of -0.0 in array files.
     """
     with open(path) as fh:
         kind, field, symmetry = _mm_header(fh.readline())

@@ -156,13 +156,10 @@ class SparsePlusLowRank:
     def rmatvec(self, y):
         return self._St @ y + self.R @ (self.L.T @ y)
 
-    def matmat(self, X):
-        """``matvec`` of each column of ``X`` as one sparse-times-dense product."""
-        return self.S @ X + self.L @ (self.R.T @ X)
-
     def as_linear_operator(self):
+        # matvec takes a column block as it is: one sparse-times-dense product
         return LinearOperator(self.shape, matvec=self.matvec, rmatvec=self.rmatvec,
-                              matmat=self.matmat, dtype=np.float64)
+                              matmat=self.matvec, dtype=np.float64)
 
     def to_dense(self):
         return np.asarray(self.S.todense()) + self.L @ self.R.T

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .linalg import ObservedSet, SparsePlusLowRank, truncated_svd
-from .rpca import IterRecord, _report_v1
+from .rpca import IterRecord, _fro_norm, _report_v1
 
 __all__ = [
     "McConfig",
@@ -269,7 +269,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
 
     m, n = observed.rows, observed.cols
     d = min(m, n)
-    dnorm = float(np.linalg.norm(vals))
+    dnorm = float(_fro_norm(vals, "values"))
     if dnorm == 0.0:
         empty = FactoredMatrix(np.zeros((m, 0)), np.zeros((n, 0)))
         rec = IterRecord(1, 0.0, 0.0, 0.0, 0, observed.complement_size, 0, 0, 0.0)

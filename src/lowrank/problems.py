@@ -56,6 +56,19 @@ def sample_without_replacement(n_total, k, rng):
     return picked
 
 
+def _low_rank(m, r, rng):
+    """A* = L R^T from m x r standard-normal factors, L drawn first; rank 0 draws none."""
+    if r > m:
+        raise ValueError("rank cannot exceed dimension")
+    if r < 0 or m <= 0:
+        raise ValueError("m must be positive and r nonnegative")
+    if r == 0:
+        return np.zeros((m, m))
+    L = rng.standard_normal((m, r))
+    R = rng.standard_normal((m, r))
+    return L @ R.T
+
+
 def _rel_error(A, a_star):
     """||A - a_star||_F / ||a_star||_F, or ||A||_F when ``a_star`` is zero."""
     denom = np.linalg.norm(a_star)
@@ -115,19 +128,10 @@ def gen_rpca(m, r, corruption_frac, seed):
     """Random recovery instance: A* = L R^T with m x r standard-normal factors,
     E* supported on exactly round(corruption_frac * m^2) uniform positions
     with values i.i.d. uniform on [-500, 500]."""
-    if r > m:
-        raise ValueError("rank cannot exceed dimension")
-    if r < 0 or m <= 0:
-        raise ValueError("m must be positive and r nonnegative")
     if not (0.0 <= corruption_frac < 1.0):
         raise ValueError("corruption_frac must be in [0, 1)")
     rng = _generator(seed)
-    if r > 0:
-        L = rng.standard_normal((m, r))
-        R = rng.standard_normal((m, r))
-        a_star = L @ R.T
-    else:
-        a_star = np.zeros((m, m))
+    a_star = _low_rank(m, r, rng)
     k = round_half_up(corruption_frac * m * m)
     support = sample_without_replacement(m * m, k, rng)
     e_star = np.zeros((m, m))
@@ -141,19 +145,10 @@ def gen_rpca(m, r, corruption_frac, seed):
 def gen_mc(m, r, p, seed):
     """Random completion instance: p entries of A* sampled uniformly without
     replacement."""
-    if r > m:
-        raise ValueError("rank cannot exceed dimension")
-    if r < 0 or m <= 0:
-        raise ValueError("m must be positive and r nonnegative")
     if not (0 <= p <= m * m):
         raise ValueError("sample count out of range")
     rng = _generator(seed)
-    if r > 0:
-        L = rng.standard_normal((m, r))
-        R = rng.standard_normal((m, r))
-        a_star = L @ R.T
-    else:
-        a_star = np.zeros((m, m))
+    a_star = _low_rank(m, r, rng)
     support = sample_without_replacement(m * m, p, rng)
     omega = ObservedSet.from_linear(m, m, support)
     d_values = a_star[omega.row_idx, omega.col_idx]

@@ -196,10 +196,36 @@ def t_next(t):
     return (1.0 + np.sqrt(4.0 * t * t + 1.0)) / 2.0
 
 
-def _e_stats(E):
-    """(||E||_1, count of entries above ZERO_TOL) from one pass of |E|."""
+def _fro_norm(X, name):
+    """||X||_F, the residuals' scale: ``ValueError`` unless X is zero or it
+    is a positive finite double (else every stopping test reads NaN or 0)."""
+    norm = np.linalg.norm(X)
+    if not 0.0 < norm < np.inf and X.any():
+        raise ValueError(f"||{name}||_F is not a positive finite double at this scale "
+                         f"(largest |entry| {np.abs(X).max():.3g}); rescale {name}")
+    return norm
+
+
+def _start(D, cfg, algorithm):
+    """``(cfg, D, lam, ||D||_F, max_iter, min(m, n))`` with the defaults of
+    ``algorithm``; ||D||_F is 0 only for a zero D."""
+    cfg = cfg or RpcaConfig()
+    D = as_matrix(D, "D")
+    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(D.shape[0])
+    return (cfg, D, lam, _fro_norm(D, "D"), cfg.max_iter or MAX_ITER_DEFAULTS[algorithm],
+            min(D.shape))
+
+
+def _record(k, mu, feas, dual, kept, svp, sv, E, lam):
+    """The iteration's ``IterRecord``, with ||E||_1 and ||E||_0 from one pass of |E|."""
     abs_e = np.abs(E)
-    return float(abs_e.sum()), int((abs_e > ZERO_TOL).sum())
+    obj = float(kept.s.sum() + lam * float(abs_e.sum()))
+    return IterRecord(k, mu, feas, dual, svp, int((abs_e > ZERO_TOL).sum()), sv, svp, obj)
+
+
+def _dual_start(X, norm2, lam):
+    """The dual gauge X / max(||X||_2, ||X||_inf / lam), given ``norm2`` = ||X||_2."""
+    return X / max(norm2, np.abs(X).max() / lam)
 
 
 def _zero_result(D, algorithm):
@@ -208,10 +234,6 @@ def _zero_result(D, algorithm):
                      e_card=0, sv_pred=0, svp=0, objective=0.0)
     return SolveResult(A=Z, E=Z.copy(), converged=True, iterations=1,
                        svd_count=0, trace=[rec], algorithm=algorithm, Y=Z.copy())
-
-
-def _resolve_lam(cfg, D):
-    return cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(D.shape[0])
 
 
 def solve_it(D, cfg=None):
@@ -225,15 +247,10 @@ def solve_it(D, cfg=None):
     Stops once the scaled feasibility residual drops below ``eps1``; hitting
     ``max_iter`` returns ``converged=False`` with the full trace.
     """
-    cfg = cfg or RpcaConfig()
-    D = as_matrix(D, "D")
-    if not D.any():
+    cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "it")
+    if not dnorm:
         return _zero_result(D, "it")
-    lam = _resolve_lam(cfg, D)
-    dnorm = np.linalg.norm(D)
     tau = IT_TAU_FACTOR * spectral_norm(D)
-    max_iter = cfg.max_iter or MAX_ITER_DEFAULTS["it"]
-    d = min(D.shape)
 
     Y = np.zeros_like(D)
     E_prev = np.zeros_like(D)
@@ -246,9 +263,7 @@ def solve_it(D, cfg=None):
         Y = Y + IT_DELTA * R
         feas = float(np.linalg.norm(R) / dnorm)
         dual = float(np.linalg.norm(E - E_prev) / dnorm)
-        e_l1, e_card = _e_stats(E)
-        obj = float(kept.s.sum() + lam * e_l1)
-        trace.append(IterRecord(k, tau, feas, dual, svp, e_card, d, svp, obj))
+        trace.append(_record(k, tau, feas, dual, kept, svp, d, E, lam))
         E_prev = E
         converged = feas < cfg.eps1
         if converged:
@@ -265,16 +280,11 @@ def solve_apg(D, cfg=None):
     parameter by :data:`APG_ETA` down to the floor
     :data:`APG_MU_BAR_FACTOR` * mu0.
     """
-    cfg = cfg or RpcaConfig()
-    D = as_matrix(D, "D")
-    if not D.any():
+    cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "apg")
+    if not dnorm:
         return _zero_result(D, "apg")
-    lam = _resolve_lam(cfg, D)
-    dnorm = np.linalg.norm(D)
     mu = cfg.mu0 if cfg.mu0 is not None else 0.99 * spectral_norm(D)
     mu_bar = APG_MU_BAR_FACTOR * mu
-    max_iter = cfg.max_iter or MAX_ITER_DEFAULTS["apg"]
-    d = min(D.shape)
     sv = min(SV0_DEFAULTS["apg"], d)
 
     A = A_prev = np.zeros_like(D)
@@ -298,10 +308,8 @@ def solve_apg(D, cfg=None):
 
         feas = float(np.linalg.norm(D - A_next - E_next) / dnorm)
         dual = float(mu_used * np.linalg.norm(E_next - E) / dnorm)
-        e_l1, e_card = _e_stats(E_next)
-        obj = float(kept.s.sum() + lam * e_l1)
         sv_used = len(s_raw)
-        trace.append(IterRecord(k, mu_used, feas, dual, svp, e_card, sv_used, svp, obj))
+        trace.append(_record(k, mu_used, feas, dual, kept, svp, sv_used, E_next, lam))
         A_prev, A, E_prev, E = A, A_next, E, E_next
         t_prev, t = t, t_next(t)
         sv = predict_rank(svp, sv_used, d)
@@ -320,22 +328,16 @@ def solve_ealm(D, cfg=None):
     exact multiplier step and grows the penalty by ``rho``. ``svd_count``
     sums all inner iterations.
     """
-    cfg = cfg or RpcaConfig()
-    D = as_matrix(D, "D")
-    if not D.any():
+    cfg, D, lam, dnorm, max_outer, d = _start(D, cfg, "ealm")
+    if not dnorm:
         return _zero_result(D, "ealm")
-    lam = _resolve_lam(cfg, D)
-    dnorm = np.linalg.norm(D)
     sgn = np.sign(D)
     norm2 = spectral_norm(sgn)
     mu = cfg.mu0 if cfg.mu0 is not None else 0.5 / norm2
     rho = cfg.rho if cfg.rho is not None else 6.0
-    max_outer = cfg.max_iter or MAX_ITER_DEFAULTS["ealm"]
-    d = min(D.shape)
     sv = min(SV0_DEFAULTS["ealm"], d)
 
-    # the dual gauge of sign(D), whose largest entry is 1
-    Y = sgn / max(norm2, 1.0 / lam)
+    Y = _dual_start(sgn, norm2, lam)
     A = np.zeros_like(D)
     E = np.zeros_like(D)
     trace = []
@@ -361,9 +363,7 @@ def solve_ealm(D, cfg=None):
         R = D - A - E
         Y = Y + mu * R
         feas = float(np.linalg.norm(R) / dnorm)
-        e_l1, e_card = _e_stats(E)
-        obj = float(kept.s.sum() + lam * e_l1)
-        trace.append(IterRecord(k, mu, feas, dual, svp, e_card, sv, svp, obj))
+        trace.append(_record(k, mu, feas, dual, kept, svp, sv, E, lam))
         if iterates is not None:
             iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))
         converged = feas < cfg.eps1
@@ -386,21 +386,15 @@ def solve_ialm(D, cfg=None):
     stops when that dual surrogate and the feasibility residual are both
     inside tolerance.
     """
-    cfg = cfg or RpcaConfig()
-    D = as_matrix(D, "D")
-    if not D.any():
+    cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "ialm")
+    if not dnorm:
         return _zero_result(D, "ialm")
-    lam = _resolve_lam(cfg, D)
-    dnorm = np.linalg.norm(D)
     norm2 = spectral_norm(D)
     mu = cfg.mu0 if cfg.mu0 is not None else 1.25 / norm2
     rho = cfg.rho if cfg.rho is not None else 1.6
-    max_iter = cfg.max_iter or MAX_ITER_DEFAULTS["ialm"]
-    d = min(D.shape)
     sv = min(SV0_DEFAULTS["ialm"], d)
 
-    # the dual gauge of D, built from the one ||D||_2 above
-    Y = D / max(norm2, np.abs(D).max() / lam)
+    Y = _dual_start(D, norm2, lam)
     A = np.zeros_like(D)
     E = np.zeros_like(D)
     trace = []
@@ -411,10 +405,8 @@ def solve_ialm(D, cfg=None):
             D, A, Y, mu, lam, sv, None if kept is None else kept.V)
         feas = float(r_norm / dnorm)
         dual = float(mu * np.linalg.norm(E_next - E) / dnorm)
-        e_l1, e_card = _e_stats(E_next)
-        obj = float(kept.s.sum() + lam * e_l1)
         sv_used = len(s_raw)
-        trace.append(IterRecord(k, mu, feas, dual, svp, e_card, sv_used, svp, obj))
+        trace.append(_record(k, mu, feas, dual, kept, svp, sv_used, E_next, lam))
         E = E_next
         if iterates is not None:
             iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))

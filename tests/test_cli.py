@@ -1,10 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from lowrank import io as mio
 from lowrank.cli import main
 from lowrank.linalg import ObservedSet
+from lowrank.problems import gen_rpca
 
 
 def run(*argv):
@@ -21,6 +23,20 @@ def test_gen_rpca_writes_instance(tmp_path):
     A = mio.read_dense_csv(out / "a_star.csv")
     E = mio.read_dense_csv(out / "e_star.csv")
     assert np.array_equal(D, A + E)
+
+
+def test_gen_manifest_lambda_is_the_solvers(tmp_path):
+    # at m = 22, m ** -0.5 and 1 / sqrt(m) differ in the last bit
+    assert 22 ** -0.5 != 1.0 / np.sqrt(22)
+    out = tmp_path / "inst"
+    assert run("gen", "--kind", "rpca", "--m", "22", "--r", "2",
+               "--seed", "1", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["lambda"] == 1.0 / np.sqrt(22) == gen_rpca(22, 2, 0.05, 1).lam
+    out = tmp_path / "mc"
+    assert run("gen", "--kind", "mc", "--m", "22", "--r", "2", "--p", "100",
+               "--seed", "1", "--out", str(out)) == 0
+    assert "lambda" not in json.loads((out / "manifest.json").read_text())
 
 
 def test_gen_mc_writes_observed(tmp_path):
@@ -186,7 +202,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"lambda": 0.1, "max_iters": 2}))
     assert run("--config", str(cfg), "solve-mc", "--input", str(out / "observed.mtx")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "lambda" in err and "max_iters" in err
+    assert "error:" in err and "lambda" in err and "max-iters" in err
     cfg.write_text(json.dumps([2]))
     assert run("--config", str(cfg), "solve-mc", "--input", str(out / "observed.mtx")) == 2
     # top-level namespace entries are not flags of the subcommand
@@ -195,6 +211,50 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert run("--config", str(cfg), "solve-mc",
                    "--input", str(out / "observed.mtx")) == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"max_iter": 2.5}, "argument --max-iter: invalid int value"),
+    ({"mu0": "abc"}, "argument --mu0: invalid float value"),
+    ({"alg": "nope"}, "argument --alg: invalid choice"),
+    ({"trace": None}, "expected a string or a number for trace"),
+    ({"eps1": [1e-7]}, "expected a string or a number for eps1"),
+], ids=["float-for-int", "not-a-number", "bad-choice", "null", "list"])
+def test_config_values_parsed_like_flags(tmp_path, capsys, entries, message):
+    # a config value goes through the flag's type and choices, and one with
+    # no flag spelling (null, lists) is refused instead of taken as a string
+    out = tmp_path / "inst"
+    run("gen", "--kind", "rpca", "--m", "20", "--r", "1",
+        "--frac", "0.05", "--seed", "3", "--out", str(out))
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alg": "ialm", **entries}))
+    assert run("--config", str(cfg), "solve-rpca", "--input", str(out / "d.csv")) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_file_supplies_required_flags_and_explicit_flags_win(tmp_path):
+    out = tmp_path / "inst"
+    run("gen", "--kind", "rpca", "--m", "20", "--r", "1",
+        "--frac", "0.05", "--seed", "3", "--out", str(out))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alg": "ialm", "input": str(out / "d.csv"), "max_iter": 2}))
+    assert run("--config", str(cfg), "solve-rpca") == 1
+    trace = tmp_path / "trace.json"
+    assert run("--config", str(cfg), "solve-rpca", "--max-iter", "100",
+               "--trace", str(trace)) == 0
+    assert json.loads(trace.read_text())["config"]["max_iter"] == 100
+
+
+def test_flags_must_be_spelled_in_full(tmp_path):
+    out = tmp_path / "inst"
+    run("gen", "--kind", "rpca", "--m", "20", "--r", "1",
+        "--frac", "0.05", "--seed", "3", "--out", str(out))
+    assert run("solve-rpca", "--alg", "ialm", "--inp", str(out / "d.csv")) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max": 2}))
+    assert run("--config", str(cfg), "solve-rpca", "--alg", "ialm",
+               "--input", str(out / "d.csv")) == 2
 
 
 def test_config_file_takes_flag_names_not_dests(tmp_path, capsys):

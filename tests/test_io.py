@@ -25,21 +25,30 @@ def test_dense_csv_single_row(tmp_path):
     assert back.shape == (1, 3)
 
 
+def _write_array_mm(path, W):
+    # column-major body, as the format requires
+    path.write_text("%%MatrixMarket matrix array real general\n"
+                    f"{W.shape[0]} {W.shape[1]}\n"
+                    + "".join(f"{v!r}\n" for v in W.T.ravel().tolist()))
+
+
 def test_dense_mm_roundtrip(tmp_path):
     g = rng(2)
     W = g.standard_normal((4, 6))
+    W[1, 2] = -0.0
     path = tmp_path / "w.mtx"
-    mio.write_dense_mm(path, W)
+    _write_array_mm(path, W)
     back = mio.read_mm(path)
     assert np.array_equal(back, W)
+    # the sign of -0.0 survives, which scipy.io.mmread drops
+    assert np.signbit(back[1, 2])
 
 
 def test_dense_mm_is_column_major_on_disk(tmp_path):
-    W = np.array([[1.0, 3.0], [2.0, 4.0]])
     path = tmp_path / "w.mtx"
-    mio.write_dense_mm(path, W)
-    body = [l for l in path.read_text().splitlines() if not l.startswith("%")][1:]
-    assert [float(v) for v in body] == [1.0, 2.0, 3.0, 4.0]
+    path.write_text("%%MatrixMarket matrix array real general\n% a comment\n"
+                    "2 2\n1.0\n2.0\n3.0\n4.0\n")
+    assert np.array_equal(mio.read_mm(path), np.array([[1.0, 3.0], [2.0, 4.0]]))
 
 
 def test_coordinate_roundtrip_keeps_explicit_zeros(tmp_path):
@@ -78,7 +87,7 @@ def test_read_coordinate_sorts_entries(tmp_path):
 
 def test_read_observed_rejects_array_files(tmp_path):
     path = tmp_path / "w.mtx"
-    mio.write_dense_mm(path, np.eye(2))
+    _write_array_mm(path, np.eye(2))
     with pytest.raises(ValueError):
         mio.read_observed(path)
 

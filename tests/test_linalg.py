@@ -484,16 +484,19 @@ def test_sparse_plus_low_rank_block_product_matches_columns(m, n, k):
     X = g.standard_normal((n, 4))
     y = g.standard_normal(m)
     stacked = np.column_stack([op.matvec(x) for x in X.T])
-    assert np.allclose(op.matmat(X), stacked, rtol=1e-14, atol=1e-14)
+    block = op.matvec(X)
+    assert np.allclose(block, stacked, rtol=1e-14, atol=1e-14)
     # rmatvec goes through the transpose taken once at construction
     assert np.allclose(op.rmatvec(y), dense.T @ y, atol=1e-12)
-    assert np.allclose(op.matmat(X), dense @ X, atol=1e-12)
-    # the LinearOperator hands whole blocks to the block product, so a
-    # partial SVD recovers its singular vectors without per-column callbacks
-    lin = op.as_linear_operator()
-    with mock.patch.object(SparsePlusLowRank, "matvec") as mv:
-        assert np.array_equal(lin.matmat(X), op.matmat(X))
-    assert mv.call_count == 0
+    assert np.allclose(block, dense @ X, atol=1e-12)
+    # the LinearOperator hands whole blocks to matvec, so a partial SVD
+    # recovers its singular vectors without per-column callbacks
+    with mock.patch.object(SparsePlusLowRank, "matvec", autospec=True,
+                           side_effect=SparsePlusLowRank.matvec) as mv:
+        lin = op.as_linear_operator()
+        assert np.array_equal(lin.matmat(X), block)
+    assert mv.call_count == 1
+    assert np.array_equal(mv.call_args.args[1], X)
 
 
 def test_truncated_svd_on_operator_matches_dense():

@@ -167,6 +167,13 @@ def test_mc_rejects_bad_inputs():
         solve_mc_ialm(omega, np.array([1.0, np.nan]))
 
 
+def test_mc_zero_values_return_zero_rank():
+    # ||values||_F = 0 is the all-zero input, not a failed scale check
+    omega = ObservedSet.from_linear(4, 4, [0, 5, 9])
+    res = solve_mc_ialm(omega, np.zeros(3))
+    assert res.converged and res.iterations == 1 and res.rank == 0
+
+
 def test_mc_max_iter_exhaustion():
     inst = gen_mc(30, 2, 300, 5)
     res = solve_mc_ialm(inst.omega, inst.d_values, McConfig(max_iter=3))

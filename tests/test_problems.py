@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,31 @@ def test_gen_rpca_deterministic():
     assert np.array_equal(a.e_star, b.e_star)
     c = gen_rpca(20, 2, 0.1, 78)
     assert not np.array_equal(a.d, c.d)
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
+# The support draws follow both factor draws in the one Philox stream, so
+# these pins also catch a change in how much of the stream the factors take.
+# At rank 1, A* = L R^T is one product per entry (exact, with or without BLAS),
+# so pinning it also fixes which factor is drawn first.
+@pytest.mark.parametrize("seed, e_star_sha, a_star_sha", [
+    (0, "ad0003d2c6ab2770936e4aefae61a128e5419444a039e49d818f9553e2ab87e3",
+     "0a1646960007b6bb653398571be3a3040c3f7a7304949df13224329cda0c6f96"),
+    (7, "bf8995ab76b06e246dd263c5a8c0c46587c33099bac2ed7a8d3cc2c9ab781218",
+     "0afd83304529f24efaef712839c95fcaabe31de4e5a1257d2d1ed598d69200de"),
+    (41000, "d9c8092918f90ba727ef3f1c82d49b8d57501e3e50fdd8c2505c9ea72a0143c2",
+     "6c324307846ac3598f35d3e04b38ccb48577791925ec3c0ccbeee1033a2e96d2"),
+])
+def test_gen_rpca_draws_pinned(seed, e_star_sha, a_star_sha):
+    inst = gen_rpca(40, 1, 0.1, seed)
+    assert _sha256(inst.e_star) == e_star_sha
+    assert _sha256(inst.a_star) == a_star_sha
 
 
 def test_gen_rpca_degenerate_zero():
@@ -108,6 +135,16 @@ def test_gen_mc_deterministic():
     assert np.array_equal(a.a_star, b.a_star)
     assert np.array_equal(a.omega.row_idx, b.omega.row_idx)
     assert np.array_equal(a.omega.col_idx, b.omega.col_idx)
+
+
+@pytest.mark.parametrize("seed, omega_sha", [
+    (3, "e94ef9da44a7fcc8fd581015f438c8bc76c0686a93036152eeea0b29fb98fa14"),
+    (11, "0af2f3f49f4bed75b478f5648465a691b0d2ef1c71312b6115573f4e83d1e97d"),
+    (301000, "1a722b18f1cc68cbb364a847a1cdc2b94d96f0e97d623bc426a3a2e05a62b3c8"),
+])
+def test_gen_mc_sample_pinned(seed, omega_sha):
+    omega = gen_mc(50, 2, 500, seed).omega
+    assert _sha256(omega.row_idx, omega.col_idx) == omega_sha
 
 
 def test_gen_mc_validation():

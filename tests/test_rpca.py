@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lowrank.linalg import spectral_norm
-from lowrank.problems import gen_rpca
+from lowrank.mc import solve_mc_ialm
+from lowrank.problems import gen_mc, gen_rpca
 from lowrank.rpca import (
     APG_ETA,
     APG_MU_BAR_FACTOR,
@@ -82,6 +83,20 @@ def test_zero_input_short_circuits(solver):
     assert res.iterations == 1
     assert not res.A.any() and not res.E.any()
     assert res.rank == 0 and res.e_card == 0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+@pytest.mark.parametrize("solver", ALL_SOLVERS + [solve_mc_ialm])
+def test_unrepresentable_frobenius_norm_rejected(solver, scale):
+    # the sum of squares underflows to 0 or overflows to inf, so every scaled
+    # residual would read NaN, 0 or inf: refuse the input instead of iterating
+    if solver is solve_mc_ialm:
+        inst = gen_mc(50, 2, 500, 3)
+        args = (inst.omega, scale * inst.d_values)
+    else:
+        args = (scale * gen_rpca(20, 2, 0.05, 1).d,)
+    with pytest.raises(ValueError, match="scale"):
+        solver(*args)
 
 
 # -------------------------------------------------------- config checks
