@@ -60,7 +60,7 @@ def build_parser():
     s.add_argument("--alg", choices=sorted(RPCA_SOLVERS), required=True)
     s.add_argument("--input", required=True, help="dense matrix (.csv or .mtx)")
     s.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="sparsity weight (default: rows ** -0.5)")
+                   help="sparsity weight (default: 1/sqrt(rows))")
     _add_common_solver_flags(s)
     s.add_argument("--truth", default=None, help="ground-truth low-rank matrix")
     s.add_argument("--output-a", default=None)

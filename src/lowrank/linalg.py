@@ -1,10 +1,17 @@
 """Dense/sparse matrix primitives: soft thresholding, singular value
 thresholding, spectral norms, observed index sets and a truncated SVD that
 picks Lanczos or full LAPACK by size. Dense singular value thresholding uses
-a warm-started block iteration or one LAPACK SVD (:func:`svt_triplets`)."""
+a warm-started block iteration or one LAPACK SVD (:func:`svt_triplets`).
+
+The two size gates price different algorithms. :data:`_FULL_SVD_DIM` (150)
+is where ARPACK's Lanczos run starts to beat LAPACK (:func:`truncated_svd`,
+:func:`spectral_norm`). Above :data:`_BLOCK_MIN_DIM` (65) the block
+iteration, which reuses the previous call's subspace, is no slower than one
+LAPACK SVD per threshold for any recovery solver."""
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -24,8 +31,13 @@ __all__ = [
     "spectral_norm",
 ]
 
-# Below this dimension a Lanczos run costs more than LAPACK on the dense array.
+# Below this dimension a Lanczos run costs more than LAPACK on the dense array
+# (truncated_svd, spectral_norm).
 _FULL_SVD_DIM = 150
+# Above this dimension the warm-started block iteration of the dense SVT is no
+# slower per solve than one LAPACK SVD per call for IALM, EALM and APG
+# (measured at min(m, n) = 40..100 with one BLAS thread; EALM crosses last).
+_BLOCK_MIN_DIM = 65
 # Partial SVD stops paying off once the requested rank passes this fraction of
 # the small dimension; switch to a full decomposition instead.
 _FULL_SVD_FRACTION = 0.2
@@ -230,13 +242,37 @@ def _densify(op, k, reason):
     return op.to_dense()
 
 
+_GEQRF, _ORGQR = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=None)
+def _strictly_lower(n):
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _qr(A):
+    """``scipy.linalg.qr(A, mode="economic", overwrite_a=True)`` for a tall
+    float64 ``A`` (Fortran order avoids a copy), as direct LAPACK calls. Each
+    routine gets the workspace it asks for: a smaller one can take LAPACK's
+    unblocked path and change the bits. ``R`` is zeroed through a cached mask,
+    a quarter of ``np.triu``'s cost at block sizes."""
+    n = A.shape[1]
+    lwork = _GEQRF(A, lwork=-1, overwrite_a=True)[2][0]
+    qr, tau, _, _ = _GEQRF(A, lwork=int(lwork), overwrite_a=True)
+    R = qr[:n].copy()
+    R[_strictly_lower(n)] = 0.0
+    lwork = _ORGQR(qr, tau, lwork=-1, overwrite_a=True)[1][0]
+    return _ORGQR(qr, tau, lwork=int(lwork), overwrite_a=True)[0], R
+
+
 def _orth_rows(X):
     """Orthonormal rows spanning the rows of ``X`` (Householder QR of the
     row-normalised matrix, so rows of very different lengths lose nothing)."""
     norms = np.linalg.norm(X, axis=1)
     norms[norms == 0.0] = 1.0
-    Q, _ = scipy.linalg.qr((X / norms[:, None]).T, mode="economic", overwrite_a=True,
-                           check_finite=False)
+    Q, _ = _qr((X / norms[:, None]).T)
     return np.ascontiguousarray(Q.T)
 
 
@@ -249,8 +285,7 @@ def _rayleigh_ritz(W, Qt):
     construction. Blocks are kept as rows so both products with ``W`` run as
     row-major GEMMs.
     """
-    P, R = scipy.linalg.qr((Qt @ W.T).T, mode="economic", overwrite_a=True,
-                           check_finite=False)
+    P, R = _qr((Qt @ W.T).T)
     Ur, s, Vrt = np.linalg.svd(R)
     Ut = Ur.T @ P.T
     Vt = Vrt @ Qt
@@ -337,12 +372,14 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     computed value clears the threshold the hint doubles (capped at
     min(m, n)), so nothing above ``eps`` is missed.
 
-    When the small dimension exceeds :data:`_FULL_SVD_DIM` and the hint is
+    When the small dimension exceeds :data:`_BLOCK_MIN_DIM` and the hint is
     within the :data:`_FULL_SVD_FRACTION` share of it, a block iteration
     (:func:`_block_svd`) warm-started from ``v0``, the right singular vectors
     of a nearby matrix (typically the previous call's ``tsvd.V``), computes
     the triplets. Every other input, and every block fallback, takes one full
     LAPACK SVD and doubles the hint over its values; ``v0`` is then ignored.
+    The gate is lower than ARPACK's :data:`_FULL_SVD_DIM`: a warm-started
+    block needs few products with ``W`` per call, a cold Lanczos run many.
 
     Returns ``(tsvd, svp, s_raw)`` where ``tsvd`` holds the ``svp`` thresholded
     triplets and ``s_raw`` the raw singular values at the final hint (on the
@@ -354,7 +391,7 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     d = min(W.shape)
     sv = int(min(max(sv_hint, 1), d))
     t = None
-    if d > _FULL_SVD_DIM and sv <= _FULL_SVD_FRACTION * d:
+    if d > _BLOCK_MIN_DIM and sv <= _FULL_SVD_FRACTION * d:
         t, sv = _block_svd(W, eps, sv, v0)
     if t is None:
         t = _full_svd(W, sv, eps)

@@ -94,7 +94,7 @@ class RpcaInstance:
 
     @property
     def lam(self):
-        """Default sparsity weight for this instance: m ** -0.5."""
+        """Default sparsity weight for this instance: 1/sqrt(m)."""
         return 1.0 / np.sqrt(self.m)
 
     def rel_error(self, A):

@@ -42,6 +42,9 @@ IT_DELTA = 1.0
 # APG continuation: mu decays by APG_ETA per iteration down to APG_MU_BAR_FACTOR * mu0.
 APG_ETA = 0.9
 APG_MU_BAR_FACTOR = 1e-9
+# EALM: inner sweeps per outer step before the solve gives up unconverged (the
+# largest solve seen took 152 sweeps in all).
+EALM_MAX_INNER = 1000
 
 
 @dataclass
@@ -53,7 +56,7 @@ class RpcaConfig:
     * ``ealm``: mu0 = 0.5 / ||sign(D)||_2, rho = 6, inner_tol = 1e-6
     * ``apg``:  mu0 = 0.99 * ||D||_2
 
-    ``lam`` defaults to ``rows ** -0.5``. APG's eta and mu_bar and IT's tau
+    ``lam`` defaults to ``1/sqrt(rows)``. APG's eta and mu_bar and IT's tau
     and delta come from the module constants :data:`APG_ETA`,
     :data:`APG_MU_BAR_FACTOR`, :data:`IT_TAU_FACTOR` and :data:`IT_DELTA`.
     """
@@ -149,7 +152,7 @@ def _report_v1(result, algorithm, counts, config, a_star, dense_a, Y=None):
     materialized one is then a temporary that numpy subtracts in place, so
     the error costs one dense matrix, not two. A nonzero final multiplier
     ``Y`` adds its gauge values, with lam taken from ``config`` or
-    rows ** -0.5.
+    1/sqrt(rows).
     """
     last = result.trace[-1] if result.trace else None
     out = {
@@ -326,7 +329,9 @@ def solve_ealm(D, cfg=None):
     outer step solves the (A, E) subproblem to tolerance ``inner_tol`` by
     alternating SVT and shrinkage from the previous solution, then takes an
     exact multiplier step and grows the penalty by ``rho``. ``svd_count``
-    sums all inner iterations.
+    sums all inner iterations. An inner solve that misses ``inner_tol`` in
+    :data:`EALM_MAX_INNER` sweeps ends the solve after that outer step's
+    multiplier step and record, with ``converged=False``.
     """
     cfg, D, lam, dnorm, max_outer, d = _start(D, cfg, "ealm")
     if not dnorm:
@@ -346,7 +351,7 @@ def solve_ealm(D, cfg=None):
     kept = None
     for k in range(1, max_outer + 1):
         Aj, Ej = A, E
-        while True:
+        for _ in range(EALM_MAX_INNER):
             kept, svp, s_raw = svt_triplets(D - Ej + Y / mu, 1.0 / mu, sv,
                                             v0=None if kept is None else kept.V)
             svd_count += 1
@@ -356,7 +361,8 @@ def solve_ealm(D, cfg=None):
             dE = np.linalg.norm(Ej1 - Ej) / dnorm
             Aj, Ej = Aj1, Ej1
             sv = predict_rank(svp, len(s_raw), d)
-            if dA < cfg.inner_tol and dE < cfg.inner_tol:
+            inner_met = dA < cfg.inner_tol and dE < cfg.inner_tol
+            if inner_met:
                 break
         dual = float(mu * np.linalg.norm(Ej - E) / dnorm)
         A, E = Aj, Ej
@@ -366,8 +372,8 @@ def solve_ealm(D, cfg=None):
         trace.append(_record(k, mu, feas, dual, kept, svp, sv, E, lam))
         if iterates is not None:
             iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))
-        converged = feas < cfg.eps1
-        if converged:
+        converged = inner_met and feas < cfg.eps1
+        if converged or not inner_met:
             break
         sv = min(svp + round_half_up(0.1 * d), d)
         mu = rho * mu

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
@@ -226,9 +227,9 @@ def test_svt_hint_out_of_range():
 
 
 # ------------------------------------------------------- block SVT route
-# Dense inputs with min(m, n) > 150 and a hint within 20% of it take the
-# warm-started block iteration; the reference is the one-LAPACK-SVD route,
-# reached by raising the dimension below which SVT skips the block iteration.
+# Dense inputs with min(m, n) > _BLOCK_MIN_DIM (65) and a hint within 20% of
+# it take the warm-started block iteration; the reference is the
+# one-LAPACK-SVD route, reached by raising that dimension to min(m, n).
 
 def with_spectrum(m, n, s, seed):
     """An m x n matrix with singular values ``s`` and Haar-like factors."""
@@ -240,7 +241,7 @@ def with_spectrum(m, n, s, seed):
 
 def assert_matches_full(W, eps, hint, v0=None):
     kb, svp_b, s_b = svt_triplets(W, eps, hint, v0=v0)
-    with mock.patch.object(ll, "_FULL_SVD_DIM", min(W.shape)):
+    with mock.patch.object(ll, "_BLOCK_MIN_DIM", min(W.shape)):
         kf, svp_f, s_f = svt_triplets(W, eps, hint)
     assert svp_b == svp_f
     assert len(s_b) == len(s_f)
@@ -257,7 +258,8 @@ def far_from(values, eps, margin=1e-3):
 
 
 @settings(max_examples=30, deadline=None)
-@given(m=st.integers(151, 260), n=st.integers(151, 260), r=st.integers(1, 20),
+@given(m=st.integers(ll._BLOCK_MIN_DIM + 1, 260), n=st.integers(ll._BLOCK_MIN_DIM + 1, 260),
+       r=st.integers(1, 20),
        eps_frac=st.floats(0.05, 1.2), hint_frac=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
 def test_block_svt_matches_full_tall_and_wide(m, n, r, eps_frac, hint_frac, seed):
@@ -331,6 +333,30 @@ def test_block_svt_step_cap_falls_back_to_full(monkeypatch):
     assert full.call_count == 1
     assert svp == 26 and len(s_raw) == 40
     assert_matches_full(W, eps, 10)
+
+
+@pytest.mark.parametrize("tall", [True, False])
+def test_block_route_starts_just_above_its_gate(tall):
+    # the block route has its own gate, below truncated_svd's LAPACK dimension
+    assert ll._BLOCK_MIN_DIM < ll._FULL_SVD_DIM
+    for d, routes in ((ll._BLOCK_MIN_DIM + 1, (0, 1)), (ll._BLOCK_MIN_DIM, (1, 0))):
+        s = list(np.linspace(10.0, 2.0, 5)) + list(np.linspace(0.5, 0.0, d - 5))
+        shape = (d + 30, d) if tall else (d, d + 30)
+        W = with_spectrum(*shape, s, 34)
+        with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full, \
+                mock.patch.object(ll, "_block_svd", wraps=ll._block_svd) as block:
+            _, svp, _ = svt_triplets(W, 1.0, 6)
+        assert (full.call_count, block.call_count) == routes
+        assert svp == 5
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (40, 7), (100, 21), (300, 30), (17, 17)])
+def test_qr_matches_scipy_economic_bit_for_bit(shape):
+    A = rng(35).standard_normal(shape)
+    Q, R = ll._qr(np.array(A, order="F"))  # a copy: _qr overwrites its input
+    Q_ref, R_ref = scipy.linalg.qr(A, mode="economic")
+    assert Q.shape == Q_ref.shape and R.shape == R_ref.shape
+    assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
 
 
 def test_full_svt_doubles_hint_over_one_decomposition():

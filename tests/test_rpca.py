@@ -251,6 +251,16 @@ def test_ealm_takes_one_spectral_norm_of_sign_d():
     assert lanczos.call_count == 1
 
 
+def test_ealm_inner_sweep_cap_ends_the_solve_unconverged(small_instance, monkeypatch):
+    # an inner tolerance no sweep can meet: the cap ends the first outer step
+    # after two sweeps, and the solve returns that step's record
+    monkeypatch.setattr("lowrank.rpca.EALM_MAX_INNER", 2)
+    res = solve_ealm(small_instance.d, RpcaConfig(inner_tol=1e-300))
+    assert not res.converged
+    assert res.svd_count == 2
+    assert res.iterations == 1 and len(res.trace) == 1 and res.trace[0].iter == 1
+
+
 # --------------------------------------------------------------- reports
 
 def test_report_contents(small_instance):
