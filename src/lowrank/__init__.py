@@ -33,7 +33,6 @@ from .rpca import (
 from .mc import (
     FactoredMatrix,
     McConfig,
-    McResult,
     predict_rank_mc,
     rho_from_density,
     solve_mc_ialm,
@@ -71,7 +70,6 @@ __all__ = [
     "solve_it",
     "FactoredMatrix",
     "McConfig",
-    "McResult",
     "predict_rank_mc",
     "rho_from_density",
     "solve_mc_ialm",

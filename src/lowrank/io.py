@@ -64,31 +64,35 @@ def read_mm(path):
             raise ValueError("only real-valued Matrix Market files are supported")
         if symmetry != "general":
             raise ValueError(f"only general Matrix Market files are supported, got {symmetry!r}")
+        if kind not in ("array", "coordinate"):
+            raise ValueError(f"unsupported Matrix Market kind {kind!r}")
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()
-        dims = line.split()
+        dims = [int(t) for t in line.split()]
+        if len(dims) != (2 if kind == "array" else 3):
+            raise ValueError(f"malformed Matrix Market {kind} size line {line.strip()!r}")
         if kind == "array":
-            m, n = int(dims[0]), int(dims[1])
+            m, n = dims
             body = np.loadtxt(fh, dtype=np.float64, ndmin=1)
             if body.size != m * n:
                 raise ValueError("array body has the wrong number of entries")
             return as_matrix(body.reshape((n, m)).T, name=str(path))
-        if kind == "coordinate":
-            m, n, nnz = int(dims[0]), int(dims[1]), int(dims[2])
-            if nnz == 0:
-                body = np.empty((0, 3))
-            else:
-                body = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-            if body.shape != (nnz, 3):
-                raise ValueError("coordinate body has the wrong number of entries")
-            rows = body[:, 0].astype(np.int64) - 1
-            cols = body[:, 1].astype(np.int64) - 1
-            vals = np.ascontiguousarray(body[:, 2])
-            order = np.lexsort((cols, rows))
-            omega = ObservedSet(m, n, rows[order], cols[order])
-            return omega, vals[order]
-        raise ValueError(f"unsupported Matrix Market kind {kind!r}")
+        m, n, nnz = dims
+        if nnz == 0:
+            body = np.empty((0, 3))
+        else:
+            body = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        if body.shape != (nnz, 3):
+            raise ValueError("coordinate body has the wrong number of entries")
+        if np.mod(body[:, :2], 1).any():
+            raise ValueError("coordinate indices must be integers")
+        rows = body[:, 0].astype(np.int64) - 1
+        cols = body[:, 1].astype(np.int64) - 1
+        vals = np.ascontiguousarray(body[:, 2])
+        order = np.lexsort((cols, rows))
+        omega = ObservedSet(m, n, rows[order], cols[order])
+        return omega, vals[order]
 
 
 def read_observed(path):

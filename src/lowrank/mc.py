@@ -10,19 +10,17 @@ from oscillating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .linalg import ObservedSet, SparsePlusLowRank, truncated_svd
-from .rpca import IterRecord, _fro_norm, _report_v1
+from .rpca import IterRecord, Iterate, SolveResult, _Config, _fro_norm
 
 __all__ = [
     "McConfig",
     "FactoredMatrix",
-    "McIterate",
-    "McResult",
     "rho_from_density",
     "gap_truncated_rank",
     "predict_rank_mc",
@@ -55,7 +53,7 @@ def rho_from_density(rho_s):
 
 
 @dataclass
-class McConfig:
+class McConfig(_Config):
     """``None`` selects the data-driven defaults mu0 = 1 / ||D||_2 and
     rho = rho_from_density(|Omega| / (m n))."""
 
@@ -65,17 +63,6 @@ class McConfig:
     eps2: float = 1e-6
     max_iter: int = 500
     keep_iterates: bool = False
-
-    def __post_init__(self):
-        for name in ("mu0", "eps1", "eps2", "max_iter"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rho is not None and self.rho <= 1:
-            raise ValueError("rho must exceed 1")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -115,36 +102,6 @@ class FactoredMatrix:
             right = self.R.take(omega.col_idx[lo:hi], axis=0)
             out[lo:hi] = np.einsum("ij,ij->i", left, right)
         return out
-
-
-@dataclass
-class McIterate:
-    """Per-iteration snapshot (factors plus multiplier values), on request."""
-
-    L: np.ndarray
-    R: np.ndarray
-    y_values: np.ndarray
-    mu: float
-
-
-@dataclass
-class McResult:
-    A: FactoredMatrix
-    converged: bool
-    iterations: int
-    svd_count: int
-    trace: list[IterRecord]
-    iterates: list[McIterate] | None = None
-
-    @property
-    def rank(self):
-        return self.A.rank
-
-    def report(self, config=None, a_star=None):
-        """The ``lowrank.solve.v1`` summary; the error against ``a_star``
-        densifies the iterate (desk scale only)."""
-        return _report_v1(self, "mc-ialm", {"rank": self.rank}, config, a_star,
-                          self.A.to_dense)
 
 
 def gap_truncated_rank(singular_values, svp):
@@ -256,7 +213,8 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     residual on the samples is below ``eps1`` and the damped dual surrogate
     min(mu, sqrt(mu)) * ||dE||_F / ||D||_F is below ``eps2`` (a step under
     the double-precision resolution of the step formula, ``DE_RESOLUTION``
-    times ||A||_F, counts as meeting the dual criterion).
+    times ||A||_F, counts as meeting the dual criterion). Returns a
+    ``SolveResult`` whose ``A`` is a ``FactoredMatrix``, with no ``E`` or ``Y``.
     """
     cfg = cfg or McConfig()
     if observed.size == 0:
@@ -273,7 +231,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     if dnorm == 0.0:
         empty = FactoredMatrix(np.zeros((m, 0)), np.zeros((n, 0)))
         rec = IterRecord(1, 0.0, 0.0, 0.0, 0, observed.complement_size, 0, 0, 0.0)
-        return McResult(empty, True, 1, 0, [rec])
+        return SolveResult(empty, None, True, 1, 0, [rec], "mc-ialm")
 
     rho = cfg.rho if cfg.rho is not None else rho_from_density(observed.size / (m * n))
     D = observed.to_csr(vals)
@@ -317,7 +275,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         trace.append(IterRecord(k, mu, feas, dual, svn, comp, sv_used, svp, obj))
         L, R, obs_a = L_new, R_new, obs_new
         if iterates is not None:
-            iterates.append(McIterate(L.copy(), R.copy(), Y.copy(), mu))
+            iterates.append(Iterate(FactoredMatrix(L.copy(), R.copy()), None, Y.copy(), mu))
 
         sv = predict_rank_mc(svp, sv_used, t.s, d)
         dual_ok = dual < cfg.eps2 or delta_e <= DE_RESOLUTION * a_norm
@@ -325,5 +283,5 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         if converged:
             break
         mu = rho * mu
-    return McResult(FactoredMatrix(L, R), converged, k, k, trace,
-                    iterates=iterates)
+    return SolveResult(FactoredMatrix(L, R), None, converged, k, k, trace, "mc-ialm",
+                       iterates=iterates)

@@ -69,12 +69,20 @@ def _low_rank(m, r, rng):
     return L @ R.T
 
 
+def _default_lam(rows):
+    """The default sparsity weight of the recovery program: 1/sqrt(rows)."""
+    return 1.0 / np.sqrt(rows)
+
+
 def _rel_error(A, a_star):
-    """||A - a_star||_F / ||a_star||_F, or ||A||_F when ``a_star`` is zero."""
+    """||A - a_star||_F / ||a_star||_F, or ||A||_F when ``a_star`` is zero. A
+    factored ``A`` is densified as an unnamed temporary that the subtraction
+    reuses, so the error costs one dense matrix, not two."""
+    dense = getattr(A, "to_dense", lambda: A)
     denom = np.linalg.norm(a_star)
     if denom == 0.0:
-        return float(np.linalg.norm(A))
-    return float(np.linalg.norm(A - a_star) / denom)
+        return float(np.linalg.norm(dense()))
+    return float(np.linalg.norm(dense() - a_star) / denom)
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class RpcaInstance:
     @property
     def lam(self):
         """Default sparsity weight for this instance: 1/sqrt(m)."""
-        return 1.0 / np.sqrt(self.m)
+        return _default_lam(self.m)
 
     def rel_error(self, A):
         return _rel_error(A, self.a_star)

@@ -5,7 +5,7 @@
 dual-ascent iterative thresholding (``solve_it``), an accelerated proximal
 gradient method with continuation (``solve_apg``), and exact / inexact
 augmented Lagrange multiplier methods (``solve_ealm`` / ``solve_ialm``).
-All four share one config, result and per-iteration trace model.
+All four share one config, result and trace model with the completion solver.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import as_matrix, shrink, spectral_norm, svt_triplets
-from .problems import round_half_up
+from .problems import _default_lam, _rel_error, round_half_up
 
 __all__ = [
     "RpcaConfig",
@@ -48,7 +48,24 @@ EALM_MAX_INNER = 1000
 
 
 @dataclass
-class RpcaConfig:
+class _Config:
+    """What the recovery and completion configs share: the checks on their
+    values, and the echo that goes into a report."""
+
+    def __post_init__(self):
+        for name in ("lam", "mu0", "eps1", "eps2", "max_iter", "inner_tol"):
+            v = getattr(self, name, None)
+            if v is not None and v <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.rho is not None and self.rho <= 1:
+            raise ValueError("rho must exceed 1")
+
+    def to_dict(self):
+        return asdict(self)
+
+
+@dataclass
+class RpcaConfig(_Config):
     """Solver parameters. ``None`` means "use the per-algorithm default",
     which for the ALM solvers follows the published tuning:
 
@@ -69,17 +86,6 @@ class RpcaConfig:
     max_iter: int | None = None
     inner_tol: float = 1e-6
     keep_iterates: bool = False
-
-    def __post_init__(self):
-        for name in ("lam", "mu0", "eps1", "eps2", "max_iter", "inner_tol"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rho is not None and self.rho <= 1:
-            raise ValueError("rho must exceed 1")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -103,18 +109,22 @@ class IterRecord:
 
 @dataclass
 class Iterate:
-    """Dense per-iteration snapshot, recorded only on request (desk scale)."""
+    """Per-iteration snapshot, on request: dense ``a``, ``e``, ``y`` (recovery),
+    or a ``FactoredMatrix`` ``a``, no ``e`` and ``y`` on the samples (completion)."""
 
     a: np.ndarray
-    e: np.ndarray
+    e: np.ndarray | None
     y: np.ndarray
     mu: float
 
 
 @dataclass
 class SolveResult:
+    """Any solver's outcome, with at least one trace record. Completion
+    (``"mc-ialm"``) holds ``A`` as a ``FactoredMatrix`` and no ``E`` or ``Y``."""
+
     A: np.ndarray
-    E: np.ndarray
+    E: np.ndarray | None
     converged: bool
     iterations: int
     svd_count: int
@@ -133,55 +143,36 @@ class SolveResult:
 
     @property
     def objective(self):
-        return self.trace[-1].objective if self.trace else 0.0
+        return self.trace[-1].objective
 
     def report(self, config=None, a_star=None):
-        """JSON-ready summary: config echo, counts, final residuals and the
-        full trace; includes the relative recovery error when the ground
-        truth is supplied."""
-        return _report_v1(self, self.algorithm, {"rank": self.rank, "e_card": self.e_card},
-                          config, a_star, lambda: self.A, self.Y)
-
-
-def _report_v1(result, algorithm, counts, config, a_star, dense_a, Y=None):
-    """The ``lowrank.solve.v1`` dict of a recovery or completion result.
-
-    ``counts`` follow ``svd_count``. With ``a_star`` the dict gets the
-    relative error ||A - a_star||_F / ||a_star||_F (||A||_F when ``a_star`` is
-    zero), where ``dense_a()`` returns the dense iterate ``A``: a freshly
-    materialized one is then a temporary that numpy subtracts in place, so
-    the error costs one dense matrix, not two. A nonzero final multiplier
-    ``Y`` adds its gauge values, with lam taken from ``config`` or
-    1/sqrt(rows).
-    """
-    last = result.trace[-1] if result.trace else None
-    out = {
-        "schema": "lowrank.solve.v1",
-        "algorithm": algorithm,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "svd_count": result.svd_count,
-        **counts,
-        "final": {
-            "feas": last.feas if last else 0.0,
-            "dual_est": last.dual_est if last else 0.0,
-            "objective": last.objective if last else 0.0,
-        },
-        "trace": [r.to_dict() for r in result.trace],
-    }
-    if config is not None:
-        out["config"] = config.to_dict()
-    if Y is not None and Y.any():
-        lam = config.lam if config is not None and config.lam is not None \
-            else 1.0 / np.sqrt(Y.shape[0])
-        out["final"]["spectral_y"] = spectral_norm(Y)
-        out["final"]["linf_y_over_lambda"] = float(np.abs(Y).max() / lam)
-    if a_star is not None:
-        a_star = np.asarray(a_star)
-        denom = np.linalg.norm(a_star)
-        out["rel_error"] = float(np.linalg.norm(dense_a() - a_star) / denom) \
-            if denom else float(np.linalg.norm(dense_a()))
-    return out
+        """The ``lowrank.solve.v1`` dict: config echo, counts (``e_card`` only
+        with a dense ``E``), final residuals and the full trace. A nonzero
+        final ``Y`` adds its gauge values, with lam from ``config`` or
+        1/sqrt(rows); ``a_star`` adds the relative error of ``A``."""
+        last = self.trace[-1]
+        out = {
+            "schema": "lowrank.solve.v1",
+            "algorithm": self.algorithm,
+            "converged": self.converged,
+            "iterations": self.iterations,
+            "svd_count": self.svd_count,
+            "rank": self.rank,
+            **({"e_card": self.e_card} if self.E is not None else {}),
+            "final": {"feas": last.feas, "dual_est": last.dual_est, "objective": last.objective},
+            "trace": [r.to_dict() for r in self.trace],
+        }
+        if config is not None:
+            out["config"] = config.to_dict()
+        Y = self.Y
+        if Y is not None and Y.any():
+            lam = config.lam if config is not None and config.lam is not None \
+                else _default_lam(Y.shape[0])
+            out["final"]["spectral_y"] = spectral_norm(Y)
+            out["final"]["linf_y_over_lambda"] = float(np.abs(Y).max() / lam)
+        if a_star is not None:
+            out["rel_error"] = _rel_error(self.A, np.asarray(a_star))
+        return out
 
 
 def predict_rank(svp, sv, d):
@@ -211,10 +202,12 @@ def _fro_norm(X, name):
 
 def _start(D, cfg, algorithm):
     """``(cfg, D, lam, ||D||_F, max_iter, min(m, n))`` with the defaults of
-    ``algorithm``; ||D||_F is 0 only for a zero D."""
+    ``algorithm``; ||D||_F is 0 only for a zero D. An empty D is a ``ValueError``."""
     cfg = cfg or RpcaConfig()
     D = as_matrix(D, "D")
-    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(D.shape[0])
+    if not min(D.shape):
+        raise ValueError(f"D must have positive dimensions, got shape {D.shape}")
+    lam = cfg.lam if cfg.lam is not None else _default_lam(D.shape[0])
     return (cfg, D, lam, _fro_norm(D, "D"), cfg.max_iter or MAX_ITER_DEFAULTS[algorithm],
             min(D.shape))
 

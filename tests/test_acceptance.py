@@ -177,7 +177,7 @@ def test_criterion_10_mc_identities():
     # multiplier support: zero off the sample set at every iteration
     support_ok = True
     for snap in res.iterates:
-        Y = omega.to_csr(snap.y_values).toarray()
+        Y = omega.to_csr(snap.y).toarray()
         off = Y.copy()
         off[rows, cols] = 0.0
         if off.any():
@@ -194,13 +194,13 @@ def test_criterion_10_mc_identities():
     R_old = np.zeros((50, 0))
     obs_old = np.zeros(inst.p)
     for snap in res.iterates:
-        A = snap.L @ snap.R.T
+        A = snap.a.L @ snap.a.R.T
         obs_new = A[rows, cols]
         dense = np.linalg.norm(np.where(mask, 0.0, A - prev))
-        fact = _delta_e_factored(snap.L, snap.R, L_old, R_old, obs_new, obs_old)
+        fact = _delta_e_factored(snap.a.L, snap.a.R, L_old, R_old, obs_new, obs_old)
         if dense >= 2e-5:
             worst = max(worst, abs(fact - dense) / dense)
-        prev, L_old, R_old, obs_old = A, snap.L, snap.R, obs_new
+        prev, L_old, R_old, obs_old = A, snap.a.L, snap.a.R, obs_new
 
     ok = support_ok and worst <= 1e-8
     report(10, ok, f"multiplier support clean={support_ok}, "

@@ -140,6 +140,30 @@ def test_solve_mc_symmetric_file_exits_two(tmp_path, capsys):
     assert "only general" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text", [
+    ("solve-mc", "%%MatrixMarket matrix coordinate real general\n3 3\n1 1 4.0\n"),
+    ("solve-mc", "%%MatrixMarket matrix coordinate real general\n"),
+    ("solve-mc", "%%MatrixMarket matrix coordinate real general\n3 3 1\n1.5 1 1.0\n"),
+    ("solve-rpca", "%%MatrixMarket matrix array real general\n2\n1.0\n2.0\n"),
+], ids=["two-token-size-line", "ends-after-banner", "fractional-index", "array-one-token"])
+def test_malformed_matrix_market_exits_two(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    argv = [command, "--input", str(path)] + (["--alg", "ialm"] if command == "solve-rpca" else [])
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt", "error::RuntimeWarning")
+def test_solve_rpca_empty_file_exits_two(tmp_path, capsys):
+    # numpy warns that the file holds no data; the solver must refuse the
+    # 0 x 0 matrix before 1/sqrt(rows) divides by zero
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert run("solve-rpca", "--alg", "ialm", "--input", str(path)) == 2
+    assert "positive dimensions" in capsys.readouterr().err
+
+
 def test_bench_table1_csv_schema(tmp_path):
     out = tmp_path / "bench.csv"
     assert run("bench", "--table", "1", "--scale", "40", "--algs", "ialm",

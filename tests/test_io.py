@@ -99,6 +99,33 @@ def test_read_mm_rejects_garbage(tmp_path):
         mio.read_mm(path)
 
 
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix coordinate real general\n3 3\n1 1 4.0\n",
+    "%%MatrixMarket matrix coordinate real general\n",
+    "%%MatrixMarket matrix coordinate real general\n% a comment only\n",
+    "%%MatrixMarket matrix coordinate real general\n3 3 1 1\n1 1 4.0\n",
+    "%%MatrixMarket matrix coordinate real general\n3 3 1.0\n1 1 4.0\n",
+    "%%MatrixMarket matrix array real general\n2\n1.0\n2.0\n",
+    "%%MatrixMarket matrix array real general\n",
+], ids=["coordinate-two-tokens", "coordinate-ends-after-banner", "coordinate-no-size-line",
+        "coordinate-four-tokens", "coordinate-float-count", "array-one-token",
+        "array-ends-after-banner"])
+def test_read_mm_rejects_malformed_size_line(tmp_path, text):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        mio.read_mm(path)
+
+
+@pytest.mark.parametrize("entry", ["1.5 1 1.0", "1 2.25 1.0"])
+def test_read_coordinate_rejects_non_integral_indices(tmp_path, entry):
+    # float64 -> int64 truncation would read 1.5 as row 1 and solve on
+    path = tmp_path / "frac.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n3 3 1\n{entry}\n")
+    with pytest.raises(ValueError):
+        mio.read_mm(path)
+
+
 @pytest.mark.parametrize("body", [
     "coordinate real symmetric\n2 2 2\n1 1 4.0\n2 1 5.0\n",
     "coordinate real skew-symmetric\n2 2 1\n2 1 5.0\n",

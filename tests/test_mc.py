@@ -187,7 +187,7 @@ def test_mc_multiplier_supported_on_omega(mc50):
     inst, res = mc50
     # stored sparse by construction; densify and re-check the complement
     for snap in res.iterates[:: max(1, len(res.iterates) // 10)]:
-        Y = inst.omega.to_csr(snap.y_values).toarray()
+        Y = inst.omega.to_csr(snap.y).toarray()
         outside = Y.copy()
         outside[inst.omega.row_idx, inst.omega.col_idx] = 0.0
         assert not outside.any()
@@ -199,8 +199,8 @@ def test_mc_e_identity(mc50):
     D = inst.omega.to_csr(inst.d_values).toarray()
     mask = _mask(inst.omega)
     for snap in res.iterates[:: max(1, len(res.iterates) // 8)]:
-        A = snap.L @ snap.R.T
-        Y = inst.omega.to_csr(snap.y_values).toarray()
+        A = snap.a.L @ snap.a.R.T
+        Y = inst.omega.to_csr(snap.y).toarray()
         lhs = D - A + Y / snap.mu
         lhs[mask] = 0.0
         rhs = np.where(mask, A, 0.0) - A
@@ -217,14 +217,14 @@ def test_mc_dual_surrogate_overestimates_true_distance(mc50):
     y_prev = np.zeros((50, 50))
     a_prev = np.zeros((50, 50))
     for snap in res.iterates:
-        A = snap.L @ snap.R.T
+        A = snap.a.L @ snap.a.R.T
         e_prev = np.where(mask, 0.0, -a_prev)
         e_now = np.where(mask, 0.0, -A)
         y_hat = y_prev + snap.mu * (D - A - e_prev)
         true_dist = np.linalg.norm(np.where(mask, 0.0, y_hat))
         surrogate = snap.mu * np.linalg.norm(e_now - e_prev)
         assert surrogate >= true_dist - 1e-9 * max(1.0, true_dist)
-        y_prev = inst.omega.to_csr(snap.y_values).toarray()
+        y_prev = inst.omega.to_csr(snap.y).toarray()
         a_prev = A
 
 
@@ -239,13 +239,13 @@ def test_mc_factored_delta_e_matches_dense(mc50):
     R_old = np.zeros((50, 0))
     obs_old = np.zeros(inst.p)
     for snap in res.iterates:
-        A = snap.L @ snap.R.T
+        A = snap.a.L @ snap.a.R.T
         obs_new = A[rows, cols]
         dense = np.linalg.norm(np.where(mask, 0.0, A - prev))
-        fact = _delta_e_factored(snap.L, snap.R, L_old, R_old, obs_new, obs_old)
+        fact = _delta_e_factored(snap.a.L, snap.a.R, L_old, R_old, obs_new, obs_old)
         if dense > 1e-12:
             assert abs(fact - dense) / dense < 1e-8
-        prev, L_old, R_old, obs_old = A, snap.L, snap.R, obs_new
+        prev, L_old, R_old, obs_old = A, snap.a.L, snap.a.R, obs_new
 
 
 @pytest.mark.parametrize("inner", [7, 1000])

@@ -85,6 +85,14 @@ def test_zero_input_short_circuits(solver):
     assert res.rank == 0 and res.e_card == 0
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_empty_input_rejected(solver, shape):
+    # 1/sqrt(0) and a 0 x n "solution" would otherwise pass as converged
+    with pytest.raises(ValueError, match="positive dimensions"):
+        solver(np.zeros(shape))
+
+
 @pytest.mark.parametrize("scale", [1e-170, 1e160])
 @pytest.mark.parametrize("solver", ALL_SOLVERS + [solve_mc_ialm])
 def test_unrepresentable_frobenius_norm_rejected(solver, scale):
