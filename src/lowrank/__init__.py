@@ -37,14 +37,7 @@ from .mc import (
     rho_from_density,
     solve_mc_ialm,
 )
-from .diagnostics import (
-    KktReport,
-    divergence_demo,
-    dual_feasibility,
-    kkt_report,
-    lyapunov_increases,
-    lyapunov_trace,
-)
+from .diagnostics import divergence_demo, lyapunov_increases, lyapunov_trace
 
 __version__ = "0.1.0"
 
@@ -73,10 +66,7 @@ __all__ = [
     "predict_rank_mc",
     "rho_from_density",
     "solve_mc_ialm",
-    "KktReport",
     "divergence_demo",
-    "dual_feasibility",
-    "kkt_report",
     "lyapunov_increases",
     "lyapunov_trace",
 ]

@@ -1,22 +1,20 @@
-"""Optimality and convergence checkers: KKT residual reports, dual-norm
-bounds on multipliers, the Lyapunov quantity that certifies inexact-ALM
-progress, a divergence demonstration for too-fast penalty growth, and
-trace-level invariant verification for solver reports."""
+"""Convergence checkers: the Lyapunov quantity that certifies inexact-ALM
+progress, the objective's 1/mu rate, a divergence demonstration for too-fast
+penalty growth, and trace-level invariant verification for solver reports.
+
+The KKT numbers of a solve (feasibility, dual surrogate, objective and the
+multiplier's two dual gauges) are the ``final`` block of
+``SolveResult.report()``; :func:`verify_report` judges them."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .linalg import as_matrix, spectral_norm
 from .problems import RpcaInstance
-from .rpca import RpcaConfig, _dual_start, _ialm_sweep, solve_ealm
+from .rpca import IALM_RHO, RpcaConfig, _dual_start, _ialm_sweep, solve_ealm
 
 __all__ = [
-    "KktReport",
-    "kkt_report",
-    "dual_feasibility",
     "lyapunov_trace",
     "lyapunov_increases",
     "divergence_demo",
@@ -31,86 +29,24 @@ STALL_ERROR = 1e-2
 # objective_rate_check: points that fit C, and the multiplicative slack on the rest
 RATE_FIT_COUNT = 3
 RATE_SLACK = 1.05
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """Scaled stationarity quantities for a candidate decomposition."""
-
-    feas: float
-    dual_est: float
-    spectral_y: float
-    linf_y_over_lambda: float
-    objective: float
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def kkt_report(D, A, E, Y, lam, mu_prev, delta_e_norm):
-    """Feasibility and dual-surrogate residuals plus the objective value.
-
-    ``dual_est`` is the standard surrogate mu_prev * ||dE||_F / ||D||_F for
-    the distance between the two subdifferentials at (A, E).
-    """
-    D, A, E, Y = (as_matrix(x, n) for x, n in ((D, "D"), (A, "A"), (E, "E"), (Y, "Y")))
-    if not (D.shape == A.shape == E.shape == Y.shape):
-        raise ValueError("all matrices must share one shape")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    dnorm = np.linalg.norm(D)
-    if dnorm == 0.0:
-        dnorm = 1.0
-    s = np.linalg.svd(A, compute_uv=False)
-    return KktReport(
-        feas=float(np.linalg.norm(D - A - E) / dnorm),
-        dual_est=float(mu_prev * delta_e_norm / dnorm),
-        spectral_y=spectral_norm(Y),
-        linf_y_over_lambda=float(np.abs(Y).max() / lam) if Y.size else 0.0,
-        objective=float(s.sum() + lam * np.abs(E).sum()),
-    )
-
-
-def dual_feasibility(Y, lam):
-    """Check that a multiplier sits (almost) inside the dual-feasible set.
-
-    Returns ``(spectral, scaled_linf, ok)`` with ``ok`` true when both
-    ||Y||_2 and ||Y||_inf / lam are at most 1 + :data:`DUAL_FEAS_SLACK`.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    Y = as_matrix(Y, "Y")
-    spectral = spectral_norm(Y)
-    scaled_linf = float(np.abs(Y).max() / lam) if Y.size else 0.0
-    ok = spectral <= 1.0 + DUAL_FEAS_SLACK and scaled_linf <= 1.0 + DUAL_FEAS_SLACK
-    return spectral, scaled_linf, bool(ok)
-
-
-def _unpack_iterate(item):
-    if hasattr(item, "e"):
-        return item.e, item.y, item.mu
-    e, y, mu = item
-    return e, y, mu
+# high_accuracy_reference: every exact-ALM tolerance
+REFERENCE_TOL = 1e-10
 
 
 def lyapunov_trace(iterates, e_star, y_star):
     """V_k = ||E_k - E*||_F^2 + mu_k^-2 ||Y_k - Y*||_F^2 along a solver run.
 
-    ``iterates`` is a sequence of per-iteration snapshots (``Iterate`` or
-    ``(E, Y, mu)`` triples); the oracle pair should come from a high-accuracy
-    reference solve. The sequence is non-increasing for a nondecreasing
-    penalty schedule; use :func:`lyapunov_increases` to flag violations.
+    ``iterates`` is a sequence of per-iteration ``Iterate`` snapshots; the
+    oracle pair should come from a high-accuracy reference solve. The
+    sequence is non-increasing for a nondecreasing penalty schedule; use
+    :func:`lyapunov_increases` to flag violations.
     """
     if e_star is None or y_star is None:
         raise ValueError("oracle solution (E*, Y*) is required")
     e_star = as_matrix(e_star, "e_star")
     y_star = as_matrix(y_star, "y_star")
-    out = []
-    for item in iterates:
-        e, y, mu = _unpack_iterate(item)
-        out.append(float(np.linalg.norm(e - e_star) ** 2
-                         + np.linalg.norm(y - y_star) ** 2 / mu**2))
-    return out
+    return [float(np.linalg.norm(it.e - e_star) ** 2
+                  + np.linalg.norm(it.y - y_star) ** 2 / it.mu**2) for it in iterates]
 
 
 def lyapunov_increases(values):
@@ -124,10 +60,10 @@ def lyapunov_increases(values):
     return bad
 
 
-def high_accuracy_reference(D, lam=None, tol=1e-10):
+def high_accuracy_reference(D):
     """Reference optimum from the exact-ALM solver with all tolerances
-    tightened to ``tol``; the returned result's objective serves as f*."""
-    cfg = RpcaConfig(lam=lam, eps1=tol, inner_tol=tol, max_iter=200)
+    tightened to :data:`REFERENCE_TOL`; the result's objective serves as f*."""
+    cfg = RpcaConfig(eps1=REFERENCE_TOL, inner_tol=REFERENCE_TOL, max_iter=200)
     return solve_ealm(D, cfg)
 
 
@@ -211,7 +147,7 @@ def verify_report(report, manifest=None):
                              f"mu range [{min(mus):.3g}, {max(mus):.3g}]"))
 
     if algorithm == "ialm" and len(mus) > 1:
-        rho = cfg.get("rho") or 1.6
+        rho = cfg.get("rho") or IALM_RHO
         eps2 = cfg.get("eps2", 1e-5)
         ok = True
         for k in range(len(mus) - 1):

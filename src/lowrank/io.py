@@ -9,6 +9,8 @@ wire and 0-based indices in memory. Values are written with
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .linalg import ObservedSet, as_matrix
@@ -21,7 +23,12 @@ def write_dense_csv(path, W):
 
 
 def read_dense_csv(path):
-    W = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """Read a headerless CSV matrix; ``ValueError`` naming ``path`` if it holds no data."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        W = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if not W.size:
+        raise ValueError(f"{path} holds no data")
     return as_matrix(W, name=str(path))
 
 

@@ -1,13 +1,14 @@
 """Dense/sparse matrix primitives: soft thresholding, singular value
-thresholding, spectral norms, observed index sets and a truncated SVD that
-picks Lanczos or full LAPACK by size. Dense singular value thresholding uses
-a warm-started block iteration or one LAPACK SVD (:func:`svt_triplets`).
+thresholding, spectral norms, observed index sets and a partial SVD of the
+matrix-free sparse-plus-low-rank operator. Each SVD entry point takes one
+input kind: :func:`truncated_svd` the operator (completion),
+:func:`svt_triplets` and :func:`spectral_norm` a dense matrix (recovery).
 
-The two size gates price different algorithms. :data:`_FULL_SVD_DIM` (150)
-is where ARPACK's Lanczos run starts to beat LAPACK (:func:`truncated_svd`,
-:func:`spectral_norm`). Above :data:`_BLOCK_MIN_DIM` (65) the block
-iteration, which reuses the previous call's subspace, is no slower than one
-LAPACK SVD per threshold for any recovery solver."""
+The two dense size gates price different algorithms. :data:`_FULL_SVD_DIM`
+(150) is where ARPACK's top-1 Lanczos run starts to beat LAPACK
+(:func:`spectral_norm`). Above :data:`_BLOCK_MIN_DIM` (65) the dense SVT's
+block iteration, which reuses the previous call's subspace, is no slower than
+one LAPACK SVD per threshold for any recovery solver."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 # Below this dimension a Lanczos run costs more than LAPACK on the dense array
-# (truncated_svd, spectral_norm).
+# (spectral_norm).
 _FULL_SVD_DIM = 150
 # Above this dimension the warm-started block iteration of the dense SVT is no
 # slower per solve than one LAPACK SVD per call for IALM, EALM and APG
@@ -207,39 +208,31 @@ def _lanczos_svd(op, k):
     return TruncatedSVD(U[:, order], s[order], Vt[order].T)
 
 
-def truncated_svd(W, k):
-    """Top-``k`` singular triplets of a dense matrix or SparsePlusLowRank operator.
+def truncated_svd(op, k):
+    """Top-``k`` singular triplets of a :class:`SparsePlusLowRank` operator.
 
-    Lanczos (ARPACK) unless a full LAPACK decomposition is cheaper: k at
-    min(m, n) or past a :data:`_FULL_SVD_FRACTION` share of it, or a dense
-    input no larger than :data:`_FULL_SVD_DIM`. An ARPACK failure
-    (``ArpackError``, of which ``ArpackNoConvergence`` is one) also falls back
-    to LAPACK; an operator is densified (and logged) for it.
-
-    Raises ``ValueError`` for k out of range.
+    Lanczos (ARPACK) unless ``k`` passes the :data:`_FULL_SVD_FRACTION` share
+    of min(m, n) or ARPACK fails (``ArpackError``, ``ArpackNoConvergence``
+    included); then the operator is densified, with a logged WARNING, for
+    one LAPACK SVD. ``ValueError`` for k out of range, ``TypeError`` for a
+    dense matrix (use :func:`spectral_norm` or :func:`svt_triplets`).
     """
-    is_op = isinstance(W, SparsePlusLowRank)
-    if not is_op:
-        W = as_matrix(W)
-    m, n = W.shape
-    d = min(m, n)
+    if not isinstance(op, SparsePlusLowRank):
+        raise TypeError("truncated_svd takes a SparsePlusLowRank operator; use "
+                        "spectral_norm or svt_triplets for a dense matrix")
+    d = min(op.shape)
     if not (1 <= k <= d):
         raise ValueError(f"k must be in [1, {d}], got {k}")
-
-    want_full = k >= d or k > _FULL_SVD_FRACTION * d or (not is_op and d <= _FULL_SVD_DIM)
-    if want_full:
-        return _full_svd(_densify(W, k, "k above the partial-SVD share") if is_op else W, k)
-    try:
-        return _lanczos_svd(W.as_linear_operator() if is_op else W, k)
-    except ArpackError:
-        return _full_svd(_densify(W, k, "Lanczos did not converge") if is_op else W, k)
-
-
-def _densify(op, k, reason):
-    """``op.to_dense()``, logged: it breaks the operator's memory promise."""
+    if k > _FULL_SVD_FRACTION * d:
+        reason = "k above the partial-SVD share"
+    else:
+        try:
+            return _lanczos_svd(op.as_linear_operator(), k)
+        except ArpackError:
+            reason = "Lanczos did not converge"
     _log.warning("densifying a %dx%d SparsePlusLowRank operator for a rank-%d SVD: %s",
                  op.shape[0], op.shape[1], k, reason)
-    return op.to_dense()
+    return _full_svd(op.to_dense(), k)
 
 
 _GEQRF, _ORGQR = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), dtype=np.float64)
@@ -401,12 +394,15 @@ def svt_triplets(W, eps, sv_hint, v0=None):
 
 
 def spectral_norm(W):
-    """Largest singular value: a top-1 partial SVD (:func:`truncated_svd`)
-    once min(m, n) exceeds :data:`_FULL_SVD_DIM`, LAPACK below that."""
+    """Largest singular value of dense ``W``: a top-1 Lanczos run once
+    min(m, n) exceeds :data:`_FULL_SVD_DIM`, LAPACK below that or when ARPACK
+    fails."""
     W = as_matrix(W)
     if not W.any():
         return 0.0
     if min(W.shape) > _FULL_SVD_DIM:
-        return float(truncated_svd(W, 1).s[0])
+        try:
+            return float(_lanczos_svd(W, 1).s[0])
+        except ArpackError:
+            pass
     return float(np.linalg.svd(W, compute_uv=False)[0])
-

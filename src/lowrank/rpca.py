@@ -39,6 +39,8 @@ SV0_DEFAULTS = {"apg": 5, "ealm": 10, "ialm": 10}
 # Iterative thresholding: tau = IT_TAU_FACTOR * ||D||_2, multiplier step IT_DELTA.
 IT_TAU_FACTOR = 20.0
 IT_DELTA = 1.0
+# IALM: mu grows by IALM_RHO whenever the dual surrogate is below eps2.
+IALM_RHO = 1.6
 # APG continuation: mu decays by APG_ETA per iteration down to APG_MU_BAR_FACTOR * mu0.
 APG_ETA = 0.9
 APG_MU_BAR_FACTOR = 1e-9
@@ -193,7 +195,8 @@ def t_next(t):
 def _fro_norm(X, name):
     """||X||_F, the residuals' scale: ``ValueError`` unless X is zero or it
     is a positive finite double (else every stopping test reads NaN or 0)."""
-    norm = np.linalg.norm(X)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(X)
     if not 0.0 < norm < np.inf and X.any():
         raise ValueError(f"||{name}||_F is not a positive finite double at this scale "
                          f"(largest |entry| {np.abs(X).max():.3g}); rescale {name}")
@@ -390,7 +393,7 @@ def solve_ialm(D, cfg=None):
         return _zero_result(D, "ialm")
     norm2 = spectral_norm(D)
     mu = cfg.mu0 if cfg.mu0 is not None else 1.25 / norm2
-    rho = cfg.rho if cfg.rho is not None else 1.6
+    rho = cfg.rho if cfg.rho is not None else IALM_RHO
     sv = min(SV0_DEFAULTS["ialm"], d)
 
     Y = _dual_start(D, norm2, lam)

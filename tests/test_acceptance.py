@@ -11,7 +11,6 @@ import pytest
 
 from lowrank.diagnostics import (
     divergence_demo,
-    dual_feasibility,
     high_accuracy_reference,
     lyapunov_increases,
     lyapunov_trace,
@@ -132,11 +131,13 @@ def test_criterion_07_dual_feasibility():
     ok = True
     for seed in range(100, 110):
         inst = gen_rpca(50, 2, 0.05, seed)
-        res = solve_ialm(inst.d, RpcaConfig(eps2=1e-7))
+        cfg = RpcaConfig(eps2=1e-7)
+        res = solve_ialm(inst.d, cfg)
         if not res.converged:
             ok = False
             break
-        sp, li, _ = dual_feasibility(res.Y, inst.lam)
+        final = res.report(config=cfg)["final"]
+        sp, li = final["spectral_y"], final["linf_y_over_lambda"]
         worst_sp = max(worst_sp, sp)
         worst_li = max(worst_li, li)
     ok = ok and worst_sp <= 1 + 1e-3 and worst_li <= 1 + 1e-3

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from lowrank.diagnostics import (
+    DUAL_FEAS_SLACK,
     divergence_demo,
-    dual_feasibility,
     high_accuracy_reference,
-    kkt_report,
     lyapunov_increases,
     lyapunov_trace,
     objective_rate_check,
     verify_report,
 )
 from lowrank.problems import gen_rpca
-from lowrank.rpca import RpcaConfig, solve_ealm, solve_ialm
+from lowrank.rpca import Iterate, RpcaConfig, solve_ealm, solve_ialm
 
 
 @pytest.fixture(scope="module")
@@ -29,28 +28,7 @@ def tight_reference(inst20):
     return ref
 
 
-# ------------------------------------------------------------- kkt_report
-
-def test_kkt_exact_decomposition_is_feasible(inst20):
-    rep = kkt_report(inst20.d, inst20.a_star, inst20.e_star,
-                     np.zeros_like(inst20.d), inst20.lam, 1.0, 0.0)
-    assert rep.feas == 0.0
-    assert rep.dual_est == 0.0
-    assert rep.objective > 0
-
-
-def test_kkt_shape_mismatch():
-    with pytest.raises(ValueError):
-        kkt_report(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)),
-                   np.zeros((2, 2)), 0.5, 1.0, 0.0)
-
-
-def test_kkt_converged_run_meets_tolerance(inst20):
-    res = solve_ialm(inst20.d)
-    rep = kkt_report(inst20.d, res.A, res.E, res.Y, inst20.lam,
-                     res.trace[-1].mu, 0.0)
-    assert rep.feas < 1e-7
-
+# ------------------------------------------------------------ residuals
 
 def test_feasibility_decreases_across_outer_trace(inst20):
     # mid-run snapshots of an exact-ALM solve: positive and strictly
@@ -63,25 +41,15 @@ def test_feasibility_decreases_across_outer_trace(inst20):
 
 # -------------------------------------------------------- dual feasibility
 
-def test_dual_feasibility_zero():
-    sp, li, ok = dual_feasibility(np.zeros((4, 4)), 0.5)
-    assert (sp, li, ok) == (0.0, 0.0, True)
-
-
-def test_dual_feasibility_violation():
-    sp, li, ok = dual_feasibility(10.0 * np.eye(3), 1.0)
-    assert not ok
-    assert sp == pytest.approx(10.0)
-    assert li == pytest.approx(10.0)
-
-
 def test_dual_feasibility_converged_multiplier_near_boundary():
     # at the default tolerances the converged multiplier sits on the dual
     # boundary to within 1e-2 in both gauges (A and E both nonzero here)
     inst = gen_rpca(50, 2, 0.05, 100)
-    res = solve_ialm(inst.d)
+    cfg = RpcaConfig()
+    res = solve_ialm(inst.d, cfg)
     assert res.A.any() and res.E.any()
-    sp, li, _ = dual_feasibility(res.Y, inst.lam)
+    final = res.report(config=cfg)["final"]
+    sp, li = final["spectral_y"], final["linf_y_over_lambda"]
     assert abs(sp - 1.0) <= 1e-2
     assert abs(li - 1.0) <= 1e-2
 
@@ -90,8 +58,8 @@ def test_dual_feasibility_converged_multiplier_near_boundary():
 
 def test_lyapunov_zero_at_optimum(tight_reference):
     ref = tight_reference
-    vals = lyapunov_trace([(ref.E, ref.Y, 1.0), (ref.E, ref.Y, 2.0)],
-                          ref.E, ref.Y)
+    vals = lyapunov_trace([Iterate(ref.A, ref.E, ref.Y, 1.0),
+                           Iterate(ref.A, ref.E, ref.Y, 2.0)], ref.E, ref.Y)
     assert vals == [0.0, 0.0]
 
 
@@ -193,6 +161,19 @@ def test_verify_report_passes_on_clean_run(inst20):
     assert by_name["mu_adaptive_rule"] == "pass"
     assert by_name["converged_feasibility"] == "pass"
     assert by_name["dual_feasibility"] in ("pass", "warn")
+
+
+@pytest.mark.parametrize("sp,li,status", [
+    (1.0 + DUAL_FEAS_SLACK, 0.5, "pass"),
+    (1.005, 1.01, "warn"),
+    (10.0, 10.0, "fail"),
+])
+def test_verify_report_dual_feasibility_bands(inst20, sp, li, status):
+    cfg = RpcaConfig()
+    rep = solve_ialm(inst20.d, cfg).report(config=cfg)
+    rep["final"].update(spectral_y=sp, linf_y_over_lambda=li)
+    by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
+    assert by_name["dual_feasibility"] == status
 
 
 def test_verify_report_catches_tampered_mu(inst20):

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
@@ -20,6 +21,12 @@ from lowrank.linalg import (
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def as_op(W):
+    """Dense ``W`` as the operator truncated_svd takes: CSR part, no factors."""
+    m, n = W.shape
+    return SparsePlusLowRank(sparse.csr_matrix(W), np.zeros((m, 0)), np.zeros((n, 0)))
 
 
 # ---------------------------------------------------------------- shrink
@@ -86,37 +93,42 @@ def test_truncated_svd_rank_one():
     g = rng(1)
     u = g.standard_normal(8)
     v = g.standard_normal(5)
-    t = truncated_svd(np.outer(u, v), 1)
+    t = truncated_svd(as_op(np.outer(u, v)), 1)
     assert t.s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
 
 
 def test_truncated_svd_matches_full():
     g = rng(2)
     W = g.standard_normal((8, 5))
-    t = truncated_svd(W, 3)
+    t = truncated_svd(as_op(W), 3)
     s_full = np.linalg.svd(W, compute_uv=False)
     assert np.allclose(t.s, s_full[:3], atol=1e-10)
 
 
 def test_truncated_svd_k_out_of_range():
-    W = rng(0).standard_normal((8, 5))
+    op = as_op(rng(0).standard_normal((8, 5)))
     with pytest.raises(ValueError):
-        truncated_svd(W, 6)
+        truncated_svd(op, 6)
     with pytest.raises(ValueError):
-        truncated_svd(W, 0)
+        truncated_svd(op, 0)
+
+
+def test_truncated_svd_rejects_dense_input():
+    with pytest.raises(TypeError, match="spectral_norm"):
+        truncated_svd(np.ones((300, 300)), 1)
 
 
 def test_truncated_svd_full_k_reconstructs():
     g = rng(5)
     W = g.standard_normal((12, 7))
-    t = truncated_svd(W, 7)
+    t = truncated_svd(as_op(W), 7)
     assert np.linalg.norm(t.compose() - W) <= 1e-8 * np.linalg.norm(W)
 
 
 def test_truncated_svd_orthonormal_factors():
     g = rng(6)
     W = g.standard_normal((30, 20))
-    t = truncated_svd(W, 4)
+    t = truncated_svd(as_op(W), 4)
     assert np.allclose(t.U.T @ t.U, np.eye(4), atol=1e-8)
     assert np.allclose(t.V.T @ t.V, np.eye(4), atol=1e-8)
     assert (np.diff(t.s) <= 1e-12).all() and (t.s >= 0).all()
@@ -138,7 +150,7 @@ def test_truncated_svd_lanczos_needs_k_below_d():
 
 
 def test_truncated_svd_zero_matrix():
-    t = truncated_svd(np.zeros((6, 4)), 2)
+    t = truncated_svd(as_op(np.zeros((6, 4))), 2)
     assert np.allclose(t.s, 0)
     assert np.allclose(t.U.T @ t.U, np.eye(2), atol=1e-8)
 
@@ -154,10 +166,10 @@ def test_lanczos_failure_falls_back_to_lapack(monkeypatch, error):
     monkeypatch.setattr(ll, "svds", fail)
     W = rng(30).standard_normal((400, 400))
     with pytest.raises(type(error)):
-        ll._lanczos_svd(W, 4)
-    # truncated_svd takes the dense decomposition instead
-    t = truncated_svd(W, 4)
-    assert np.allclose(t.s, np.linalg.svd(W, compute_uv=False)[:4], rtol=1e-12)
+        ll._lanczos_svd(W, 1)
+    # spectral_norm takes the dense decomposition instead
+    assert spectral_norm(W) == pytest.approx(np.linalg.svd(W, compute_uv=False)[0],
+                                             rel=1e-12)
 
 
 # ------------------------------------------------------------------- svt
@@ -337,7 +349,7 @@ def test_block_svt_step_cap_falls_back_to_full(monkeypatch):
 
 @pytest.mark.parametrize("tall", [True, False])
 def test_block_route_starts_just_above_its_gate(tall):
-    # the block route has its own gate, below truncated_svd's LAPACK dimension
+    # the block route has its own gate, below spectral_norm's LAPACK dimension
     assert ll._BLOCK_MIN_DIM < ll._FULL_SVD_DIM
     for d, routes in ((ll._BLOCK_MIN_DIM + 1, (0, 1)), (ll._BLOCK_MIN_DIM, (1, 0))):
         s = list(np.linspace(10.0, 2.0, 5)) + list(np.linspace(0.5, 0.0, d - 5))

@@ -29,10 +29,7 @@ PUBLIC = [
     "predict_rank_mc",
     "rho_from_density",
     "solve_mc_ialm",
-    "KktReport",
     "divergence_demo",
-    "dual_feasibility",
-    "kkt_report",
     "lyapunov_increases",
     "lyapunov_trace",
 ]

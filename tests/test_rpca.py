@@ -93,11 +93,13 @@ def test_empty_input_rejected(solver, shape):
         solver(np.zeros(shape))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e-170, 1e160])
 @pytest.mark.parametrize("solver", ALL_SOLVERS + [solve_mc_ialm])
 def test_unrepresentable_frobenius_norm_rejected(solver, scale):
     # the sum of squares underflows to 0 or overflows to inf, so every scaled
-    # residual would read NaN, 0 or inf: refuse the input instead of iterating
+    # residual would read NaN, 0 or inf: refuse the input instead of iterating,
+    # without numpy's overflow warning
     if solver is solve_mc_ialm:
         inst = gen_mc(50, 2, 500, 3)
         args = (inst.omega, scale * inst.d_values)
