@@ -33,7 +33,6 @@ from .rpca import (
 from .mc import (
     FactoredMatrix,
     McConfig,
-    predict_rank_mc,
     rho_from_density,
     solve_mc_ialm,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "solve_it",
     "FactoredMatrix",
     "McConfig",
-    "predict_rank_mc",
     "rho_from_density",
     "solve_mc_ialm",
     "divergence_demo",

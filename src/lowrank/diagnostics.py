@@ -12,7 +12,7 @@ import numpy as np
 
 from .linalg import as_matrix, spectral_norm
 from .problems import RpcaInstance
-from .rpca import IALM_RHO, RpcaConfig, _dual_start, _ialm_sweep, solve_ealm
+from .rpca import IALM_MU0_FACTOR, IALM_RHO, RpcaConfig, _dual_start, _ialm_sweep, solve_ealm
 
 __all__ = [
     "lyapunov_trace",
@@ -100,7 +100,7 @@ def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None, max_iter
     D = instance.d
     lam = instance.lam
     norm2 = spectral_norm(D)
-    mu0 = 1.25 / norm2
+    mu0 = IALM_MU0_FACTOR / norm2
     cap = mu_cap_factor * mu0 if mu_cap_factor is not None else None
     A = np.zeros_like(D)
     Y = _dual_start(D, norm2, lam)
@@ -148,7 +148,7 @@ def verify_report(report, manifest=None):
 
     if algorithm == "ialm" and len(mus) > 1:
         rho = cfg.get("rho") or IALM_RHO
-        eps2 = cfg.get("eps2", 1e-5)
+        eps2 = cfg.get("eps2", RpcaConfig.eps2)
         ok = True
         for k in range(len(mus) - 1):
             ratio = mus[k + 1] / mus[k]
@@ -161,7 +161,7 @@ def verify_report(report, manifest=None):
                              f"rho={rho}, eps2={eps2}"))
 
     if report.get("converged") and trace:
-        eps1 = cfg.get("eps1", 1e-7)
+        eps1 = cfg.get("eps1", RpcaConfig.eps1)
         ok = feas[-1] < eps1
         checks.append(_check("converged_feasibility", "pass" if ok else "fail",
                              f"final feas {feas[-1]:.3g} vs eps1 {eps1:.3g}"))

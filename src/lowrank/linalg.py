@@ -111,13 +111,19 @@ class ObservedSet:
     def complement_size(self):
         return self.rows * self.cols - self.size
 
+    @functools.cached_property
+    def _csr_pattern(self):
+        S = sparse.csr_matrix((np.zeros(self.size), (self.row_idx, self.col_idx)),
+                              shape=(self.rows, self.cols))
+        return S.indices, S.indptr
+
     def to_csr(self, values):
+        """``values`` on the set as CSR. Sorted row-major, the set's order is CSR
+        order, so every call shares one pattern, built on the first call."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.size,):
             raise ValueError("values must align with the index set")
-        return sparse.csr_matrix(
-            (values, (self.row_idx, self.col_idx)), shape=(self.rows, self.cols)
-        )
+        return sparse.csr_matrix((values, *self._csr_pattern), shape=(self.rows, self.cols))
 
 
 @dataclass(frozen=True)
@@ -296,7 +302,11 @@ def _block_svd(W, eps, k, v0):
     the rest Gaussian from a Philox stream keyed by ``_BLOCK_KEY``. It stops
     when every Ritz triplet among the top ``k`` with value above ``eps`` has
     residual at most ``_BLOCK_TOL`` times the largest value, and every one at
-    or below ``eps`` has that residual too or satisfies ``s + res < eps``.
+    or below ``eps`` has that residual too or satisfies ``s + res < eps``, the
+    latter only after a filter or power step in a cold block (no ``v0``
+    columns). That is no proof for a dense tail just below ``eps``: bounds such
+    as the estimate of Halko, Martinsson & Tropp (arXiv:0909.4061, sec. 4.3)
+    scale with the tail's norm, not with ``eps``.
     Ritz values are lower bounds of the singular values, so a k-th Ritz value
     above ``eps`` proves the hint saturated: ``k`` doubles and the block grows
     in place.
@@ -318,6 +328,7 @@ def _block_svd(W, eps, k, v0):
         raise ValueError(f"v0 must have {n} rows, got {v0.shape[0]}")
     nv = min(v0.shape[1], b)
     Qt = _orth_rows(np.vstack([v0[:, :nv].T, rng.standard_normal((b - nv, n))]))
+    cold = nv == 0
     steps = 0
     while steps < _BLOCK_MAX_STEPS:
         Ut, s, Vt, Zt, res = _rayleigh_ritz(W, Qt)
@@ -331,9 +342,10 @@ def _block_svd(W, eps, k, v0):
             b = grown
             continue
         tol = _BLOCK_TOL * s[0]
-        lagging = (res[:k] > tol) & ((s[:k] > eps) | (s[:k] + res[:k] >= eps))
+        lagging = (res[:k] > tol) & ((s[:k] > eps) | (s[:k] + res[:k] >= eps) | cold)
         if not lagging.any():
             return TruncatedSVD(Ut[:k].T, s[:k], Vt[:k].T), k
+        cold = False  # a power or filter step follows
         if s[-1] == 0.0:
             # the block holds a null vector of W, so the filter interval
             # below is empty: take a plain power step instead

@@ -13,22 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .linalg import ObservedSet, SparsePlusLowRank, truncated_svd
-from .rpca import IterRecord, Iterate, SolveResult, _Config, _fro_norm
+from .rpca import SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm, predict_rank
 
 __all__ = [
     "McConfig",
     "FactoredMatrix",
     "rho_from_density",
     "gap_truncated_rank",
-    "predict_rank_mc",
     "solve_mc_ialm",
 ]
 
-# Rank heuristic: first SVD hint, truncating gap ratio, hint jump on saturation.
-SV0 = 5
+# Rank heuristic: the truncating gap ratio and the hint jump on saturation.
 GAP_THRESHOLD = 2.0
 SV_JUMP = 10
 # A step smaller than this multiple of ||A||_F cannot be distinguished from
@@ -125,21 +122,6 @@ def gap_truncated_rank(singular_values, svp):
     return int(min(svp, max_id + 1))
 
 
-def predict_rank_mc(svp, sv, singular_values, d):
-    """Next partial-SVD dimension under the gap-truncation scheme: one more
-    than the truncated count while it fits, a jump of ``SV_JUMP`` once it
-    saturates."""
-    s = np.asarray(singular_values, dtype=np.float64)
-    if s.size == 0:
-        raise ValueError("singular value list must be nonempty")
-    if not (0 <= svp <= sv <= d) or s.size != sv:
-        raise ValueError("expected 0 <= svp <= sv <= d with sv singular values")
-    svn = gap_truncated_rank(s, svp)
-    if svn < sv:
-        return svn + 1
-    return min(svn + SV_JUMP, d)
-
-
 def _exact_slices(X, inner):
     """Split the rows of ``X`` into slices X = X_1 + X_2 + ... whose products
     with slices of another matrix, summed over ``inner`` terms, are exact in
@@ -206,8 +188,9 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     """Complete a matrix from samples on ``observed`` with ``values``.
 
     Starts from zero multiplier and zero iterate; per iteration applies SVT
-    (threshold 1 / mu, dimension from :func:`predict_rank_mc`) to the
-    implicit matrix D - E + Y / mu assembled as sparse-plus-low-rank, takes
+    (threshold 1 / mu, dimension from ``predict_rank`` on the gap-truncated
+    count with a jump of ``SV_JUMP``) to the implicit matrix D - E + Y / mu,
+    assembled as sparse-plus-low-rank on the set's CSR pattern, takes
     the off-sample part as the new E, steps the multiplier on the sample set
     and grows the penalty geometrically by ``rho``. Stops when the scaled
     residual on the samples is below ``eps1`` and the damped dual surrogate
@@ -234,33 +217,26 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         return SolveResult(empty, None, True, 1, 0, [rec], "mc-ialm")
 
     rho = cfg.rho if cfg.rho is not None else rho_from_density(observed.size / (m * n))
-    D = observed.to_csr(vals)
-    if cfg.mu0 is not None:
-        mu = cfg.mu0
-    else:
-        probe = SparsePlusLowRank(D, np.zeros((m, 0)), np.zeros((n, 0)))
+    mu = cfg.mu0
+    if mu is None:
+        probe = SparsePlusLowRank(observed.to_csr(vals), np.zeros((m, 0)), np.zeros((n, 0)))
         mu = 1.0 / truncated_svd(probe, 1).s[0]
 
     Y = np.zeros(observed.size)
-    L = np.zeros((m, 0))
-    R = np.zeros((n, 0))
+    L, R = np.zeros((m, 0)), np.zeros((n, 0))
     obs_a = np.zeros(observed.size)
-    sv = min(SV0, d)
+    sv = min(SV0_DEFAULTS["mc-ialm"], d)
     comp = observed.complement_size
     trace: list[IterRecord] = []
     iterates = [] if cfg.keep_iterates else None
     for k in range(1, cfg.max_iter + 1):
-        # D - E_k + Y/mu = (sparse correction on the samples) + L R^T; the
-        # correction shares D's index arrays, whose entry order is the sample
-        # order because the observed set is sorted row-major without duplicates
-        sparse_part = sparse.csr_matrix((vals + Y / mu - obs_a, D.indices, D.indptr),
-                                        shape=D.shape)
-        op = SparsePlusLowRank(sparse_part, L, R)
-        sv_used = min(sv, d)
-        t = truncated_svd(op, sv_used)
+        # D - E_k + Y/mu = (sparse correction on the samples) + L R^T
+        op = SparsePlusLowRank(observed.to_csr(vals + Y / mu - obs_a), L, R)
+        t = truncated_svd(op, sv)
         svp = int((t.s > 1.0 / mu).sum())
         svn = gap_truncated_rank(t.s, svp) if svp else 0
-        L_new = t.U[:, :svn] * (t.s[:svn] - 1.0 / mu)
+        kept = t.s[:svn] - 1.0 / mu
+        L_new = t.U[:, :svn] * kept
         R_new = t.V[:, :svn].copy()
         obs_new = FactoredMatrix(L_new, R_new).values_at(observed)
 
@@ -270,14 +246,14 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
 
         feas = float(np.linalg.norm(resid) / dnorm)
         dual = float(min(mu, np.sqrt(mu)) * delta_e / dnorm)
-        obj = float((t.s[:svn] - 1.0 / mu).sum())
-        a_norm = float(np.sqrt(np.sum((t.s[:svn] - 1.0 / mu) ** 2)))
-        trace.append(IterRecord(k, mu, feas, dual, svn, comp, sv_used, svp, obj))
+        obj = float(kept.sum())
+        a_norm = float(np.sqrt(np.sum(kept ** 2)))
+        trace.append(IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj))
         L, R, obs_a = L_new, R_new, obs_new
         if iterates is not None:
             iterates.append(Iterate(FactoredMatrix(L.copy(), R.copy()), None, Y.copy(), mu))
 
-        sv = predict_rank_mc(svp, sv_used, t.s, d)
+        sv = predict_rank(svn, sv, d, SV_JUMP)
         dual_ok = dual < cfg.eps2 or delta_e <= DE_RESOLUTION * a_norm
         converged = feas < cfg.eps1 and dual_ok
         if converged:

@@ -35,11 +35,12 @@ __all__ = [
 ZERO_TOL = 1e-12
 
 MAX_ITER_DEFAULTS = {"it": 100_000, "apg": 1000, "ealm": 100, "ialm": 1000}
-SV0_DEFAULTS = {"apg": 5, "ealm": 10, "ialm": 10}
+SV0_DEFAULTS = {"it": 5, "apg": 5, "ealm": 10, "ialm": 10, "mc-ialm": 5}
 # Iterative thresholding: tau = IT_TAU_FACTOR * ||D||_2, multiplier step IT_DELTA.
 IT_TAU_FACTOR = 20.0
 IT_DELTA = 1.0
-# IALM: mu grows by IALM_RHO whenever the dual surrogate is below eps2.
+# IALM: mu0 = IALM_MU0_FACTOR / ||D||_2; mu grows by IALM_RHO when the dual surrogate < eps2.
+IALM_MU0_FACTOR = 1.25
 IALM_RHO = 1.6
 # APG continuation: mu decays by APG_ETA per iteration down to APG_MU_BAR_FACTOR * mu0.
 APG_ETA = 0.9
@@ -78,6 +79,8 @@ class RpcaConfig(_Config):
     ``lam`` defaults to ``1/sqrt(rows)``. APG's eta and mu_bar and IT's tau
     and delta come from the module constants :data:`APG_ETA`,
     :data:`APG_MU_BAR_FACTOR`, :data:`IT_TAU_FACTOR` and :data:`IT_DELTA`.
+    ``keep_iterates`` makes EALM and IALM keep one ``Iterate`` per outer step;
+    IT and APG refuse it, having no ALM multiplier for the Lyapunov check.
     """
 
     lam: float | None = None
@@ -93,7 +96,9 @@ class RpcaConfig(_Config):
 @dataclass
 class IterRecord:
     """One solver iteration: penalty value, scaled residuals, rank/support
-    counts and the rank-prediction bookkeeping."""
+    counts and the rank bookkeeping: ``sv_pred`` is the SVD dimension used (for
+    EALM, the one predicted after the last inner sweep), ``svp`` the count above
+    the threshold."""
 
     iter: int
     mu: float
@@ -177,14 +182,15 @@ class SolveResult:
         return out
 
 
-def predict_rank(svp, sv, d):
-    """Next dimension for the partial SVD: grow by one while the threshold
-    count still fits, jump by 5% of the small dimension once it saturates."""
+def predict_rank(svp, sv, d, jump=None):
+    """Next partial-SVD dimension, for recovery and completion: one more than
+    the kept count while it is below ``sv``, else a jump (``None``: 5% of the
+    small dimension), capped at ``d``."""
     if not (0 <= svp <= sv <= d):
         raise ValueError("expected 0 <= svp <= sv <= d")
     if svp < sv:
         return svp + 1
-    return min(svp + round_half_up(0.05 * d), d)
+    return min(svp + (round_half_up(0.05 * d) if jump is None else jump), d)
 
 
 def t_next(t):
@@ -205,8 +211,11 @@ def _fro_norm(X, name):
 
 def _start(D, cfg, algorithm):
     """``(cfg, D, lam, ||D||_F, max_iter, min(m, n))`` with the defaults of
-    ``algorithm``; ||D||_F is 0 only for a zero D. An empty D is a ``ValueError``."""
+    ``algorithm``; ||D||_F is 0 only for a zero D. An empty D is a ``ValueError``,
+    and so is ``keep_iterates`` for IT and APG, which have no ALM multiplier."""
     cfg = cfg or RpcaConfig()
+    if cfg.keep_iterates and algorithm not in ("ealm", "ialm"):
+        raise ValueError(f"{algorithm} cannot keep_iterates; EALM, IALM and completion can")
     D = as_matrix(D, "D")
     if not min(D.shape):
         raise ValueError(f"D must have positive dimensions, got shape {D.shape}")
@@ -238,11 +247,12 @@ def _zero_result(D, algorithm):
 def solve_it(D, cfg=None):
     """Dual-ascent iterative thresholding on the quadratically relaxed program.
 
-    Each sweep applies singular value thresholding (threshold tau) and soft
-    thresholding (threshold lam * tau) to the running multiplier, then takes
-    a step of size :data:`IT_DELTA` along the constraint violation, with
-    tau = :data:`IT_TAU_FACTOR` * ||D||_2 (step-size choice for this method
-    is known to be difficult; it is included for completeness, not speed).
+    Each sweep applies singular value thresholding (threshold tau, with APG's
+    predicted hint and warm start) and soft thresholding (threshold lam * tau)
+    to the running multiplier, then takes a step of size :data:`IT_DELTA`
+    along the constraint violation, with tau = :data:`IT_TAU_FACTOR` * ||D||_2
+    (step-size choice for this method is known to be difficult; it is
+    included for completeness, not speed).
     Stops once the scaled feasibility residual drops below ``eps1``; hitting
     ``max_iter`` returns ``converged=False`` with the full trace.
     """
@@ -250,20 +260,23 @@ def solve_it(D, cfg=None):
     if not dnorm:
         return _zero_result(D, "it")
     tau = IT_TAU_FACTOR * spectral_norm(D)
+    sv = min(SV0_DEFAULTS["it"], d)
 
     Y = np.zeros_like(D)
     E_prev = np.zeros_like(D)
     trace = []
+    kept = None
     for k in range(1, max_iter + 1):
-        kept, svp, _ = svt_triplets(Y, tau, d)
+        kept, svp, s_raw = svt_triplets(Y, tau, sv, v0=None if kept is None else kept.V)
         A = kept.compose()
         E = shrink(Y, lam * tau)
         R = D - A - E
         Y = Y + IT_DELTA * R
         feas = float(np.linalg.norm(R) / dnorm)
         dual = float(np.linalg.norm(E - E_prev) / dnorm)
-        trace.append(_record(k, tau, feas, dual, kept, svp, d, E, lam))
+        trace.append(_record(k, tau, feas, dual, kept, svp, len(s_raw), E, lam))
         E_prev = E
+        sv = predict_rank(svp, len(s_raw), d)
         converged = feas < cfg.eps1
         if converged:
             break
@@ -392,7 +405,7 @@ def solve_ialm(D, cfg=None):
     if not dnorm:
         return _zero_result(D, "ialm")
     norm2 = spectral_norm(D)
-    mu = cfg.mu0 if cfg.mu0 is not None else 1.25 / norm2
+    mu = cfg.mu0 if cfg.mu0 is not None else IALM_MU0_FACTOR / norm2
     rho = cfg.rho if cfg.rho is not None else IALM_RHO
     sv = min(SV0_DEFAULTS["ialm"], d)
 

@@ -362,6 +362,42 @@ def test_block_route_starts_just_above_its_gate(tall):
         assert svp == 5
 
 
+def corrupted_low_rank(m, n, seed):
+    """Rank round(0.05 m) plus 5% of the entries uniform on [-500, 500]."""
+    g = rng(seed)
+    r = round(0.05 * m)
+    W = g.standard_normal((m, r)) @ g.standard_normal((n, r)).T
+    idx = g.choice(m * n, size=round(0.05 * m * n), replace=False)
+    W.flat[idx] += g.uniform(-500.0, 500.0, idx.size)
+    return W
+
+
+@pytest.mark.parametrize("solver", ["ialm", "ealm", "apg"])
+@pytest.mark.parametrize("shape", [(160, 160), (160, 240), (160, 120)])
+def test_block_svt_counts_match_lapack_through_solves(shape, solver):
+    # every block call of a recovery solve keeps exactly the values LAPACK
+    # puts above the threshold; a cold block (no warm start, e.g. after an
+    # SVT that kept nothing) must not certify a value below it off its first
+    # Rayleigh-Ritz step (APG on the wide and tall shapes came back short)
+    import lowrank.rpca as rpca
+
+    wrong = []
+    block = ll._block_svd
+
+    def audited(W, eps, k, v0):
+        t, k = block(W, eps, k, v0)
+        if t is not None:
+            want = int((np.linalg.svd(W, compute_uv=False) > eps).sum())
+            if (t.s > eps).sum() != want:
+                wrong.append((int((t.s > eps).sum()), want))
+        return t, k
+
+    with mock.patch.object(ll, "_block_svd", side_effect=audited) as spy:
+        getattr(rpca, f"solve_{solver}")(corrupted_low_rank(*shape, 1))
+    assert spy.call_count > 0
+    assert wrong == []
+
+
 @pytest.mark.parametrize("shape", [(40, 1), (40, 7), (100, 21), (300, 30), (17, 17)])
 def test_qr_matches_scipy_economic_bit_for_bit(shape):
     A = rng(35).standard_normal(shape)

@@ -9,8 +9,8 @@ from lowrank.mc import (
     DE_RESOLUTION,
     FactoredMatrix,
     McConfig,
+    SV_JUMP,
     gap_truncated_rank,
-    predict_rank_mc,
     rho_from_density,
     _delta_e_factored,
     _exact_slices,
@@ -18,6 +18,7 @@ from lowrank.mc import (
     solve_mc_ialm,
 )
 from lowrank.problems import degrees_of_freedom, gen_mc
+from lowrank.rpca import predict_rank
 
 
 def _mask(omega):
@@ -50,25 +51,30 @@ def test_rho_from_density_range():
 
 # ------------------------------------------------------- rank prediction
 
+def _predict_mc(svp, sv, s, d):
+    """Completion's next partial-SVD dimension, as the solver computes it."""
+    return predict_rank(gap_truncated_rank(s, svp), sv, d, SV_JUMP)
+
+
 def test_predict_rank_mc_no_gap_saturated():
-    assert predict_rank_mc(4, 4, [10, 9, 8, 7.5], 100) == 14
+    assert _predict_mc(4, 4, [10, 9, 8, 7.5], 100) == 14
 
 
 def test_predict_rank_mc_gap_branch():
-    assert predict_rank_mc(2, 4, [10, 9, 0.1, 0.05], 100) == 3
+    assert _predict_mc(2, 4, [10, 9, 0.1, 0.05], 100) == 3
 
 
 def test_predict_rank_mc_zero_tail_is_infinite_gap():
     # s2/s3 = inf: gap index 2, truncation keeps min(svp, 2)
-    assert predict_rank_mc(3, 4, [10, 9, 0.0, 0.0], 100) == 3
+    assert _predict_mc(3, 4, [10, 9, 0.0, 0.0], 100) == 3
     assert gap_truncated_rank([10, 9, 0.0, 0.0], 3) == 2
 
 
 def test_predict_rank_mc_validation():
     with pytest.raises(ValueError):
-        predict_rank_mc(1, 1, [], 100)
+        _predict_mc(1, 1, [], 100)
     with pytest.raises(ValueError):
-        predict_rank_mc(3, 2, [5.0, 4.0], 100)
+        _predict_mc(3, 2, [5.0, 4.0], 100)
 
 
 def test_gap_truncated_rank_single_value():
@@ -117,16 +123,30 @@ def test_mc_solver_gathers_through_values_at():
 
 
 def test_mc_solver_builds_one_sparse_pattern_per_solve():
-    # every iteration reuses the index arrays of the one CSR matrix of the
-    # samples; only its values change
+    # every iteration's sparse part sits on the index arrays the observed set
+    # built once; only its values change, and a second solve on the same set
+    # builds no new pattern
     from unittest import mock
 
+    import lowrank.mc as mcmod
+
     inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
-    with mock.patch.object(ObservedSet, "to_csr", autospec=True,
-                           side_effect=ObservedSet.to_csr) as spy:
-        res = solve_mc_ialm(inst.omega, inst.d_values)
-    assert res.iterations > 1
-    assert spy.call_count == 1
+    parts = []
+
+    def record(S, L, R):
+        parts.append(S)
+        return SparsePlusLowRank(S, L, R)
+
+    with mock.patch.object(mcmod, "SparsePlusLowRank", side_effect=record):
+        first = solve_mc_ialm(inst.omega, inst.d_values)
+        second = solve_mc_ialm(inst.omega, inst.d_values)
+    assert first.iterations > 1
+    # the mu0 probe and one sparse part per iteration, per solve
+    assert len(parts) == first.iterations + second.iterations + 2
+    pattern = inst.omega.to_csr(inst.d_values)
+    for S in parts:
+        assert np.shares_memory(S.indices, pattern.indices)
+        assert np.shares_memory(S.indptr, pattern.indptr)
 
 
 def test_factored_matrix_contract():
@@ -362,12 +382,14 @@ def test_mc_solver_predicts_rank_through_predict_rank_mc():
     from unittest import mock
 
     inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
-    with mock.patch("lowrank.mc.predict_rank_mc", wraps=predict_rank_mc) as spy:
+    with mock.patch("lowrank.mc.predict_rank", wraps=predict_rank) as spy:
         res = solve_mc_ialm(inst.omega, inst.d_values)
     assert spy.call_count == res.iterations
-    # each call's result is the next iteration's partial-SVD dimension
-    for call, nxt in zip(spy.call_args_list, res.trace[1:]):
-        assert predict_rank_mc(*call.args) == nxt.sv_pred
+    # each call takes that iteration's kept rank and dimension with the
+    # completion jump, and its result is the next iteration's dimension
+    for call, rec, nxt in zip(spy.call_args_list, res.trace, res.trace[1:]):
+        assert call.args == (rec.rank_a, rec.sv_pred, 50, SV_JUMP)
+        assert predict_rank(*call.args) == nxt.sv_pred
 
 
 def test_mc_rank_path_stabilizes_at_true_rank(mc50):

@@ -26,7 +26,6 @@ PUBLIC = [
     "solve_it",
     "FactoredMatrix",
     "McConfig",
-    "predict_rank_mc",
     "rho_from_density",
     "solve_mc_ialm",
     "divergence_demo",

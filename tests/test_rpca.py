@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lowrank.linalg import spectral_norm
+from lowrank.linalg import spectral_norm, svt_triplets
 from lowrank.mc import solve_mc_ialm
 from lowrank.problems import gen_mc, gen_rpca
 from lowrank.rpca import (
@@ -190,6 +190,29 @@ def test_it_needs_orders_of_magnitude_more_iterations():
     assert it.trace[-1].feas < it.trace[0].feas
 
 
+def test_it_takes_predicted_hints_and_warm_starts(monkeypatch):
+    # IT's SVT step is APG's: the first hint is SV0_DEFAULTS["it"], each later
+    # one comes from predict_rank, and each call starts from the previous V
+    import lowrank.rpca as rpca
+
+    calls = []
+
+    def spy(W, eps, sv_hint, v0=None):
+        out = svt_triplets(W, eps, sv_hint, v0=v0)
+        calls.append((sv_hint, v0, out))
+        return out
+
+    monkeypatch.setattr(rpca, "svt_triplets", spy)
+    inst = gen_rpca(100, 5, 0.05, 2)
+    res = solve_it(inst.d, RpcaConfig(max_iter=30))
+    assert len(calls) == res.iterations == 30
+    assert calls[0][0] == rpca.SV0_DEFAULTS["it"] and calls[0][1] is None
+    for (_, _, (kept, svp, s_raw)), nxt, rec in zip(calls, calls[1:], res.trace):
+        assert rec.sv_pred == len(s_raw) and rec.svp == svp
+        assert nxt[0] == predict_rank(svp, len(s_raw), 100)
+        assert nxt[1] is kept.V
+
+
 # ----------------------------------------------------------- trace rules
 
 def test_ialm_feasibility_identity_bit_exact():
@@ -269,6 +292,25 @@ def test_ealm_inner_sweep_cap_ends_the_solve_unconverged(small_instance, monkeyp
     assert not res.converged
     assert res.svd_count == 2
     assert res.iterations == 1 and len(res.trace) == 1 and res.trace[0].iter == 1
+
+
+@pytest.mark.parametrize("solver", [solve_it, solve_apg])
+def test_keep_iterates_refused_without_alm_multiplier(solver, small_instance):
+    # snapshots are kept by EALM, IALM and completion only; the others refuse
+    # the flag instead of silently returning no iterates
+    with pytest.raises(ValueError, match="EALM, IALM and completion can"):
+        solver(small_instance.d, RpcaConfig(keep_iterates=True))
+    with pytest.raises(ValueError, match="keep_iterates"):
+        solver(np.zeros((3, 3)), RpcaConfig(keep_iterates=True))
+
+
+def test_apg_cold_block_keeps_the_value_above_threshold():
+    # iteration 25 runs a cold block (the step before kept nothing) on a
+    # matrix with one singular value above the threshold; a first
+    # Rayleigh-Ritz step once certified it below and returned svp 0
+    res = solve_apg(gen_rpca(100, 5, 0.05, 41019).d)
+    assert res.trace[23].svp == 0 and res.trace[24].svp == 1
+    assert (res.iterations, res.rank, res.e_card) == (151, 5, 505)
 
 
 # --------------------------------------------------------------- reports
