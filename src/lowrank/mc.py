@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ObservedSet, SparsePlusLowRank, truncated_svd
-from .rpca import SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm, predict_rank
+from .rpca import SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm, _ialm
 
 __all__ = [
     "McConfig",
@@ -185,19 +185,17 @@ def _delta_e_factored(L_new, R_new, L_old, R_old, obs_new, obs_old):
 
 
 def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
-    """Complete a matrix from samples on ``observed`` with ``values``.
+    """Complete a matrix from samples on ``observed`` with ``values``, by the
+    inexact-ALM loop of recovery (``rpca._ialm``).
 
-    Starts from zero multiplier and zero iterate; per iteration applies SVT
-    (threshold 1 / mu, dimension from ``predict_rank`` on the gap-truncated
-    count with a jump of ``SV_JUMP``) to the implicit matrix D - E + Y / mu,
-    assembled as sparse-plus-low-rank on the set's CSR pattern, takes
-    the off-sample part as the new E, steps the multiplier on the sample set
-    and grows the penalty geometrically by ``rho``. Stops when the scaled
-    residual on the samples is below ``eps1`` and the damped dual surrogate
-    min(mu, sqrt(mu)) * ||dE||_F / ||D||_F is below ``eps2`` (a step under
-    the double-precision resolution of the step formula, ``DE_RESOLUTION``
-    times ||A||_F, counts as meeting the dual criterion). Returns a
-    ``SolveResult`` whose ``A`` is a ``FactoredMatrix``, with no ``E`` or ``Y``.
+    Each sweep applies SVT (threshold 1 / mu, cut by :func:`gap_truncated_rank`)
+    to the implicit D - E + Y / mu, held as sparse-plus-low-rank on the set's
+    CSR pattern, takes the off-sample part as the new E and steps the
+    multiplier on the samples. The penalty grows by ``rho`` every sweep and the
+    SVD size jumps by ``SV_JUMP``. The dual test is damped:
+    min(mu, sqrt(mu)) * ||dE||_F / ||D||_F < ``eps2``, or a step below the
+    resolution of the step formula, ``DE_RESOLUTION`` * ||A||_F. ``A`` is a
+    ``FactoredMatrix``; the result has no ``E`` or ``Y``.
     """
     cfg = cfg or McConfig()
     if observed.size == 0:
@@ -210,54 +208,44 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
 
     m, n = observed.rows, observed.cols
     d = min(m, n)
+    comp = observed.complement_size
+    A = FactoredMatrix(np.zeros((m, 0)), np.zeros((n, 0)))
     dnorm = float(_fro_norm(vals, "values"))
     if dnorm == 0.0:
-        empty = FactoredMatrix(np.zeros((m, 0)), np.zeros((n, 0)))
-        rec = IterRecord(1, 0.0, 0.0, 0.0, 0, observed.complement_size, 0, 0, 0.0)
-        return SolveResult(empty, None, True, 1, 0, [rec], "mc-ialm")
+        rec = IterRecord(1, 0.0, 0.0, 0.0, 0, comp, 0, 0, 0.0)
+        return SolveResult(A, None, True, 1, 0, [rec], "mc-ialm")
 
     rho = cfg.rho if cfg.rho is not None else rho_from_density(observed.size / (m * n))
     mu = cfg.mu0
     if mu is None:
-        probe = SparsePlusLowRank(observed.to_csr(vals), np.zeros((m, 0)), np.zeros((n, 0)))
+        probe = SparsePlusLowRank(observed.to_csr(vals), A.L, A.R)
         mu = 1.0 / truncated_svd(probe, 1).s[0]
-
     Y = np.zeros(observed.size)
-    L, R = np.zeros((m, 0)), np.zeros((n, 0))
     obs_a = np.zeros(observed.size)
-    sv = min(SV0_DEFAULTS["mc-ialm"], d)
-    comp = observed.complement_size
-    trace: list[IterRecord] = []
-    iterates = [] if cfg.keep_iterates else None
-    for k in range(1, cfg.max_iter + 1):
+
+    def step(k, mu, sv):
+        nonlocal A, Y, obs_a
         # D - E_k + Y/mu = (sparse correction on the samples) + L R^T
-        op = SparsePlusLowRank(observed.to_csr(vals + Y / mu - obs_a), L, R)
+        op = SparsePlusLowRank(observed.to_csr(vals + Y / mu - obs_a), A.L, A.R)
         t = truncated_svd(op, sv)
         svp = int((t.s > 1.0 / mu).sum())
         svn = gap_truncated_rank(t.s, svp) if svp else 0
         kept = t.s[:svn] - 1.0 / mu
-        L_new = t.U[:, :svn] * kept
-        R_new = t.V[:, :svn].copy()
-        obs_new = FactoredMatrix(L_new, R_new).values_at(observed)
-
-        delta_e = _delta_e_factored(L_new, R_new, L, R, obs_new, obs_a)
+        A_new = FactoredMatrix(t.U[:, :svn] * kept, t.V[:, :svn].copy())
+        obs_new = A_new.values_at(observed)
+        delta_e = _delta_e_factored(A_new.L, A_new.R, A.L, A.R, obs_new, obs_a)
         resid = vals - obs_new
         Y = Y + mu * resid
-
+        A, obs_a = A_new, obs_new
         feas = float(np.linalg.norm(resid) / dnorm)
         dual = float(min(mu, np.sqrt(mu)) * delta_e / dnorm)
         obj = float(kept.sum())
         a_norm = float(np.sqrt(np.sum(kept ** 2)))
-        trace.append(IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj))
-        L, R, obs_a = L_new, R_new, obs_new
-        if iterates is not None:
-            iterates.append(Iterate(FactoredMatrix(L.copy(), R.copy()), None, Y.copy(), mu))
-
-        sv = predict_rank(svn, sv, d, SV_JUMP)
         dual_ok = dual < cfg.eps2 or delta_e <= DE_RESOLUTION * a_norm
-        converged = feas < cfg.eps1 and dual_ok
-        if converged:
-            break
-        mu = rho * mu
-    return SolveResult(FactoredMatrix(L, R), None, converged, k, k, trace, "mc-ialm",
+        rec = IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj)
+        return rec, dual_ok, True, lambda: Iterate(A, None, Y, mu)
+
+    converged, trace, iterates = _ialm(step, cfg, mu, rho, min(SV0_DEFAULTS["mc-ialm"], d), d,
+                                       cfg.max_iter, SV_JUMP)
+    return SolveResult(A, None, converged, len(trace), len(trace), trace, "mc-ialm",
                        iterates=iterates)

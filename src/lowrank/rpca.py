@@ -56,12 +56,13 @@ class _Config:
     values, and the echo that goes into a report."""
 
     def __post_init__(self):
-        for name in ("lam", "mu0", "eps1", "eps2", "max_iter", "inner_tol"):
-            v = getattr(self, name, None)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rho is not None and self.rho <= 1:
-            raise ValueError("rho must exceed 1")
+        for name in ("lam", "mu0", "rho", "eps1", "eps2", "inner_tol"):
+            v, low = getattr(self, name, None), 1 if name == "rho" else 0
+            if v is not None and not low < v < np.inf:
+                raise ValueError(f"{name} must be finite and exceed {low}, got {v}")
+        n = self.max_iter
+        if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1):
+            raise ValueError(f"max_iter must be a positive int, got {n!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -97,8 +98,7 @@ class RpcaConfig(_Config):
 class IterRecord:
     """One solver iteration: penalty value, scaled residuals, rank/support
     counts and the rank bookkeeping: ``sv_pred`` is the SVD dimension used (for
-    EALM, the one predicted after the last inner sweep), ``svp`` the count above
-    the threshold."""
+    EALM, by the last inner sweep), ``svp`` the count above the threshold."""
 
     iter: int
     mu: float
@@ -378,7 +378,7 @@ def solve_ealm(D, cfg=None):
         R = D - A - E
         Y = Y + mu * R
         feas = float(np.linalg.norm(R) / dnorm)
-        trace.append(_record(k, mu, feas, dual, kept, svp, sv, E, lam))
+        trace.append(_record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam))
         if iterates is not None:
             iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))
         converged = inner_met and feas < cfg.eps1
@@ -391,15 +391,11 @@ def solve_ealm(D, cfg=None):
 
 
 def solve_ialm(D, cfg=None):
-    """Inexact augmented Lagrange multiplier method (one alternating sweep
-    per multiplier step).
-
-    The sparse block moves first against the previous low-rank iterate, the
-    low-rank block follows, then the multiplier takes a step of size mu_k
-    along the residual. The penalty grows by ``rho`` exactly when
-    mu_k * ||E_{k+1} - E_k||_F / ||D||_F falls below ``eps2``; the solve
-    stops when that dual surrogate and the feasibility residual are both
-    inside tolerance.
+    """Inexact augmented Lagrange multiplier method, run by :func:`_ialm`: each
+    sweep (:func:`_ialm_sweep`) shrinks E against the previous A, thresholds A,
+    then steps the multiplier by mu_k along the residual. The dual surrogate
+    mu_k * ||E_{k+1} - E_k||_F / ||D||_F below ``eps2`` grows the penalty by
+    ``rho`` and meets the dual half of the stopping test.
     """
     cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "ialm")
     if not dnorm:
@@ -407,32 +403,48 @@ def solve_ialm(D, cfg=None):
     norm2 = spectral_norm(D)
     mu = cfg.mu0 if cfg.mu0 is not None else IALM_MU0_FACTOR / norm2
     rho = cfg.rho if cfg.rho is not None else IALM_RHO
-    sv = min(SV0_DEFAULTS["ialm"], d)
-
     Y = _dual_start(D, norm2, lam)
     A = np.zeros_like(D)
     E = np.zeros_like(D)
-    trace = []
-    iterates = [] if cfg.keep_iterates else None
     kept = None
-    for k in range(1, max_iter + 1):
+
+    def step(k, mu, sv):
+        nonlocal A, E, Y, kept
         E_next, A, Y, r_norm, kept, svp, s_raw = _ialm_sweep(
             D, A, Y, mu, lam, sv, None if kept is None else kept.V)
         feas = float(r_norm / dnorm)
         dual = float(mu * np.linalg.norm(E_next - E) / dnorm)
-        sv_used = len(s_raw)
-        trace.append(_record(k, mu, feas, dual, kept, svp, sv_used, E_next, lam))
         E = E_next
-        if iterates is not None:
-            iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))
-        sv = predict_rank(svp, sv_used, d)
-        converged = feas < cfg.eps1 and dual < cfg.eps2
-        if dual < cfg.eps2:
-            mu = rho * mu
-        if converged:
-            break
-    return SolveResult(A, E, converged, k, k, trace, "ialm", Y=Y,
+        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
+        return rec, dual < cfg.eps2, dual < cfg.eps2, lambda: Iterate(A, E, Y, mu)
+
+    converged, trace, iterates = _ialm(step, cfg, mu, rho, min(SV0_DEFAULTS["ialm"], d), d,
+                                       max_iter)
+    return SolveResult(A, E, converged, len(trace), len(trace), trace, "ialm", Y=Y,
                        iterates=iterates)
+
+
+def _ialm(step, cfg, mu, rho, sv, d, max_iter, jump=None):
+    """The inexact-ALM loop of recovery and completion. ``step(k, mu, sv)``
+    runs sweep k at penalty ``mu`` on an SVD of size ``sv`` and returns
+    ``(record, dual_ok, grow, snapshot)``. The loop keeps the trace and, with
+    ``cfg.keep_iterates``, the sweep's ``snapshot()`` (no copies: no solver
+    changes an array it made), takes the next size from ``predict_rank`` with
+    ``jump``, stops once ``record.feas < cfg.eps1`` and ``dual_ok``, and else
+    grows mu by ``rho`` if ``grow``. Returns ``(converged, trace, iterates)``."""
+    trace = []
+    iterates = [] if cfg.keep_iterates else None
+    for k in range(1, max_iter + 1):
+        rec, dual_ok, grow, snapshot = step(k, mu, sv)
+        trace.append(rec)
+        if iterates is not None:
+            iterates.append(snapshot())
+        sv = predict_rank(rec.rank_a, rec.sv_pred, d, jump)
+        if rec.feas < cfg.eps1 and dual_ok:
+            return True, trace, iterates
+        if grow:
+            mu = rho * mu
+    return False, trace, iterates
 
 
 def _ialm_sweep(D, A, Y, mu, lam, sv, v0=None):

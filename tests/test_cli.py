@@ -86,6 +86,15 @@ def test_solve_rpca_nonconvergence_exit_code(tmp_path):
                "--max-iter", "2") == 1
 
 
+def test_solve_rpca_nan_tolerance_exits_two(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run("gen", "--kind", "rpca", "--m", "20", "--r", "2",
+        "--frac", "0.05", "--seed", "5", "--out", str(out))
+    assert run("solve-rpca", "--alg", "ialm", "--input", str(out / "d.csv"),
+               "--eps1", "nan") == 2
+    assert "eps1" in capsys.readouterr().err
+
+
 def test_check_verdict_on_solve_trace(tmp_path):
     out = tmp_path / "inst"
     run("gen", "--kind", "rpca", "--m", "30", "--r", "2",

@@ -17,8 +17,8 @@ from lowrank.mc import (
     _projection,
     solve_mc_ialm,
 )
-from lowrank.problems import degrees_of_freedom, gen_mc
-from lowrank.rpca import predict_rank
+from lowrank.problems import degrees_of_freedom, gen_mc, gen_rpca
+from lowrank.rpca import predict_rank, solve_ialm
 
 
 def _mask(omega):
@@ -378,18 +378,27 @@ def test_mc_report_zero_ground_truth(mc50):
     assert rep["rel_error"] == float(np.linalg.norm(res.A.to_dense()))
 
 
-def test_mc_solver_predicts_rank_through_predict_rank_mc():
+@pytest.mark.parametrize("kind", ["mc-ialm", "ialm"])
+def test_ialm_loop_predicts_rank_through_predict_rank(kind):
+    # recovery and completion take their SVD sizes from the one inexact-ALM
+    # loop, which differs between them only in the jump it passes on
     from unittest import mock
 
-    inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
-    with mock.patch("lowrank.mc.predict_rank", wraps=predict_rank) as spy:
-        res = solve_mc_ialm(inst.omega, inst.d_values)
+    with mock.patch("lowrank.rpca.predict_rank", wraps=predict_rank) as spy:
+        if kind == "ialm":
+            res, jump = solve_ialm(gen_rpca(50, 2, 0.05, 12).d), None
+        else:
+            inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
+            res, jump = solve_mc_ialm(inst.omega, inst.d_values), SV_JUMP
     assert spy.call_count == res.iterations
-    # each call takes that iteration's kept rank and dimension with the
-    # completion jump, and its result is the next iteration's dimension
+    # each call takes that iteration's kept rank and SVD size with the kind's
+    # jump, and its result is the next iteration's SVD hint: completion's SVD
+    # takes the hint as is, recovery's SVT doubles it while every computed
+    # value clears the threshold
     for call, rec, nxt in zip(spy.call_args_list, res.trace, res.trace[1:]):
-        assert call.args == (rec.rank_a, rec.sv_pred, 50, SV_JUMP)
-        assert predict_rank(*call.args) == nxt.sv_pred
+        assert call.args == (rec.rank_a, rec.sv_pred, 50, jump)
+        hint = predict_rank(*call.args)
+        assert nxt.sv_pred in ({hint} if jump else {min(hint << j, 50) for j in range(7)})
 
 
 def test_mc_rank_path_stabilizes_at_true_rank(mc50):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lowrank.linalg import spectral_norm, svt_triplets
-from lowrank.mc import solve_mc_ialm
+from lowrank.mc import McConfig, solve_mc_ialm
 from lowrank.problems import gen_mc, gen_rpca
 from lowrank.rpca import (
     APG_ETA,
@@ -120,6 +120,25 @@ def test_config_validation():
         RpcaConfig(max_iter=0)
 
 
+_NEVER_WORK = [(f, v) for f in ("mu0", "rho", "eps1", "eps2") for v in (np.nan, np.inf)] \
+    + [("max_iter", 2.5), ("max_iter", True)]
+
+
+@pytest.mark.parametrize("config, field, value",
+                         [(RpcaConfig, f, v) for f in ("lam", "inner_tol") for v in (np.nan, np.inf)]
+                         + [(c, f, v) for c in (RpcaConfig, McConfig) for f, v in _NEVER_WORK])
+def test_config_rejects_values_that_never_work(config, field, value):
+    # a NaN tolerance never stops a solve, and a non-finite penalty or a
+    # fractional iteration count fails only mid-solve
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("config", [RpcaConfig, McConfig])
+def test_config_takes_a_numpy_integer_max_iter(config):
+    assert config(max_iter=np.int64(3)).max_iter == 3
+
+
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
 def test_max_iter_exhaustion_returns_trace(solver):
     inst = gen_rpca(15, 1, 0.05, 4)
@@ -211,6 +230,25 @@ def test_it_takes_predicted_hints_and_warm_starts(monkeypatch):
         assert rec.sv_pred == len(s_raw) and rec.svp == svp
         assert nxt[0] == predict_rank(svp, len(s_raw), 100)
         assert nxt[1] is kept.V
+
+
+def test_ealm_records_the_svd_size_of_its_last_inner_sweep(monkeypatch):
+    # an outer step's sv_pred is the size its last inner SVT used, as in the
+    # other solvers' records; all inner SVTs of a step threshold at its 1/mu
+    import lowrank.rpca as rpca
+
+    calls = []
+
+    def spy(W, eps, sv_hint, v0=None):
+        out = svt_triplets(W, eps, sv_hint, v0=v0)
+        calls.append((eps, len(out[2])))
+        return out
+
+    monkeypatch.setattr(rpca, "svt_triplets", spy)
+    res = solve_ealm(gen_rpca(100, 5, 0.05, 41003).d)
+    assert len(calls) == res.svd_count
+    for rec in res.trace:
+        assert rec.sv_pred == [size for eps, size in calls if eps == 1.0 / rec.mu][-1]
 
 
 # ----------------------------------------------------------- trace rules

@@ -2,9 +2,10 @@
 
 Each digest covers the result arrays (recovery: A, E, Y; completion: the
 factors L and R of A), the trace records, and the report JSON both bare and
-with ``config`` and ``a_star``. Two checkouts whose outputs are equal line
-for line compute the same numbers. Only the public API is used, so the same
-file runs on an older checkout too:
+with ``config`` and ``a_star``. Three more digests cover every ``Iterate`` of
+an IALM, an EALM and a completion solve with ``keep_iterates``. Two checkouts
+whose outputs are equal line for line compute the same numbers. Only the
+public API is used, so the same file runs on an older checkout too:
 
     python tools/fingerprint.py > new.txt
     mkdir -p ../old/tools && cp tools/fingerprint.py ../old/tools/
@@ -32,9 +33,7 @@ import numpy as np  # noqa: E402
 import lowrank  # noqa: E402
 
 
-def _digest(res, cfg, a_star):
-    h = hashlib.sha256()
-    arrays = (res.A.L, res.A.R) if hasattr(res.A, "L") else (res.A, res.E, res.Y)
+def _update(h, arrays):
     for X in arrays:
         if X is None:
             h.update(b"none")
@@ -42,9 +41,23 @@ def _digest(res, cfg, a_star):
             X = np.ascontiguousarray(X)
             h.update(f"{X.dtype}{X.shape}".encode())
             h.update(X.tobytes())
+
+
+def _digest(res, cfg, a_star):
+    h = hashlib.sha256()
+    _update(h, (res.A.L, res.A.R) if hasattr(res.A, "L") else (res.A, res.E, res.Y))
     h.update(json.dumps([r.to_dict() for r in res.trace]).encode())
     h.update(json.dumps(res.report()).encode())
     h.update(json.dumps(res.report(config=cfg, a_star=a_star)).encode())
+    return h.hexdigest()
+
+
+def _iterates_digest(res):
+    """One digest over every kept ``Iterate``: ``a`` (or its factors), ``e``, ``y``, ``mu``."""
+    h = hashlib.sha256()
+    for it in res.iterates:
+        _update(h, ((it.a.L, it.a.R) if hasattr(it.a, "L") else (it.a,)) + (it.e, it.y))
+        h.update(repr(it.mu).encode())
     return h.hexdigest()
 
 
@@ -76,6 +89,16 @@ def main():
         inst = lowrank.gen_mc(*args)
         res = lowrank.solve_mc_ialm(inst.omega, inst.d_values)
         print(f"mc-ialm gen_mc{args} {_digest(res, lowrank.McConfig(), inst.a_star)}")
+
+    args = (100, 5, 0.05, 41003)
+    inst = lowrank.gen_rpca(*args)
+    for name, solve in (("ialm", lowrank.solve_ialm), ("ealm", lowrank.solve_ealm)):
+        res = solve(inst.d, lowrank.RpcaConfig(keep_iterates=True))
+        print(f"{name} iterates gen_rpca{args} {_iterates_digest(res)}")
+    args = (300, 5, 17850, 1)
+    inst = lowrank.gen_mc(*args)
+    res = lowrank.solve_mc_ialm(inst.omega, inst.d_values, lowrank.McConfig(keep_iterates=True))
+    print(f"mc-ialm iterates gen_mc{args} {_iterates_digest(res)}")
     return 0
 
 
