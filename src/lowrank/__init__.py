@@ -31,7 +31,6 @@ from .rpca import (
     solve_it,
 )
 from .mc import (
-    FactoredMatrix,
     McConfig,
     rho_from_density,
     solve_mc_ialm,
@@ -60,7 +59,6 @@ __all__ = [
     "solve_ealm",
     "solve_ialm",
     "solve_it",
-    "FactoredMatrix",
     "McConfig",
     "rho_from_density",
     "solve_mc_ialm",

@@ -194,7 +194,7 @@ def _cmd_solve_mc(args):
     cfg = _config(McConfig, args)
     res = solve_mc_ialm(omega, values, cfg)
     if args.dense_output:
-        mio.write_dense_csv(args.dense_output, res.A.to_dense())
+        mio.write_dense_csv(args.dense_output, res.A.compose())
     return _finish_solve(args, res, cfg)
 
 

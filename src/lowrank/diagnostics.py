@@ -119,6 +119,31 @@ def _check(name, status, detail):
     return {"invariant": name, "status": status, "detail": detail}
 
 
+def _report_fields(report, manifest):
+    """The trace, config and final block of a report, once every field that
+    :func:`verify_report` reads holds its JSON type; ``ValueError`` names the
+    first that is missing or mistyped."""
+    def need(ok, field, kind):
+        if not ok:
+            raise ValueError(f"report field {field!r} must be {kind}")
+
+    if not isinstance(report, dict) or not isinstance(manifest, (dict, type(None))):
+        raise ValueError("the report and the manifest must be JSON objects")
+    trace, cfg, final = report.get("trace", []), report.get("config") or {}, report.get("final", {})
+    need(isinstance(trace, list), "trace", "a list")
+    for i, rec in enumerate(trace):
+        need(isinstance(rec, dict), f"trace[{i}]", "an object")
+        for k in ("feas", "dual_est", "mu", "rank_a"):
+            need(isinstance(rec.get(k), (int, float)), f"trace[{i}].{k}", "a number")
+    need(isinstance(cfg, dict), "config", "an object")
+    for k in ("eps1", "eps2", "rho"):
+        need(isinstance(cfg.get(k), (int, float, type(None))), f"config.{k}", "a number or null")
+    need(isinstance(final, dict), "final", "an object")
+    for k in ("spectral_y", "linf_y_over_lambda") if "spectral_y" in final else ():
+        need(isinstance(final.get(k), (int, float)), f"final.{k}", "a number")
+    return trace, cfg, final
+
+
 def verify_report(report, manifest=None):
     """Trace-level invariant verdicts for a solver JSON report.
 
@@ -126,12 +151,11 @@ def verify_report(report, manifest=None):
     ``pass``, ``fail`` or ``warn``. The checks cover residual sanity, the
     penalty update rule, stopping consistency, multiplier dual feasibility
     (when the report carries the final gauge values) and the monotone-rank
-    observation (warn only).
+    observation (warn only). A malformed report or manifest is a ``ValueError``.
     """
     checks = []
-    trace = report.get("trace", [])
+    trace, cfg, final = _report_fields(report, manifest)
     algorithm = report.get("algorithm", "?")
-    cfg = report.get("config") or {}
     feas = [r["feas"] for r in trace]
     dual = [r["dual_est"] for r in trace]
     mus = [r["mu"] for r in trace]
@@ -148,7 +172,7 @@ def verify_report(report, manifest=None):
 
     if algorithm == "ialm" and len(mus) > 1:
         rho = cfg.get("rho") or IALM_RHO
-        eps2 = cfg.get("eps2", RpcaConfig.eps2)
+        eps2 = cfg.get("eps2") or RpcaConfig.eps2
         ok = True
         for k in range(len(mus) - 1):
             ratio = mus[k + 1] / mus[k]
@@ -161,12 +185,11 @@ def verify_report(report, manifest=None):
                              f"rho={rho}, eps2={eps2}"))
 
     if report.get("converged") and trace:
-        eps1 = cfg.get("eps1", RpcaConfig.eps1)
+        eps1 = cfg.get("eps1") or RpcaConfig.eps1
         ok = feas[-1] < eps1
         checks.append(_check("converged_feasibility", "pass" if ok else "fail",
                              f"final feas {feas[-1]:.3g} vs eps1 {eps1:.3g}"))
 
-    final = report.get("final", {})
     if "spectral_y" in final:
         sp, li = final["spectral_y"], final["linf_y_over_lambda"]
         if sp <= 1 + DUAL_FEAS_SLACK and li <= 1 + DUAL_FEAS_SLACK:

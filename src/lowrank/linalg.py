@@ -54,6 +54,9 @@ _BLOCK_MAX_DEGREE = 4
 _BLOCK_MAX_STEPS = 100
 # Philox key of the Gaussian columns that fill the block past the warm start.
 _BLOCK_KEY = 20100918
+# Observed entries per gather in TruncatedSVD.values_at: the factor rows of a
+# chunk are copied, so its extra memory is O(chunk * k), not O(|Omega| * k).
+VALUES_CHUNK = 8192
 
 _log = logging.getLogger("lowrank")
 
@@ -128,21 +131,34 @@ class ObservedSet:
 
 @dataclass(frozen=True)
 class TruncatedSVD:
-    """Top-k singular triplet: ``U`` (m x k), ``s`` descending, ``V`` (n x k)."""
+    """Top-k singular triplets: ``U`` (m x k), ``s`` descending, ``V`` (n x k).
+    After an SVT it is the low-rank matrix U diag(s) V.T, completion's iterate."""
 
     U: np.ndarray
     s: np.ndarray
     V: np.ndarray
 
     @property
-    def k(self):
-        return int(self.s.size)
+    def shape(self):
+        return (self.U.shape[0], self.V.shape[0])
 
     def compose(self):
         """Materialize ``U @ diag(s) @ V.T``."""
-        if self.k == 0:
-            return np.zeros((self.U.shape[0], self.V.shape[0]))
+        if not self.s.size:
+            return np.zeros(self.shape)
         return (self.U * self.s) @ self.V.T
+
+    def values_at(self, omega):
+        """Entries of ``U @ diag(s) @ V.T`` on an :class:`ObservedSet`, without
+        composing it: ``VALUES_CHUNK`` rows of ``U * s`` and ``V`` at a time."""
+        out = np.zeros(omega.size)
+        for lo in range(0, omega.size, VALUES_CHUNK):
+            hi = lo + VALUES_CHUNK
+            left = self.U.take(omega.row_idx[lo:hi], axis=0)
+            left *= self.s
+            right = self.V.take(omega.col_idx[lo:hi], axis=0)
+            out[lo:hi] = np.einsum("ij,ij->i", left, right)
+        return out
 
 
 @dataclass(frozen=True)

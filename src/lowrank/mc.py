@@ -1,11 +1,11 @@
 """Matrix completion by the inexact augmented Lagrange multiplier method.
 
-The iterate ``A`` lives in factored form L @ R.T and is never densified in
-the solver hot path; the unobserved block ``E`` is implicit (it always
-equals the negated off-sample part of ``A``), and the multiplier is a value
-vector on the sample set. One partial SVD of a sparse-plus-low-rank operator
-per iteration, with a gap-based rank truncation that keeps the iterate rank
-from oscillating.
+The iterate ``A`` is the ``TruncatedSVD`` U diag(s) V.T its SVT step returns
+and is never composed in the solver hot path; the unobserved block ``E`` is
+implicit (it always equals the negated off-sample part of ``A``), and the
+multiplier is a value vector on the sample set. One partial SVD of a
+sparse-plus-low-rank operator per iteration, with a gap-based rank truncation
+that keeps the iterate rank from oscillating.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ObservedSet, SparsePlusLowRank, truncated_svd
+from .linalg import ObservedSet, SparsePlusLowRank, TruncatedSVD, truncated_svd
 from .rpca import SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm, _ialm
 
 __all__ = [
     "McConfig",
-    "FactoredMatrix",
     "rho_from_density",
     "gap_truncated_rank",
     "solve_mc_ialm",
@@ -33,9 +32,6 @@ SV_JUMP = 10
 # Gram subtraction cancels at sqrt(eps)); the stopping test treats such steps
 # as converged in the dual criterion.
 DE_RESOLUTION = float(np.sqrt(np.finfo(np.float64).eps))
-# Observed entries per gather in FactoredMatrix.values_at: the factor rows of a
-# chunk are copied, so its extra memory is O(chunk * rank), not O(|Omega| * rank).
-VALUES_CHUNK = 8192
 # Bits of each row that the split projections of the step formula carry: about
 # the 64-bit mantissa of the extended precision they are summed in.
 SLICE_BITS = 60
@@ -60,45 +56,6 @@ class McConfig(_Config):
     eps2: float = 1e-6
     max_iter: int = 500
     keep_iterates: bool = False
-
-
-@dataclass
-class FactoredMatrix:
-    """A low-rank matrix held as ``L @ R.T`` (both factors have k columns)."""
-
-    L: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        if self.L.ndim != 2 or self.R.ndim != 2 or self.L.shape[1] != self.R.shape[1]:
-            raise ValueError("factors must be 2-D with matching column counts")
-        if self.rank > min(self.shape):
-            raise ValueError("factored rank exceeds matrix dimensions")
-
-    @property
-    def shape(self):
-        return (self.L.shape[0], self.R.shape[0])
-
-    @property
-    def rank(self):
-        return int(self.L.shape[1])
-
-    def to_dense(self):
-        """Materialize the product (desk-scale verification only)."""
-        return self.L @ self.R.T
-
-    def values_at(self, omega: ObservedSet):
-        """Entries of the product on an observed set without densifying,
-        gathered ``VALUES_CHUNK`` entries at a time."""
-        out = np.zeros(omega.size)
-        if self.rank == 0:
-            return out
-        for lo in range(0, omega.size, VALUES_CHUNK):
-            hi = lo + VALUES_CHUNK
-            left = self.L.take(omega.row_idx[lo:hi], axis=0)
-            right = self.R.take(omega.col_idx[lo:hi], axis=0)
-            out[lo:hi] = np.einsum("ij,ij->i", left, right)
-        return out
 
 
 def gap_truncated_rank(singular_values, svp):
@@ -156,13 +113,13 @@ def _projection(Q, S):
     return out
 
 
-def _delta_e_factored(L_new, R_new, L_old, R_old, obs_new, obs_old):
-    """||off-sample part of (A_new - A_old)||_F via the Gram identity
-    sqrt(||dA||_F^2 - ||on-sample dA||_F^2), with the radicand clamped at
-    zero against rounding.
+def _delta_e_factored(A_new, A_old, obs_new, obs_old):
+    """||off-sample part of (A_new - A_old)||_F for two ``TruncatedSVD``
+    iterates, via the Gram identity sqrt(||dA||_F^2 - ||on-sample dA||_F^2),
+    with the radicand clamped at zero against rounding.
 
     The difference dA is the product of the stacked factors Ls = [L_new L_old]
-    and Rs = [R_new -R_old]. Its norm is that of the small core
+    and Rs = [V_new -V_old], with L = U * s. Its norm is that of the small core
     (QL^T Ls) (QR^T Rs)^T, with QL, QR orthonormal bases of the stacked
     factors from float64 QR. The cancellation between the new and the old
     term happens inside that core, so the projections are summed from exact
@@ -173,8 +130,8 @@ def _delta_e_factored(L_new, R_new, L_old, R_old, obs_new, obs_old):
     factors one of sqrt(eps) * ||A||_F, once the step is small relative to
     ||A||_F. Cost stays O((m + n) k^2) BLAS work with no dense intermediate.
     """
-    Ls = np.hstack([L_new, L_old])
-    Rs = np.hstack([R_new, -R_old])
+    Ls = np.hstack([A_new.U * A_new.s, A_old.U * A_old.s])
+    Rs = np.hstack([A_new.V, -A_old.V])
     da2 = 0.0
     if Ls.shape[1]:
         core = (_projection(np.linalg.qr(Ls)[0], Ls)
@@ -194,8 +151,8 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     multiplier on the samples. The penalty grows by ``rho`` every sweep and the
     SVD size jumps by ``SV_JUMP``. The dual test is damped:
     min(mu, sqrt(mu)) * ||dE||_F / ||D||_F < ``eps2``, or a step below the
-    resolution of the step formula, ``DE_RESOLUTION`` * ||A||_F. ``A`` is a
-    ``FactoredMatrix``; the result has no ``E`` or ``Y``.
+    resolution of the step formula, ``DE_RESOLUTION`` * ||A||_F. ``A`` is the
+    last SVT's ``TruncatedSVD``; the result has no ``E`` or ``Y``.
     """
     cfg = cfg or McConfig()
     if observed.size == 0:
@@ -209,7 +166,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     m, n = observed.rows, observed.cols
     d = min(m, n)
     comp = observed.complement_size
-    A = FactoredMatrix(np.zeros((m, 0)), np.zeros((n, 0)))
+    A = TruncatedSVD(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
     dnorm = float(_fro_norm(vals, "values"))
     if dnorm == 0.0:
         rec = IterRecord(1, 0.0, 0.0, 0.0, 0, comp, 0, 0, 0.0)
@@ -218,29 +175,30 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     rho = cfg.rho if cfg.rho is not None else rho_from_density(observed.size / (m * n))
     mu = cfg.mu0
     if mu is None:
-        probe = SparsePlusLowRank(observed.to_csr(vals), A.L, A.R)
+        probe = SparsePlusLowRank(observed.to_csr(vals), A.U, A.V)
         mu = 1.0 / truncated_svd(probe, 1).s[0]
     Y = np.zeros(observed.size)
     obs_a = np.zeros(observed.size)
 
     def step(k, mu, sv):
         nonlocal A, Y, obs_a
-        # D - E_k + Y/mu = (sparse correction on the samples) + L R^T
-        op = SparsePlusLowRank(observed.to_csr(vals + Y / mu - obs_a), A.L, A.R)
-        t = truncated_svd(op, sv)
+        # D - E_k + Y/mu = (sparse correction on the samples) + (U s) V^T
+        t = truncated_svd(SparsePlusLowRank(observed.to_csr(vals + Y / mu - obs_a),
+                                            A.U * A.s, A.V), sv)
         svp = int((t.s > 1.0 / mu).sum())
         svn = gap_truncated_rank(t.s, svp) if svp else 0
-        kept = t.s[:svn] - 1.0 / mu
-        A_new = FactoredMatrix(t.U[:, :svn] * kept, t.V[:, :svn].copy())
+        # keep U in the SVD's memory order: BLAS products with U * s round by it
+        A_new = TruncatedSVD(t.U[:, :svn].copy(order="K"), t.s[:svn] - 1.0 / mu,
+                             t.V[:, :svn].copy())
         obs_new = A_new.values_at(observed)
-        delta_e = _delta_e_factored(A_new.L, A_new.R, A.L, A.R, obs_new, obs_a)
+        delta_e = _delta_e_factored(A_new, A, obs_new, obs_a)
         resid = vals - obs_new
         Y = Y + mu * resid
         A, obs_a = A_new, obs_new
         feas = float(np.linalg.norm(resid) / dnorm)
         dual = float(min(mu, np.sqrt(mu)) * delta_e / dnorm)
-        obj = float(kept.sum())
-        a_norm = float(np.sqrt(np.sum(kept ** 2)))
+        obj = float(A.s.sum())
+        a_norm = float(np.sqrt(np.sum(A.s ** 2)))
         dual_ok = dual < cfg.eps2 or delta_e <= DE_RESOLUTION * a_norm
         rec = IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj)
         return rec, dual_ok, True, lambda: Iterate(A, None, Y, mu)

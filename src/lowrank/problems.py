@@ -75,10 +75,13 @@ def _default_lam(rows):
 
 
 def _rel_error(A, a_star):
-    """||A - a_star||_F / ||a_star||_F, or ||A||_F when ``a_star`` is zero. A
-    factored ``A`` is densified as an unnamed temporary that the subtraction
-    reuses, so the error costs one dense matrix, not two."""
-    dense = getattr(A, "to_dense", lambda: A)
+    """||A - a_star||_F / ||a_star||_F, or ||A||_F when ``a_star`` is zero; a
+    ``ValueError`` unless the shapes agree. A ``TruncatedSVD`` ``A`` is composed
+    as an unnamed temporary that the subtraction reuses: one dense matrix, not two."""
+    a_star = np.asarray(a_star)
+    if A.shape != a_star.shape:
+        raise ValueError(f"truth matrix has shape {a_star.shape}, the estimate {A.shape}")
+    dense = getattr(A, "compose", lambda: A)
     denom = np.linalg.norm(a_star)
     if denom == 0.0:
         return float(np.linalg.norm(dense()))

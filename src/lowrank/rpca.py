@@ -117,7 +117,7 @@ class IterRecord:
 @dataclass
 class Iterate:
     """Per-iteration snapshot, on request: dense ``a``, ``e``, ``y`` (recovery),
-    or a ``FactoredMatrix`` ``a``, no ``e`` and ``y`` on the samples (completion)."""
+    or a ``TruncatedSVD`` ``a``, no ``e`` and ``y`` on the samples (completion)."""
 
     a: np.ndarray
     e: np.ndarray | None
@@ -128,7 +128,8 @@ class Iterate:
 @dataclass
 class SolveResult:
     """Any solver's outcome, with at least one trace record. Completion
-    (``"mc-ialm"``) holds ``A`` as a ``FactoredMatrix`` and no ``E`` or ``Y``."""
+    (``"mc-ialm"``) holds ``A`` as a ``TruncatedSVD`` (``A.s`` the thresholded
+    singular values, ``A.compose()`` the dense matrix) and no ``E`` or ``Y``."""
 
     A: np.ndarray
     E: np.ndarray | None

@@ -15,7 +15,7 @@ from lowrank.diagnostics import (
     lyapunov_increases,
     lyapunov_trace,
 )
-from lowrank.linalg import shrink, svt_triplets
+from lowrank.linalg import TruncatedSVD, shrink, svt_triplets
 from lowrank.mc import McConfig, _delta_e_factored, solve_mc_ialm
 from lowrank.problems import degrees_of_freedom, gen_mc, gen_rpca
 from lowrank.rpca import RpcaConfig, solve_apg, solve_ealm, solve_ialm
@@ -82,7 +82,7 @@ def test_criterion_04_sparsity_accuracy_gap(ialm500, apg500):
 def test_criterion_05_mc_table_row():
     inst = gen_mc(1000, 10, 6 * degrees_of_freedom(1000, 10), MC_SEED)
     res = solve_mc_ialm(inst.omega, inst.d_values)
-    rel = inst.rel_error(res.A.to_dense())
+    rel = inst.rel_error(res.A.compose())
     ok = (res.converged and res.iterations <= 110 and res.rank == 10
           and rel <= 5e-6)
     report(5, ok, f"mc m=1000: iter={res.iterations} rank={res.rank} "
@@ -191,17 +191,16 @@ def test_criterion_10_mc_identities():
     # comparison would measure reference noise, not formula error)
     worst = 0.0
     prev = np.zeros((50, 50))
-    L_old = np.zeros((50, 0))
-    R_old = np.zeros((50, 0))
+    a_old = TruncatedSVD(np.zeros((50, 0)), np.zeros(0), np.zeros((50, 0)))
     obs_old = np.zeros(inst.p)
     for snap in res.iterates:
-        A = snap.a.L @ snap.a.R.T
+        A = snap.a.compose()
         obs_new = A[rows, cols]
         dense = np.linalg.norm(np.where(mask, 0.0, A - prev))
-        fact = _delta_e_factored(snap.a.L, snap.a.R, L_old, R_old, obs_new, obs_old)
+        fact = _delta_e_factored(snap.a, a_old, obs_new, obs_old)
         if dense >= 2e-5:
             worst = max(worst, abs(fact - dense) / dense)
-        prev, L_old, R_old, obs_old = A, snap.a.L, snap.a.R, obs_new
+        prev, a_old, obs_old = A, snap.a, obs_new
 
     ok = support_ok and worst <= 1e-8
     report(10, ok, f"multiplier support clean={support_ok}, "

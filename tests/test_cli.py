@@ -112,6 +112,31 @@ def test_check_verdict_on_solve_trace(tmp_path):
                for c in v["checks"])
 
 
+def test_solve_rpca_wrong_shaped_truth_exits_two(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run("gen", "--kind", "rpca", "--m", "20", "--r", "2",
+        "--frac", "0.05", "--seed", "5", "--out", str(out))
+    row = tmp_path / "row.csv"
+    mio.write_dense_csv(row, mio.read_dense_csv(out / "a_star.csv")[:1])
+    assert run("solve-rpca", "--alg", "ialm", "--input", str(out / "d.csv"),
+               "--truth", str(row)) == 2
+    err = capsys.readouterr().err
+    assert "(1, 20)" in err and "(20, 20)" in err
+
+
+@pytest.mark.parametrize("report, field", [
+    ([1, 2], "JSON objects"),
+    ({"trace": [{"mu": 1}]}, "'trace[0].feas'"),
+    ({"trace": "x"}, "'trace'"),
+])
+def test_check_malformed_report_exits_two(tmp_path, capsys, report, field):
+    # a report the checks cannot read is bad input (2), not a failed check (1)
+    trace = tmp_path / "bad.json"
+    trace.write_text(json.dumps(report))
+    assert run("check", "--trace", str(trace)) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_solve_mc_and_dense_output(tmp_path):
     out = tmp_path / "inst"
     run("gen", "--kind", "mc", "--m", "30", "--r", "2",

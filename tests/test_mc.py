@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lowrank.linalg import ObservedSet, SparsePlusLowRank
+from lowrank.linalg import ObservedSet, SparsePlusLowRank, TruncatedSVD
 from lowrank.mc import (
     DE_RESOLUTION,
-    FactoredMatrix,
     McConfig,
     SV_JUMP,
     gap_truncated_rank,
@@ -91,33 +90,35 @@ def test_mc_config_validation():
 
 
 def test_values_at_matches_dense_product_across_chunks(monkeypatch):
-    import lowrank.mc as mcmod
+    import lowrank.linalg as ll
 
     g = np.random.Generator(np.random.Philox(40))
     m, n, k = 150, 140, 4
-    lin = np.sort(g.choice(m * n, size=2 * mcmod.VALUES_CHUNK + 1234, replace=False))
+    lin = np.sort(g.choice(m * n, size=2 * ll.VALUES_CHUNK + 1234, replace=False))
     om = ObservedSet.from_linear(m, n, lin)
-    # integer-valued factors: every product and sum is exact, so the gathered
-    # values must equal the dense product bit for bit, chunk edges included
-    F = FactoredMatrix(g.integers(-9, 10, (m, k)).astype(float),
-                       g.integers(-9, 10, (n, k)).astype(float))
-    got = F.values_at(om)
-    assert np.array_equal(got, F.to_dense()[om.row_idx, om.col_idx])
+    # integer-valued factors and values: every product and sum is exact, so the
+    # gathered values must equal the composed matrix bit for bit, chunk edges
+    # included
+    T = TruncatedSVD(g.integers(-9, 10, (m, k)).astype(float), np.arange(k, 0, -1.0),
+                     g.integers(-9, 10, (n, k)).astype(float))
+    got = T.values_at(om)
+    assert np.array_equal(got, T.compose()[om.row_idx, om.col_idx])
     # and chunking does not change the floating-point result
-    F = FactoredMatrix(g.standard_normal((m, k)), g.standard_normal((n, k)))
-    chunked = F.values_at(om)
-    monkeypatch.setattr(mcmod, "VALUES_CHUNK", om.size)
-    assert np.array_equal(chunked, F.values_at(om))
-    assert np.array_equal(FactoredMatrix(np.zeros((m, 0)), np.zeros((n, 0))).values_at(om),
-                          np.zeros(om.size))
+    T = TruncatedSVD(g.standard_normal((m, k)), g.uniform(1, 2, k), g.standard_normal((n, k)))
+    chunked = T.values_at(om)
+    monkeypatch.setattr(ll, "VALUES_CHUNK", om.size)
+    assert np.array_equal(chunked, T.values_at(om))
+    empty = TruncatedSVD(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
+    assert empty.shape == (m, n)
+    assert np.array_equal(empty.values_at(om), np.zeros(om.size))
 
 
 def test_mc_solver_gathers_through_values_at():
     from unittest import mock
 
     inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
-    with mock.patch.object(FactoredMatrix, "values_at", autospec=True,
-                           side_effect=FactoredMatrix.values_at) as spy:
+    with mock.patch.object(TruncatedSVD, "values_at", autospec=True,
+                           side_effect=TruncatedSVD.values_at) as spy:
         res = solve_mc_ialm(inst.omega, inst.d_values)
     assert spy.call_count == res.iterations
 
@@ -149,20 +150,13 @@ def test_mc_solver_builds_one_sparse_pattern_per_solve():
         assert np.shares_memory(S.indptr, pattern.indptr)
 
 
-def test_factored_matrix_contract():
-    F = FactoredMatrix(np.zeros((5, 2)), np.zeros((4, 2)))
-    assert F.shape == (5, 4) and F.rank == 2
-    with pytest.raises(ValueError):
-        FactoredMatrix(np.zeros((5, 2)), np.zeros((4, 3)))
-
-
 # ---------------------------------------------------------------- solves
 
 def test_mc_recovers_small_instance(mc50):
     inst, res = mc50
     assert res.converged
     assert res.rank == 2
-    assert inst.rel_error(res.A.to_dense()) <= 1e-5
+    assert inst.rel_error(res.A.compose()) <= 1e-5
 
 
 def test_mc_fully_observed_recovers_exactly():
@@ -172,7 +166,7 @@ def test_mc_fully_observed_recovers_exactly():
     omega = ObservedSet.from_linear(m, m, np.arange(m * m))
     res = solve_mc_ialm(omega, A0.ravel())
     assert res.converged
-    err = np.linalg.norm(res.A.to_dense() - A0) / np.linalg.norm(A0)
+    err = np.linalg.norm(res.A.compose() - A0) / np.linalg.norm(A0)
     assert err < 1e-10
 
 
@@ -219,7 +213,7 @@ def test_mc_e_identity(mc50):
     D = inst.omega.to_csr(inst.d_values).toarray()
     mask = _mask(inst.omega)
     for snap in res.iterates[:: max(1, len(res.iterates) // 8)]:
-        A = snap.a.L @ snap.a.R.T
+        A = snap.a.compose()
         Y = inst.omega.to_csr(snap.y).toarray()
         lhs = D - A + Y / snap.mu
         lhs[mask] = 0.0
@@ -237,7 +231,7 @@ def test_mc_dual_surrogate_overestimates_true_distance(mc50):
     y_prev = np.zeros((50, 50))
     a_prev = np.zeros((50, 50))
     for snap in res.iterates:
-        A = snap.a.L @ snap.a.R.T
+        A = snap.a.compose()
         e_prev = np.where(mask, 0.0, -a_prev)
         e_now = np.where(mask, 0.0, -A)
         y_hat = y_prev + snap.mu * (D - A - e_prev)
@@ -255,17 +249,16 @@ def test_mc_factored_delta_e_matches_dense(mc50):
     rows, cols = inst.omega.row_idx, inst.omega.col_idx
     from lowrank.mc import _delta_e_factored
 
-    L_old = np.zeros((50, 0))
-    R_old = np.zeros((50, 0))
+    a_old = TruncatedSVD(np.zeros((50, 0)), np.zeros(0), np.zeros((50, 0)))
     obs_old = np.zeros(inst.p)
     for snap in res.iterates:
-        A = snap.a.L @ snap.a.R.T
+        A = snap.a.compose()
         obs_new = A[rows, cols]
         dense = np.linalg.norm(np.where(mask, 0.0, A - prev))
-        fact = _delta_e_factored(snap.a.L, snap.a.R, L_old, R_old, obs_new, obs_old)
+        fact = _delta_e_factored(snap.a, a_old, obs_new, obs_old)
         if dense > 1e-12:
             assert abs(fact - dense) / dense < 1e-8
-        prev, L_old, R_old, obs_old = A, snap.a.L, snap.a.R, obs_new
+        prev, a_old, obs_old = A, snap.a, obs_new
 
 
 @pytest.mark.parametrize("inner", [7, 1000])
@@ -319,10 +312,11 @@ def test_factored_delta_e_matches_dense_reference(m, n, k_new, k_old, step_exp, 
     R_new[:, :c] += h * g.standard_normal((n, c))
     om = ObservedSet.from_linear(m, n, np.sort(g.choice(
         m * n, size=max(1, min(m * n, round(frac * m * n))), replace=False)))
-    obs_new = FactoredMatrix(L_new, R_new).values_at(om)
-    obs_old = FactoredMatrix(L_old, R_old).values_at(om)
+    T_new = TruncatedSVD(L_new, np.ones(k_new), R_new)
+    T_old = TruncatedSVD(L_old, np.ones(k_old), R_old)
+    obs_new, obs_old = T_new.values_at(om), T_old.values_at(om)
 
-    fact = _delta_e_factored(L_new, R_new, L_old, R_old, obs_new, obs_old)
+    fact = _delta_e_factored(T_new, T_old, obs_new, obs_old)
     A_new, A_old = L_new @ R_new.T, L_old @ R_old.T
     dA = A_new - A_old
     dense = np.linalg.norm(np.where(_mask(om), 0.0, dA))
@@ -375,7 +369,7 @@ def test_mc_report_zero_ground_truth(mc50):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = res.report(a_star=np.zeros((50, 50)))
-    assert rep["rel_error"] == float(np.linalg.norm(res.A.to_dense()))
+    assert rep["rel_error"] == float(np.linalg.norm(res.A.compose()))
 
 
 @pytest.mark.parametrize("kind", ["mc-ialm", "ialm"])

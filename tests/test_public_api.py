@@ -24,7 +24,6 @@ PUBLIC = [
     "solve_ealm",
     "solve_ialm",
     "solve_it",
-    "FactoredMatrix",
     "McConfig",
     "rho_from_density",
     "solve_mc_ialm",

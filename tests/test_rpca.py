@@ -366,6 +366,15 @@ def test_report_contents(small_instance):
     assert rep["config"]["eps1"] == cfg.eps1
 
 
+def test_report_rejects_a_wrong_shaped_truth(small_instance):
+    # one row of a 20x20 truth broadcasts against A unless the shapes are checked
+    res = solve_ialm(small_instance.d)
+    with pytest.raises(ValueError, match=r"\(1, 20\).*\(20, 20\)"):
+        res.report(a_star=small_instance.a_star[:1])
+    with pytest.raises(ValueError, match="shape"):
+        small_instance.rel_error(res.A[:, :1])
+
+
 def test_rectangular_input_accepted():
     # solvers take any shape even though the generator only makes squares
     g = np.random.Generator(np.random.Philox(21))

@@ -1,7 +1,7 @@
 """Print one SHA-256 per (solver, instance) over everything a solve returns.
 
 Each digest covers the result arrays (recovery: A, E, Y; completion: the
-factors L and R of A), the trace records, and the report JSON both bare and
+factors U * s and V of A), the trace records, and the report JSON both bare and
 with ``config`` and ``a_star``. Three more digests cover every ``Iterate`` of
 an IALM, an EALM and a completion solve with ``keep_iterates``. Two checkouts
 whose outputs are equal line for line compute the same numbers. Only the
@@ -43,9 +43,20 @@ def _update(h, arrays):
             h.update(X.tobytes())
 
 
+def _factors(a):
+    """A completion iterate as the factors (L, R) of L @ R.T: (U * s, V) of a
+    ``TruncatedSVD``, or (L, R) of the ``FactoredMatrix`` of older checkouts;
+    None for a dense array."""
+    if hasattr(a, "U"):
+        return (a.U * a.s, a.V)
+    if hasattr(a, "L"):
+        return (a.L, a.R)
+    return None
+
+
 def _digest(res, cfg, a_star):
     h = hashlib.sha256()
-    _update(h, (res.A.L, res.A.R) if hasattr(res.A, "L") else (res.A, res.E, res.Y))
+    _update(h, _factors(res.A) or (res.A, res.E, res.Y))
     h.update(json.dumps([r.to_dict() for r in res.trace]).encode())
     h.update(json.dumps(res.report()).encode())
     h.update(json.dumps(res.report(config=cfg, a_star=a_star)).encode())
@@ -56,7 +67,7 @@ def _iterates_digest(res):
     """One digest over every kept ``Iterate``: ``a`` (or its factors), ``e``, ``y``, ``mu``."""
     h = hashlib.sha256()
     for it in res.iterates:
-        _update(h, ((it.a.L, it.a.R) if hasattr(it.a, "L") else (it.a,)) + (it.e, it.y))
+        _update(h, (_factors(it.a) or (it.a,)) + (it.e, it.y))
         h.update(repr(it.mu).encode())
     return h.hexdigest()
 
