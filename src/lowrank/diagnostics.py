@@ -12,7 +12,7 @@ import numpy as np
 
 from .linalg import as_matrix, spectral_norm
 from .problems import RpcaInstance
-from .rpca import IALM_MU0_FACTOR, IALM_RHO, RpcaConfig, _dual_start, _ialm_sweep, solve_ealm
+from .rpca import ALM_MU0_FACTOR, IALM_RHO, RpcaConfig, _dual_start, _ialm_sweep, solve_ealm
 
 __all__ = [
     "lyapunov_trace",
@@ -100,7 +100,7 @@ def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None, max_iter
     D = instance.d
     lam = instance.lam
     norm2 = spectral_norm(D)
-    mu0 = IALM_MU0_FACTOR / norm2
+    mu0 = ALM_MU0_FACTOR / norm2
     cap = mu_cap_factor * mu0 if mu_cap_factor is not None else None
     A = np.zeros_like(D)
     Y = _dual_start(D, norm2, lam)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ObservedSet, SparsePlusLowRank, TruncatedSVD, truncated_svd
-from .rpca import SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm, _ialm
+from .rpca import SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm, _alm
 
 __all__ = [
     "McConfig",
@@ -143,7 +143,7 @@ def _delta_e_factored(A_new, A_old, obs_new, obs_old):
 
 def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     """Complete a matrix from samples on ``observed`` with ``values``, by the
-    inexact-ALM loop of recovery (``rpca._ialm``).
+    ALM loop of recovery (``rpca._alm``).
 
     Each sweep applies SVT (threshold 1 / mu, cut by :func:`gap_truncated_rank`)
     to the implicit D - E + Y / mu, held as sparse-plus-low-rank on the set's
@@ -203,7 +203,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         rec = IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj)
         return rec, dual_ok, True, lambda: Iterate(A, None, Y, mu)
 
-    converged, trace, iterates = _ialm(step, cfg, mu, rho, min(SV0_DEFAULTS["mc-ialm"], d), d,
-                                       cfg.max_iter, SV_JUMP)
+    converged, trace, iterates = _alm(step, cfg, mu, rho, min(SV0_DEFAULTS["mc-ialm"], d), d,
+                                      cfg.max_iter, SV_JUMP)
     return SolveResult(A, None, converged, len(trace), len(trace), trace, "mc-ialm",
                        iterates=iterates)

@@ -39,14 +39,15 @@ SV0_DEFAULTS = {"it": 5, "apg": 5, "ealm": 10, "ialm": 10, "mc-ialm": 5}
 # Iterative thresholding: tau = IT_TAU_FACTOR * ||D||_2, multiplier step IT_DELTA.
 IT_TAU_FACTOR = 20.0
 IT_DELTA = 1.0
-# IALM: mu0 = IALM_MU0_FACTOR / ||D||_2; mu grows by IALM_RHO when the dual surrogate < eps2.
-IALM_MU0_FACTOR = 1.25
+# EALM and IALM: mu0 = ALM_MU0_FACTOR / ||D||_2, which scales with D. IALM's mu
+# grows by IALM_RHO when the dual surrogate < eps2.
+ALM_MU0_FACTOR = 1.25
 IALM_RHO = 1.6
 # APG continuation: mu decays by APG_ETA per iteration down to APG_MU_BAR_FACTOR * mu0.
 APG_ETA = 0.9
 APG_MU_BAR_FACTOR = 1e-9
-# EALM: inner sweeps per outer step before the solve gives up unconverged (the
-# largest solve seen took 152 sweeps in all).
+# EALM: the most inner sweeps an outer step takes. A capped step still takes its
+# multiplier step, but only a step whose inner solve met inner_tol ends the solve.
 EALM_MAX_INNER = 1000
 
 
@@ -71,10 +72,11 @@ class _Config:
 @dataclass
 class RpcaConfig(_Config):
     """Solver parameters. ``None`` means "use the per-algorithm default",
-    which for the ALM solvers follows the published tuning:
+    which for the ALM solvers follows the published tuning, except that EALM
+    takes IALM's mu0 (the published 0.5 / ||sign(D)||_2 ignores the scale of D):
 
     * ``ialm``: mu0 = 1.25 / ||D||_2, rho = 1.6, eps1 = 1e-7, eps2 = 1e-5
-    * ``ealm``: mu0 = 0.5 / ||sign(D)||_2, rho = 6, inner_tol = 1e-6
+    * ``ealm``: mu0 = 1.25 / ||D||_2, rho = 6, inner_tol = 1e-6
     * ``apg``:  mu0 = 0.99 * ||D||_2
 
     ``lam`` defaults to ``1/sqrt(rows)``. APG's eta and mu_bar and IT's tau
@@ -333,33 +335,29 @@ def solve_apg(D, cfg=None):
 
 
 def solve_ealm(D, cfg=None):
-    """Exact augmented Lagrange multiplier method.
+    """Exact augmented Lagrange multiplier method, run by :func:`_alm`.
 
-    The multiplier starts at sign(D) scaled into the dual-feasible set. Each
+    The multiplier starts at sign(D) scaled into the dual-feasible set, and
+    the penalty at mu0 = :data:`ALM_MU0_FACTOR` / ||D||_2, as in IALM. Each
     outer step solves the (A, E) subproblem to tolerance ``inner_tol`` by
-    alternating SVT and shrinkage from the previous solution, then takes an
-    exact multiplier step and grows the penalty by ``rho``. ``svd_count``
-    sums all inner iterations. An inner solve that misses ``inner_tol`` in
-    :data:`EALM_MAX_INNER` sweeps ends the solve after that outer step's
-    multiplier step and record, with ``converged=False``.
+    alternating SVT and shrinkage from the previous solution, for at most
+    :data:`EALM_MAX_INNER` sweeps, then takes an exact multiplier step; the
+    penalty grows by ``rho`` after every step. Only a step whose inner solve
+    met ``inner_tol`` can end the solve. ``svd_count`` sums all inner sweeps.
     """
-    cfg, D, lam, dnorm, max_outer, d = _start(D, cfg, "ealm")
+    cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "ealm")
     if not dnorm:
         return _zero_result(D, "ealm")
     sgn = np.sign(D)
-    norm2 = spectral_norm(sgn)
-    mu = cfg.mu0 if cfg.mu0 is not None else 0.5 / norm2
+    Y = _dual_start(sgn, spectral_norm(sgn), lam)
+    mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / spectral_norm(D)
     rho = cfg.rho if cfg.rho is not None else 6.0
-    sv = min(SV0_DEFAULTS["ealm"], d)
-
-    Y = _dual_start(sgn, norm2, lam)
-    A = np.zeros_like(D)
-    E = np.zeros_like(D)
-    trace = []
-    iterates = [] if cfg.keep_iterates else None
-    svd_count = 0
+    A = E = np.zeros_like(D)
     kept = None
-    for k in range(1, max_outer + 1):
+    svd_count = 0
+
+    def step(k, mu, sv):
+        nonlocal A, E, Y, kept, svd_count
         Aj, Ej = A, E
         for _ in range(EALM_MAX_INNER):
             kept, svp, s_raw = svt_triplets(D - Ej + Y / mu, 1.0 / mu, sv,
@@ -367,32 +365,28 @@ def solve_ealm(D, cfg=None):
             svd_count += 1
             Aj1 = kept.compose()
             Ej1 = shrink(D - Aj1 + Y / mu, lam / mu)
-            dA = np.linalg.norm(Aj1 - Aj) / dnorm
-            dE = np.linalg.norm(Ej1 - Ej) / dnorm
+            inner_met = (np.linalg.norm(Aj1 - Aj) / dnorm < cfg.inner_tol
+                         and np.linalg.norm(Ej1 - Ej) / dnorm < cfg.inner_tol)
             Aj, Ej = Aj1, Ej1
-            sv = predict_rank(svp, len(s_raw), d)
-            inner_met = dA < cfg.inner_tol and dE < cfg.inner_tol
             if inner_met:
                 break
+            sv = predict_rank(svp, len(s_raw), d)
         dual = float(mu * np.linalg.norm(Ej - E) / dnorm)
         A, E = Aj, Ej
         R = D - A - E
         Y = Y + mu * R
         feas = float(np.linalg.norm(R) / dnorm)
-        trace.append(_record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam))
-        if iterates is not None:
-            iterates.append(Iterate(A.copy(), E.copy(), Y.copy(), mu))
-        converged = inner_met and feas < cfg.eps1
-        if converged or not inner_met:
-            break
-        sv = min(svp + round_half_up(0.1 * d), d)
-        mu = rho * mu
-    return SolveResult(A, E, converged, k, svd_count, trace, "ealm", Y=Y,
+        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
+        return rec, inner_met, True, lambda: Iterate(A, E, Y, mu)
+
+    converged, trace, iterates = _alm(step, cfg, mu, rho, min(SV0_DEFAULTS["ealm"], d), d,
+                                      max_iter)
+    return SolveResult(A, E, converged, len(trace), svd_count, trace, "ealm", Y=Y,
                        iterates=iterates)
 
 
 def solve_ialm(D, cfg=None):
-    """Inexact augmented Lagrange multiplier method, run by :func:`_ialm`: each
+    """Inexact augmented Lagrange multiplier method, run by :func:`_alm`: each
     sweep (:func:`_ialm_sweep`) shrinks E against the previous A, thresholds A,
     then steps the multiplier by mu_k along the residual. The dual surrogate
     mu_k * ||E_{k+1} - E_k||_F / ||D||_F below ``eps2`` grows the penalty by
@@ -402,7 +396,7 @@ def solve_ialm(D, cfg=None):
     if not dnorm:
         return _zero_result(D, "ialm")
     norm2 = spectral_norm(D)
-    mu = cfg.mu0 if cfg.mu0 is not None else IALM_MU0_FACTOR / norm2
+    mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / norm2
     rho = cfg.rho if cfg.rho is not None else IALM_RHO
     Y = _dual_start(D, norm2, lam)
     A = np.zeros_like(D)
@@ -419,20 +413,21 @@ def solve_ialm(D, cfg=None):
         rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
         return rec, dual < cfg.eps2, dual < cfg.eps2, lambda: Iterate(A, E, Y, mu)
 
-    converged, trace, iterates = _ialm(step, cfg, mu, rho, min(SV0_DEFAULTS["ialm"], d), d,
-                                       max_iter)
+    converged, trace, iterates = _alm(step, cfg, mu, rho, min(SV0_DEFAULTS["ialm"], d), d,
+                                      max_iter)
     return SolveResult(A, E, converged, len(trace), len(trace), trace, "ialm", Y=Y,
                        iterates=iterates)
 
 
-def _ialm(step, cfg, mu, rho, sv, d, max_iter, jump=None):
-    """The inexact-ALM loop of recovery and completion. ``step(k, mu, sv)``
-    runs sweep k at penalty ``mu`` on an SVD of size ``sv`` and returns
-    ``(record, dual_ok, grow, snapshot)``. The loop keeps the trace and, with
-    ``cfg.keep_iterates``, the sweep's ``snapshot()`` (no copies: no solver
+def _alm(step, cfg, mu, rho, sv, d, max_iter, jump=None):
+    """The ALM loop of the exact, inexact and completion solvers. ``step(k, mu,
+    sv)`` runs outer step k at penalty ``mu`` from an SVD of size ``sv`` and
+    returns ``(record, dual_ok, grow, snapshot)``. The loop keeps the trace and,
+    with ``cfg.keep_iterates``, the step's ``snapshot()`` (no copies: no solver
     changes an array it made), takes the next size from ``predict_rank`` with
     ``jump``, stops once ``record.feas < cfg.eps1`` and ``dual_ok``, and else
-    grows mu by ``rho`` if ``grow``. Returns ``(converged, trace, iterates)``."""
+    grows mu by ``rho`` if ``grow``, ending unconverged where rho * mu is not a
+    finite double. Returns ``(converged, trace, iterates)``."""
     trace = []
     iterates = [] if cfg.keep_iterates else None
     for k in range(1, max_iter + 1):
@@ -444,7 +439,10 @@ def _ialm(step, cfg, mu, rho, sv, d, max_iter, jump=None):
         if rec.feas < cfg.eps1 and dual_ok:
             return True, trace, iterates
         if grow:
-            mu = rho * mu
+            with np.errstate(over="ignore"):
+                mu = rho * mu
+            if mu == np.inf:
+                break
     return False, trace, iterates
 
 

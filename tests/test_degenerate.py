@@ -1,11 +1,11 @@
 """Degenerate shapes and spectra for all five solvers: tiny, wide and tall
 inputs with a single nonzero entry, rank 1, full rank or repeated singular
 values. A solve may end unconverged (IT within its 500 iterations on most of
-them, 1x1 included, where A = E = D oscillates; EALM at its inner-sweep cap on
-rank-1 2x3 and on full-rank and repeated-value 20x8; completion where gap
-truncation holds the rank below the data's), but it never raises, returns
-finite arrays and a record per iteration, and whatever it reports as
-converged is feasible to its ``eps1``."""
+them, 1x1 included, where A = E = D oscillates; completion where gap
+truncation holds the rank below the data's, at the latest before its penalty
+overflows), but it never raises, returns finite arrays and a record per
+iteration, and whatever it reports as converged is feasible to its ``eps1``.
+EALM, IALM and APG converge on every recovery input."""
 
 import numpy as np
 import pytest
@@ -57,6 +57,7 @@ def test_recovery_on_degenerate_inputs(name, shape, spectrum):
     res = solve(D, cfg)
     _assert_finite(res.A, res.E, res.Y)
     assert len(res.trace) == res.iterations
+    assert res.converged or name == "it"
     if res.converged:
         assert np.linalg.norm(D - res.A - res.E) / np.linalg.norm(D) < cfg.eps1
 
@@ -77,3 +78,20 @@ def test_completion_on_degenerate_inputs(case, spectrum):
     elif res.converged:
         resid = values - res.A.values_at(omega)
         assert np.linalg.norm(resid) / np.linalg.norm(values) < cfg.eps1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [MC_CASES[1], MC_CASES[2]],
+                         ids=lambda c: f"{c[0]}x{c[1]}-p{len(c[2])}")
+def test_completion_stops_before_its_penalty_overflows(case):
+    # gap truncation holds these full-rank inputs at rank 1, so the penalty
+    # grows every sweep; the solve ends unconverged at the last finite mu
+    # instead of warning and raising from an SVD of non-finite data
+    m, n, linear = case
+    omega = ObservedSet.from_linear(m, n, linear)
+    values = _matrix(m, n, "full")[omega.row_idx, omega.col_idx]
+    res = solve_mc_ialm(omega, values, McConfig(max_iter=1000))
+    assert not res.converged and res.iterations < 1000
+    assert len(res.trace) == res.iterations
+    assert np.isfinite(res.trace[-1].mu)
+    _assert_finite(res.A.compose())

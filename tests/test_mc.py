@@ -17,7 +17,7 @@ from lowrank.mc import (
     solve_mc_ialm,
 )
 from lowrank.problems import degrees_of_freedom, gen_mc, gen_rpca
-from lowrank.rpca import predict_rank, solve_ialm
+from lowrank.rpca import predict_rank, solve_ealm, solve_ialm
 
 
 def _mask(omega):
@@ -372,27 +372,33 @@ def test_mc_report_zero_ground_truth(mc50):
     assert rep["rel_error"] == float(np.linalg.norm(res.A.compose()))
 
 
-@pytest.mark.parametrize("kind", ["mc-ialm", "ialm"])
+@pytest.mark.parametrize("kind", ["mc-ialm", "ialm", "ealm"])
 def test_ialm_loop_predicts_rank_through_predict_rank(kind):
-    # recovery and completion take their SVD sizes from the one inexact-ALM
-    # loop, which differs between them only in the jump it passes on
+    # recovery and completion take their SVD sizes from the one ALM loop,
+    # which differs between them only in the jump it passes on
     from unittest import mock
 
     with mock.patch("lowrank.rpca.predict_rank", wraps=predict_rank) as spy:
-        if kind == "ialm":
-            res, jump = solve_ialm(gen_rpca(50, 2, 0.05, 12).d), None
-        else:
+        if kind == "mc-ialm":
             inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
             res, jump = solve_mc_ialm(inst.omega, inst.d_values), SV_JUMP
-    assert spy.call_count == res.iterations
+        else:
+            solve = solve_ialm if kind == "ialm" else solve_ealm
+            res, jump = solve(gen_rpca(50, 2, 0.05, 12).d), None
+    # the loop's calls pass four arguments and EALM's inner sweeps' three;
+    # together they make one call per SVT
+    calls = [c for c in spy.call_args_list if len(c.args) == 4]
+    assert len(calls) == res.iterations
+    assert spy.call_count == res.svd_count
     # each call takes that iteration's kept rank and SVD size with the kind's
     # jump, and its result is the next iteration's SVD hint: completion's SVD
     # takes the hint as is, recovery's SVT doubles it while every computed
-    # value clears the threshold
-    for call, rec, nxt in zip(spy.call_args_list, res.trace, res.trace[1:]):
+    # value clears the threshold (EALM records its last inner SVT instead)
+    for call, rec, nxt in zip(calls, res.trace, res.trace[1:]):
         assert call.args == (rec.rank_a, rec.sv_pred, 50, jump)
         hint = predict_rank(*call.args)
-        assert nxt.sv_pred in ({hint} if jump else {min(hint << j, 50) for j in range(7)})
+        if kind != "ealm":
+            assert nxt.sv_pred in ({hint} if jump else {min(hint << j, 50) for j in range(7)})
 
 
 def test_mc_rank_path_stabilizes_at_true_rank(mc50):

@@ -308,9 +308,10 @@ def test_deterministic_traces(small_instance):
         assert ra.to_dict() == rb.to_dict()
 
 
-def test_ealm_takes_one_spectral_norm_of_sign_d():
-    # ||sign(D)||_2 sets both mu0 and the initial multiplier; above d = 150
-    # it is the solve's only Lanczos run (SVT takes the block or LAPACK route)
+def test_ealm_takes_the_spectral_norms_of_sign_d_and_d():
+    # ||sign(D)||_2 scales the initial multiplier and ||D||_2 sets mu0; above
+    # d = 150 they are the solve's only Lanczos runs (SVT takes the block or
+    # LAPACK route)
     from unittest import mock
 
     import lowrank.linalg as ll
@@ -319,17 +320,49 @@ def test_ealm_takes_one_spectral_norm_of_sign_d():
     with mock.patch.object(ll, "_lanczos_svd", wraps=ll._lanczos_svd) as lanczos:
         res = solve_ealm(inst.d)
     assert res.converged
-    assert lanczos.call_count == 1
+    assert lanczos.call_count == 2
 
 
-def test_ealm_inner_sweep_cap_ends_the_solve_unconverged(small_instance, monkeypatch):
-    # an inner tolerance no sweep can meet: the cap ends the first outer step
-    # after two sweeps, and the solve returns that step's record
+def test_ealm_inner_sweep_cap_bounds_each_outer_step(small_instance, monkeypatch):
+    # an inner tolerance no sweep can meet: every outer step stops after two
+    # sweeps, still takes its multiplier step and record, and the solve goes on
+    # until max_iter, since only a step whose inner solve met inner_tol can end it
     monkeypatch.setattr("lowrank.rpca.EALM_MAX_INNER", 2)
-    res = solve_ealm(small_instance.d, RpcaConfig(inner_tol=1e-300))
+    res = solve_ealm(small_instance.d, RpcaConfig(inner_tol=1e-300, max_iter=3))
     assert not res.converged
-    assert res.svd_count == 2
-    assert res.iterations == 1 and len(res.trace) == 1 and res.trace[0].iter == 1
+    assert res.svd_count == 6
+    assert res.iterations == 3 and [r.iter for r in res.trace] == [1, 2, 3]
+
+
+SCALE_EXPONENTS = [-40, -20, -10, 0, 6, 10, 20, 40]
+
+
+@pytest.fixture(scope="module")
+def scaled_solutions():
+    inst = gen_rpca(40, 2, 0.05, 1)
+    return inst, {(solve, k): solve(np.ldexp(inst.d, k))
+                  for solve in (solve_ialm, solve_ealm, solve_apg) for k in SCALE_EXPONENTS}
+
+
+def test_no_solver_reports_a_wrong_answer_as_converged_at_any_scale(scaled_solutions):
+    inst, results = scaled_solutions
+    for (solve, k), res in results.items():
+        a_star = np.ldexp(inst.a_star, k)
+        err = np.linalg.norm(res.A - a_star) / np.linalg.norm(a_star)
+        assert not (res.converged and err > 1e-4), (solve.__name__, k, err)
+
+
+@pytest.mark.parametrize("solve", [solve_ealm, solve_apg])
+def test_recovery_is_equivariant_under_power_of_two_scaling(scaled_solutions, solve):
+    # the start-up norms, thresholds and stopping tests all scale with D, so
+    # solving 2^k D takes the same steps and returns 2^k times A and E bit for bit
+    _, results = scaled_solutions
+    ref = results[solve, 0]
+    for k in SCALE_EXPONENTS:
+        res = results[solve, k]
+        assert res.iterations == ref.iterations and res.svd_count == ref.svd_count, k
+        assert np.array_equal(res.A, np.ldexp(ref.A, k)), k
+        assert np.array_equal(res.E, np.ldexp(ref.E, k)), k
 
 
 @pytest.mark.parametrize("solver", [solve_it, solve_apg])
