@@ -92,8 +92,10 @@ def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None, max_iter
     stall far from the optimum: ``stalled`` reports whether the final
     recovery error exceeds :data:`STALL_ERROR`. Passing ``mu_cap_factor`` bounds
     the schedule at that multiple of mu0 (making the inverse sum diverge
-    again), which restores convergence and serves as the control run. Each
-    sweep takes a full-dimension partial SVD with no warm start.
+    again), which restores convergence and serves as the control run; a
+    capped schedule stays at its cap. An uncapped one ends where mu is not a
+    finite double, as the solvers' loop does. Each sweep takes a
+    full-dimension partial SVD with no warm start.
     """
     if growth < 3:
         raise ValueError("growth must be at least 3 so the inverse penalties are summable")
@@ -101,16 +103,18 @@ def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None, max_iter
     lam = instance.lam
     norm2 = spectral_norm(D)
     mu0 = ALM_MU0_FACTOR / norm2
-    cap = mu_cap_factor * mu0 if mu_cap_factor is not None else None
+    cap = mu_cap_factor * mu0 if mu_cap_factor is not None else np.inf
     A = np.zeros_like(D)
     Y = _dual_start(D, norm2, lam)
     d = min(D.shape)
     mu = mu0
     for k in range(1, max_iter + 1):
         _, A, Y = _ialm_sweep(D, A, Y, mu, lam, d)[:3]
-        mu = mu0 * growth**k
-        if cap is not None:
-            mu = min(mu, cap)
+        if mu != cap:
+            with np.errstate(over="ignore"):
+                mu = min(mu0 * np.float64(growth) ** k, cap)
+        if mu == np.inf:
+            break
     final_error = instance.rel_error(A)
     return final_error > STALL_ERROR, final_error
 

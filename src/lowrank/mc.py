@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ObservedSet, SparsePlusLowRank, TruncatedSVD, truncated_svd
-from .rpca import SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm, _alm
+from .rpca import (SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm,
+                   _grow, _loop)
 
 __all__ = [
     "McConfig",
@@ -142,8 +143,8 @@ def _delta_e_factored(A_new, A_old, obs_new, obs_old):
 
 
 def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
-    """Complete a matrix from samples on ``observed`` with ``values``, by the
-    ALM loop of recovery (``rpca._alm``).
+    """Complete a matrix from samples on ``observed`` with ``values``, on the
+    outer loop of the recovery solvers (``rpca._loop``).
 
     Each sweep applies SVT (threshold 1 / mu, cut by :func:`gap_truncated_rank`)
     to the implicit D - E + Y / mu, held as sparse-plus-low-rank on the set's
@@ -201,9 +202,9 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         a_norm = float(np.sqrt(np.sum(A.s ** 2)))
         dual_ok = dual < cfg.eps2 or delta_e <= DE_RESOLUTION * a_norm
         rec = IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj)
-        return rec, dual_ok, True, lambda: Iterate(A, None, Y, mu)
+        return rec, dual_ok, _grow(mu, rho), lambda: Iterate(A, None, Y, mu)
 
-    converged, trace, iterates = _alm(step, cfg, mu, rho, min(SV0_DEFAULTS["mc-ialm"], d), d,
-                                      cfg.max_iter, SV_JUMP)
+    converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["mc-ialm"], d), d,
+                                       cfg.max_iter, SV_JUMP)
     return SolveResult(A, None, converged, len(trace), len(trace), trace, "mc-ialm",
                        iterates=iterates)

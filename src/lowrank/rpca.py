@@ -5,7 +5,8 @@
 dual-ascent iterative thresholding (``solve_it``), an accelerated proximal
 gradient method with continuation (``solve_apg``), and exact / inexact
 augmented Lagrange multiplier methods (``solve_ealm`` / ``solve_ialm``).
-All four share one config, result and trace model with the completion solver.
+All four share one config, result and trace model, and one outer loop
+(:func:`_loop`), with the completion solver.
 """
 
 from __future__ import annotations
@@ -248,14 +249,14 @@ def _zero_result(D, algorithm):
 
 
 def solve_it(D, cfg=None):
-    """Dual-ascent iterative thresholding on the quadratically relaxed program.
+    """Dual-ascent iterative thresholding on the quadratically relaxed program,
+    run by :func:`_loop` at the fixed penalty tau = :data:`IT_TAU_FACTOR` * ||D||_2.
 
     Each sweep applies singular value thresholding (threshold tau, with APG's
     predicted hint and warm start) and soft thresholding (threshold lam * tau)
     to the running multiplier, then takes a step of size :data:`IT_DELTA`
-    along the constraint violation, with tau = :data:`IT_TAU_FACTOR` * ||D||_2
-    (step-size choice for this method is known to be difficult; it is
-    included for completeness, not speed).
+    along the constraint violation (step-size choice for this method is known
+    to be difficult; it is included for completeness, not speed).
     Stops once the scaled feasibility residual drops below ``eps1``; hitting
     ``max_iter`` returns ``converged=False`` with the full trace.
     """
@@ -263,79 +264,66 @@ def solve_it(D, cfg=None):
     if not dnorm:
         return _zero_result(D, "it")
     tau = IT_TAU_FACTOR * spectral_norm(D)
-    sv = min(SV0_DEFAULTS["it"], d)
-
-    Y = np.zeros_like(D)
-    E_prev = np.zeros_like(D)
-    trace = []
+    A = E = Y = np.zeros_like(D)
     kept = None
-    for k in range(1, max_iter + 1):
+
+    def step(k, tau, sv):
+        nonlocal A, E, Y, kept
         kept, svp, s_raw = svt_triplets(Y, tau, sv, v0=None if kept is None else kept.V)
         A = kept.compose()
-        E = shrink(Y, lam * tau)
-        R = D - A - E
+        E_next = shrink(Y, lam * tau)
+        R = D - A - E_next
         Y = Y + IT_DELTA * R
         feas = float(np.linalg.norm(R) / dnorm)
-        dual = float(np.linalg.norm(E - E_prev) / dnorm)
-        trace.append(_record(k, tau, feas, dual, kept, svp, len(s_raw), E, lam))
-        E_prev = E
-        sv = predict_rank(svp, len(s_raw), d)
-        converged = feas < cfg.eps1
-        if converged:
-            break
-    return SolveResult(A, E, converged, k, k, trace, "it", Y=Y)
+        dual = float(np.linalg.norm(E_next - E) / dnorm)
+        E = E_next
+        return _record(k, tau, feas, dual, kept, svp, len(s_raw), E, lam), True, tau, None
+
+    converged, trace, _ = _loop(step, cfg, tau, min(SV0_DEFAULTS["it"], d), d, max_iter)
+    return SolveResult(A, E, converged, len(trace), len(trace), trace, "it", Y=Y)
 
 
 def solve_apg(D, cfg=None):
-    """Accelerated proximal gradient with geometric continuation.
+    """Accelerated proximal gradient with geometric continuation, run by
+    :func:`_loop`.
 
     Momentum points for both blocks share the weight (t_{k-1} - 1) / t_k;
     each iteration takes half-step gradient corrections, one SVT at
     mu_k / 2, one shrink at lam * mu_k / 2, then decays the smoothing
     parameter by :data:`APG_ETA` down to the floor
-    :data:`APG_MU_BAR_FACTOR` * mu0.
+    :data:`APG_MU_BAR_FACTOR` * mu0. Stops on feasibility alone.
     """
     cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "apg")
     if not dnorm:
         return _zero_result(D, "apg")
     mu = cfg.mu0 if cfg.mu0 is not None else 0.99 * spectral_norm(D)
     mu_bar = APG_MU_BAR_FACTOR * mu
-    sv = min(SV0_DEFAULTS["apg"], d)
-
-    A = A_prev = np.zeros_like(D)
-    E = E_prev = np.zeros_like(D)
+    A = A_prev = E = E_prev = np.zeros_like(D)
     t = t_prev = 1.0
-    trace = []
     kept = None
-    for k in range(1, max_iter + 1):
+
+    def step(k, mu, sv):
+        nonlocal A, A_prev, E, E_prev, t, t_prev, kept
         coef = (t_prev - 1.0) / t
         YA = A + coef * (A - A_prev)
         YE = E + coef * (E - E_prev)
         half = 0.5 * (YA + YE - D)
-        GA = YA - half
-        kept, svp, s_raw = svt_triplets(GA, mu / 2.0, sv,
+        kept, svp, s_raw = svt_triplets(YA - half, mu / 2.0, sv,
                                         v0=None if kept is None else kept.V)
-        A_next = kept.compose()
-        GE = YE - half
-        E_next = shrink(GE, lam * mu / 2.0)
-        mu_used = mu
-        mu = max(APG_ETA * mu, mu_bar)
-
-        feas = float(np.linalg.norm(D - A_next - E_next) / dnorm)
-        dual = float(mu_used * np.linalg.norm(E_next - E) / dnorm)
-        sv_used = len(s_raw)
-        trace.append(_record(k, mu_used, feas, dual, kept, svp, sv_used, E_next, lam))
-        A_prev, A, E_prev, E = A, A_next, E, E_next
+        A_prev, A = A, kept.compose()
+        E_prev, E = E, shrink(YE - half, lam * mu / 2.0)
         t_prev, t = t, t_next(t)
-        sv = predict_rank(svp, sv_used, d)
-        converged = feas < cfg.eps1
-        if converged:
-            break
-    return SolveResult(A, E, converged, k, k, trace, "apg")
+        feas = float(np.linalg.norm(D - A - E) / dnorm)
+        dual = float(mu * np.linalg.norm(E - E_prev) / dnorm)
+        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
+        return rec, True, max(APG_ETA * mu, mu_bar), None
+
+    converged, trace, _ = _loop(step, cfg, mu, min(SV0_DEFAULTS["apg"], d), d, max_iter)
+    return SolveResult(A, E, converged, len(trace), len(trace), trace, "apg")
 
 
 def solve_ealm(D, cfg=None):
-    """Exact augmented Lagrange multiplier method, run by :func:`_alm`.
+    """Exact augmented Lagrange multiplier method, run by :func:`_loop`.
 
     The multiplier starts at sign(D) scaled into the dual-feasible set, and
     the penalty at mu0 = :data:`ALM_MU0_FACTOR` / ||D||_2, as in IALM. Each
@@ -377,16 +365,15 @@ def solve_ealm(D, cfg=None):
         Y = Y + mu * R
         feas = float(np.linalg.norm(R) / dnorm)
         rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
-        return rec, inner_met, True, lambda: Iterate(A, E, Y, mu)
+        return rec, inner_met, _grow(mu, rho), lambda: Iterate(A, E, Y, mu)
 
-    converged, trace, iterates = _alm(step, cfg, mu, rho, min(SV0_DEFAULTS["ealm"], d), d,
-                                      max_iter)
+    converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["ealm"], d), d, max_iter)
     return SolveResult(A, E, converged, len(trace), svd_count, trace, "ealm", Y=Y,
                        iterates=iterates)
 
 
 def solve_ialm(D, cfg=None):
-    """Inexact augmented Lagrange multiplier method, run by :func:`_alm`: each
+    """Inexact augmented Lagrange multiplier method, run by :func:`_loop`: each
     sweep (:func:`_ialm_sweep`) shrinks E against the previous A, thresholds A,
     then steps the multiplier by mu_k along the residual. The dual surrogate
     mu_k * ||E_{k+1} - E_k||_F / ||D||_F below ``eps2`` grows the penalty by
@@ -411,39 +398,42 @@ def solve_ialm(D, cfg=None):
         dual = float(mu * np.linalg.norm(E_next - E) / dnorm)
         E = E_next
         rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
-        return rec, dual < cfg.eps2, dual < cfg.eps2, lambda: Iterate(A, E, Y, mu)
+        ok = dual < cfg.eps2
+        return rec, ok, _grow(mu, rho) if ok else mu, lambda: Iterate(A, E, Y, mu)
 
-    converged, trace, iterates = _alm(step, cfg, mu, rho, min(SV0_DEFAULTS["ialm"], d), d,
-                                      max_iter)
+    converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["ialm"], d), d, max_iter)
     return SolveResult(A, E, converged, len(trace), len(trace), trace, "ialm", Y=Y,
                        iterates=iterates)
 
 
-def _alm(step, cfg, mu, rho, sv, d, max_iter, jump=None):
-    """The ALM loop of the exact, inexact and completion solvers. ``step(k, mu,
-    sv)`` runs outer step k at penalty ``mu`` from an SVD of size ``sv`` and
-    returns ``(record, dual_ok, grow, snapshot)``. The loop keeps the trace and,
-    with ``cfg.keep_iterates``, the step's ``snapshot()`` (no copies: no solver
-    changes an array it made), takes the next size from ``predict_rank`` with
-    ``jump``, stops once ``record.feas < cfg.eps1`` and ``dual_ok``, and else
-    grows mu by ``rho`` if ``grow``, ending unconverged where rho * mu is not a
-    finite double. Returns ``(converged, trace, iterates)``."""
+def _loop(step, cfg, mu, sv, d, max_iter, jump=None):
+    """The outer loop of all five solvers. ``step(k, mu, sv)`` runs step k at
+    penalty ``mu`` (IT's tau) from an SVD of size ``sv`` and returns ``(record,
+    dual_ok, mu_next, snapshot)``: the step owns its penalty schedule. The loop
+    keeps the trace and, with ``cfg.keep_iterates``, the step's ``snapshot()``
+    (no copies: no solver changes an array it made), takes the next size from
+    ``predict_rank`` with ``jump``, stops once ``record.feas < cfg.eps1`` and
+    ``dual_ok``, and else goes on at ``mu_next``, ending unconverged where that
+    is not a finite double. Returns ``(converged, trace, iterates)``."""
     trace = []
     iterates = [] if cfg.keep_iterates else None
     for k in range(1, max_iter + 1):
-        rec, dual_ok, grow, snapshot = step(k, mu, sv)
+        rec, dual_ok, mu, snapshot = step(k, mu, sv)
         trace.append(rec)
         if iterates is not None:
             iterates.append(snapshot())
         sv = predict_rank(rec.rank_a, rec.sv_pred, d, jump)
         if rec.feas < cfg.eps1 and dual_ok:
             return True, trace, iterates
-        if grow:
-            with np.errstate(over="ignore"):
-                mu = rho * mu
-            if mu == np.inf:
-                break
+        if not mu < np.inf:
+            break
     return False, trace, iterates
+
+
+def _grow(mu, rho):
+    """The ALM penalty step rho * mu, inf where it overflows (which ends the solve)."""
+    with np.errstate(over="ignore"):
+        return rho * mu
 
 
 def _ialm_sweep(D, A, Y, mu, lam, sv, v0=None):

@@ -1,10 +1,12 @@
 """Degenerate shapes and spectra for all five solvers: tiny, wide and tall
-inputs with a single nonzero entry, rank 1, full rank or repeated singular
-values. A solve may end unconverged (IT within its 500 iterations on most of
-them, 1x1 included, where A = E = D oscillates; completion where gap
-truncation holds the rank below the data's, at the latest before its penalty
-overflows), but it never raises, returns finite arrays and a record per
-iteration, and whatever it reports as converged is feasible to its ``eps1``.
+inputs with a single nonzero entry, rank 1, full rank, repeated singular
+values, rank 0 plus a few sparse spikes, or distinct singular values that
+cluster within 1e-9 relative of each other. A solve may end unconverged (IT
+within its 500 iterations on most of them, 1x1 included, where A = E = D
+oscillates; completion where gap truncation holds the rank below the data's,
+at the latest before its penalty overflows), but it never raises, returns
+finite arrays and a record per iteration, and whatever it reports as
+converged is feasible to its ``eps1``.
 EALM, IALM and APG converge on every recovery input."""
 
 import numpy as np
@@ -15,7 +17,7 @@ from lowrank.mc import McConfig, solve_mc_ialm
 from lowrank.rpca import RpcaConfig, solve_apg, solve_ealm, solve_ialm, solve_it
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (8, 20), (20, 8)]
-SPECTRA = ["single", "rank1", "full", "repeated"]
+SPECTRA = ["single", "rank1", "full", "repeated", "sparse", "clustered"]
 # IT needs orders of magnitude more iterations than the others; 500 keeps the
 # test short and still exercises its stopping test and trace
 RPCA_SOLVERS = {"it": (solve_it, 500), "apg": (solve_apg, None),
@@ -36,9 +38,18 @@ def _matrix(m, n, spectrum):
         return np.outer(g.standard_normal(m), g.standard_normal(n))
     if spectrum == "full":
         return g.standard_normal((m, n))
-    # the top half of the values equal 2, the rest equal 1
+    if spectrum == "sparse":
+        # no low-rank part: spikes on 5% of the entries, at least two of them
+        D = np.zeros(m * n)
+        spikes = g.permutation(m * n)[:min(m * n, max(2, round(0.05 * m * n)))]
+        D[spikes] = g.uniform(-5.0, 5.0, spikes.size)
+        return D.reshape(m, n)
     U = np.linalg.qr(g.standard_normal((m, d)))[0]
     V = np.linalg.qr(g.standard_normal((n, d)))[0]
+    if spectrum == "clustered":
+        # distinct values 1, 1 + 1e-10, ..., all within 1e-9 of each other
+        return (U * (1.0 + 1e-10 * np.arange(d))) @ V.T
+    # the top half of the values equal 2, the rest equal 1
     return (U * np.where(np.arange(d) < (d + 1) // 2, 2.0, 1.0)) @ V.T
 
 

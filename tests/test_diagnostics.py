@@ -122,6 +122,16 @@ def test_divergence_demo_bounded_schedule_control():
     assert err < 1e-2
 
 
+def test_divergence_demo_survives_a_schedule_past_the_largest_double():
+    # mu0 * 10**k passes the largest double near k = 309: the capped control
+    # stays at its cap, and the uncapped schedule ends there, still stalled
+    inst = gen_rpca(30, 2, 0.05, 11)
+    stalled, err = divergence_demo(inst, 10.0, mu_cap_factor=30.0, max_iter=320)
+    assert not stalled and err < 1e-2
+    stalled, err = divergence_demo(inst, 10.0, max_iter=320)
+    assert stalled and np.isfinite(err)
+
+
 def test_divergence_demo_takes_one_spectral_norm(monkeypatch):
     import lowrank.diagnostics as diag
     import lowrank.linalg as ll

@@ -17,7 +17,7 @@ from lowrank.mc import (
     solve_mc_ialm,
 )
 from lowrank.problems import degrees_of_freedom, gen_mc, gen_rpca
-from lowrank.rpca import predict_rank, solve_ealm, solve_ialm
+from lowrank.rpca import RpcaConfig, predict_rank, solve_apg, solve_ealm, solve_ialm, solve_it
 
 
 def _mask(omega):
@@ -372,19 +372,21 @@ def test_mc_report_zero_ground_truth(mc50):
     assert rep["rel_error"] == float(np.linalg.norm(res.A.compose()))
 
 
-@pytest.mark.parametrize("kind", ["mc-ialm", "ialm", "ealm"])
-def test_ialm_loop_predicts_rank_through_predict_rank(kind):
-    # recovery and completion take their SVD sizes from the one ALM loop,
-    # which differs between them only in the jump it passes on
+@pytest.mark.parametrize("kind", ["mc-ialm", "ialm", "ealm", "it", "apg"])
+def test_loop_predicts_rank_through_predict_rank(kind):
+    # all five solvers take their SVD sizes from the one outer loop, which
+    # differs between them only in the jump it passes on
     from unittest import mock
 
+    solvers = {"ialm": solve_ialm, "ealm": solve_ealm, "it": solve_it, "apg": solve_apg}
     with mock.patch("lowrank.rpca.predict_rank", wraps=predict_rank) as spy:
         if kind == "mc-ialm":
             inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
             res, jump = solve_mc_ialm(inst.omega, inst.d_values), SV_JUMP
         else:
-            solve = solve_ialm if kind == "ialm" else solve_ealm
-            res, jump = solve(gen_rpca(50, 2, 0.05, 12).d), None
+            # IT converges in far more iterations; 300 of them take 0.3 s
+            cfg = RpcaConfig(max_iter=300 if kind == "it" else None)
+            res, jump = solvers[kind](gen_rpca(50, 2, 0.05, 12).d, cfg), None
     # the loop's calls pass four arguments and EALM's inner sweeps' three;
     # together they make one call per SVT
     calls = [c for c in spy.call_args_list if len(c.args) == 4]
