@@ -144,7 +144,7 @@ def _delta_e_factored(A_new, A_old, obs_new, obs_old):
 
 def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     """Complete a matrix from samples on ``observed`` with ``values``, on the
-    outer loop of the recovery solvers (``rpca._loop``).
+    loop of the recovery solvers (``rpca._loop``).
 
     Each sweep applies SVT (threshold 1 / mu, cut by :func:`gap_truncated_rank`)
     to the implicit D - E + Y / mu, held as sparse-plus-low-rank on the set's
@@ -171,7 +171,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     dnorm = float(_fro_norm(vals, "values"))
     if dnorm == 0.0:
         rec = IterRecord(1, 0.0, 0.0, 0.0, 0, comp, 0, 0, 0.0)
-        return SolveResult(A, None, True, 1, 0, [rec], "mc-ialm")
+        return SolveResult(A, None, True, [rec], "mc-ialm")
 
     rho = cfg.rho if cfg.rho is not None else rho_from_density(observed.size / (m * n))
     mu = cfg.mu0
@@ -206,5 +206,4 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
 
     converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["mc-ialm"], d), d,
                                        cfg.max_iter, SV_JUMP)
-    return SolveResult(A, None, converged, len(trace), len(trace), trace, "mc-ialm",
-                       iterates=iterates)
+    return SolveResult(A, None, converged, trace, "mc-ialm", iterates=iterates)

@@ -5,7 +5,7 @@
 dual-ascent iterative thresholding (``solve_it``), an accelerated proximal
 gradient method with continuation (``solve_apg``), and exact / inexact
 augmented Lagrange multiplier methods (``solve_ealm`` / ``solve_ialm``).
-All four share one config, result and trace model, and one outer loop
+All four share one config, result and trace model, and one loop
 (:func:`_loop`), with the completion solver.
 """
 
@@ -35,7 +35,7 @@ __all__ = [
 # soft thresholding produces exact zeros, so this is a safety margin only.
 ZERO_TOL = 1e-12
 
-MAX_ITER_DEFAULTS = {"it": 100_000, "apg": 1000, "ealm": 100, "ialm": 1000}
+MAX_ITER_DEFAULTS = {"it": 100_000, "apg": 1000, "ealm": 10_000, "ialm": 1000}
 SV0_DEFAULTS = {"it": 5, "apg": 5, "ealm": 10, "ialm": 10, "mc-ialm": 5}
 # Iterative thresholding: tau = IT_TAU_FACTOR * ||D||_2, multiplier step IT_DELTA.
 IT_TAU_FACTOR = 20.0
@@ -47,9 +47,6 @@ IALM_RHO = 1.6
 # APG continuation: mu decays by APG_ETA per iteration down to APG_MU_BAR_FACTOR * mu0.
 APG_ETA = 0.9
 APG_MU_BAR_FACTOR = 1e-9
-# EALM: the most inner sweeps an outer step takes. A capped step still takes its
-# multiplier step, but only a step whose inner solve met inner_tol ends the solve.
-EALM_MAX_INNER = 1000
 
 
 @dataclass
@@ -83,8 +80,9 @@ class RpcaConfig(_Config):
     ``lam`` defaults to ``1/sqrt(rows)``. APG's eta and mu_bar and IT's tau
     and delta come from the module constants :data:`APG_ETA`,
     :data:`APG_MU_BAR_FACTOR`, :data:`IT_TAU_FACTOR` and :data:`IT_DELTA`.
-    ``keep_iterates`` makes EALM and IALM keep one ``Iterate`` per outer step;
-    IT and APG refuse it, having no ALM multiplier for the Lyapunov check.
+    ``max_iter`` counts SVTs, for every solver. ``keep_iterates`` makes EALM
+    and IALM keep one ``Iterate`` per multiplier step; IT and APG refuse it,
+    having no ALM multiplier for the Lyapunov check.
     """
 
     lam: float | None = None
@@ -99,9 +97,9 @@ class RpcaConfig(_Config):
 
 @dataclass
 class IterRecord:
-    """One solver iteration: penalty value, scaled residuals, rank/support
-    counts and the rank bookkeeping: ``sv_pred`` is the SVD dimension used (for
-    EALM, by the last inner sweep), ``svp`` the count above the threshold."""
+    """One solver iteration, one SVT: penalty value, scaled residuals,
+    rank/support counts and the rank bookkeeping: ``sv_pred`` is the SVD
+    dimension used (0: no SVD), ``svp`` the count above the threshold."""
 
     iter: int
     mu: float
@@ -137,12 +135,18 @@ class SolveResult:
     A: np.ndarray
     E: np.ndarray | None
     converged: bool
-    iterations: int
-    svd_count: int
     trace: list[IterRecord]
     algorithm: str
     Y: np.ndarray | None = None
     iterates: list[Iterate] | None = None
+
+    @property
+    def iterations(self):
+        return len(self.trace)
+
+    @property
+    def svd_count(self):
+        return sum(1 for r in self.trace if r.sv_pred > 0)
 
     @property
     def rank(self):
@@ -244,8 +248,7 @@ def _zero_result(D, algorithm):
     Z = np.zeros_like(D)
     rec = IterRecord(iter=1, mu=0.0, feas=0.0, dual_est=0.0, rank_a=0,
                      e_card=0, sv_pred=0, svp=0, objective=0.0)
-    return SolveResult(A=Z, E=Z.copy(), converged=True, iterations=1,
-                       svd_count=0, trace=[rec], algorithm=algorithm, Y=Z.copy())
+    return SolveResult(Z, Z.copy(), True, [rec], algorithm, Y=Z.copy())
 
 
 def solve_it(D, cfg=None):
@@ -280,7 +283,7 @@ def solve_it(D, cfg=None):
         return _record(k, tau, feas, dual, kept, svp, len(s_raw), E, lam), True, tau, None
 
     converged, trace, _ = _loop(step, cfg, tau, min(SV0_DEFAULTS["it"], d), d, max_iter)
-    return SolveResult(A, E, converged, len(trace), len(trace), trace, "it", Y=Y)
+    return SolveResult(A, E, converged, trace, "it", Y=Y)
 
 
 def solve_apg(D, cfg=None):
@@ -319,7 +322,7 @@ def solve_apg(D, cfg=None):
         return rec, True, max(APG_ETA * mu, mu_bar), None
 
     converged, trace, _ = _loop(step, cfg, mu, min(SV0_DEFAULTS["apg"], d), d, max_iter)
-    return SolveResult(A, E, converged, len(trace), len(trace), trace, "apg")
+    return SolveResult(A, E, converged, trace, "apg")
 
 
 def solve_ealm(D, cfg=None):
@@ -327,11 +330,11 @@ def solve_ealm(D, cfg=None):
 
     The multiplier starts at sign(D) scaled into the dual-feasible set, and
     the penalty at mu0 = :data:`ALM_MU0_FACTOR` / ||D||_2, as in IALM. Each
-    outer step solves the (A, E) subproblem to tolerance ``inner_tol`` by
-    alternating SVT and shrinkage from the previous solution, for at most
-    :data:`EALM_MAX_INNER` sweeps, then takes an exact multiplier step; the
-    penalty grows by ``rho`` after every step. Only a step whose inner solve
-    met ``inner_tol`` can end the solve. ``svd_count`` sums all inner sweeps.
+    step is one sweep from the last A and E: SVT of D - E + Y / mu at 1 / mu,
+    then shrinkage at lam / mu. A sweep that moves A and E by less than
+    ``inner_tol`` * ||D||_F has solved the subproblem: it alone takes the exact
+    multiplier step, grows the penalty by ``rho`` and can end the solve.
+    ``dual_est`` measures E against E_k, the E of the last multiplier step.
     """
     cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "ealm")
     if not dnorm:
@@ -340,36 +343,29 @@ def solve_ealm(D, cfg=None):
     Y = _dual_start(sgn, spectral_norm(sgn), lam)
     mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / spectral_norm(D)
     rho = cfg.rho if cfg.rho is not None else 6.0
-    A = E = np.zeros_like(D)
+    A = E = E_k = np.zeros_like(D)
     kept = None
-    svd_count = 0
 
     def step(k, mu, sv):
-        nonlocal A, E, Y, kept, svd_count
-        Aj, Ej = A, E
-        for _ in range(EALM_MAX_INNER):
-            kept, svp, s_raw = svt_triplets(D - Ej + Y / mu, 1.0 / mu, sv,
-                                            v0=None if kept is None else kept.V)
-            svd_count += 1
-            Aj1 = kept.compose()
-            Ej1 = shrink(D - Aj1 + Y / mu, lam / mu)
-            inner_met = (np.linalg.norm(Aj1 - Aj) / dnorm < cfg.inner_tol
-                         and np.linalg.norm(Ej1 - Ej) / dnorm < cfg.inner_tol)
-            Aj, Ej = Aj1, Ej1
-            if inner_met:
-                break
-            sv = predict_rank(svp, len(s_raw), d)
-        dual = float(mu * np.linalg.norm(Ej - E) / dnorm)
-        A, E = Aj, Ej
+        nonlocal A, E, E_k, Y, kept
+        kept, svp, s_raw = svt_triplets(D - E + Y / mu, 1.0 / mu, sv,
+                                        v0=None if kept is None else kept.V)
+        A_next = kept.compose()
+        E_next = shrink(D - A_next + Y / mu, lam / mu)
+        solved = (np.linalg.norm(A_next - A) / dnorm < cfg.inner_tol
+                  and np.linalg.norm(E_next - E) / dnorm < cfg.inner_tol)
+        A, E = A_next, E_next
         R = D - A - E
-        Y = Y + mu * R
         feas = float(np.linalg.norm(R) / dnorm)
+        dual = float(mu * np.linalg.norm(E - E_k) / dnorm)
         rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
-        return rec, inner_met, _grow(mu, rho), lambda: Iterate(A, E, Y, mu)
+        if not solved:
+            return rec, False, mu, None
+        Y, E_k = Y + mu * R, E
+        return rec, True, _grow(mu, rho), lambda: Iterate(A, E, Y, mu)
 
     converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["ealm"], d), d, max_iter)
-    return SolveResult(A, E, converged, len(trace), svd_count, trace, "ealm", Y=Y,
-                       iterates=iterates)
+    return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates)
 
 
 def solve_ialm(D, cfg=None):
@@ -402,25 +398,25 @@ def solve_ialm(D, cfg=None):
         return rec, ok, _grow(mu, rho) if ok else mu, lambda: Iterate(A, E, Y, mu)
 
     converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["ialm"], d), d, max_iter)
-    return SolveResult(A, E, converged, len(trace), len(trace), trace, "ialm", Y=Y,
-                       iterates=iterates)
+    return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates)
 
 
 def _loop(step, cfg, mu, sv, d, max_iter, jump=None):
-    """The outer loop of all five solvers. ``step(k, mu, sv)`` runs step k at
-    penalty ``mu`` (IT's tau) from an SVD of size ``sv`` and returns ``(record,
+    """The loop of all five solvers. ``step(k, mu, sv)`` runs step k, one SVT,
+    at penalty ``mu`` (IT's tau) from an SVD of size ``sv`` and returns ``(record,
     dual_ok, mu_next, snapshot)``: the step owns its penalty schedule. The loop
-    keeps the trace and, with ``cfg.keep_iterates``, the step's ``snapshot()``
-    (no copies: no solver changes an array it made), takes the next size from
-    ``predict_rank`` with ``jump``, stops once ``record.feas < cfg.eps1`` and
-    ``dual_ok``, and else goes on at ``mu_next``, ending unconverged where that
-    is not a finite double. Returns ``(converged, trace, iterates)``."""
+    keeps the trace and, with ``cfg.keep_iterates``, ``snapshot()`` where it is
+    not None (no copies: no solver changes an array it made), takes the next
+    size from ``predict_rank`` with ``jump``, stops once ``record.feas <
+    cfg.eps1`` and ``dual_ok``, and else goes on at ``mu_next``, ending
+    unconverged where that is not a finite double. Returns ``(converged,
+    trace, iterates)``."""
     trace = []
     iterates = [] if cfg.keep_iterates else None
     for k in range(1, max_iter + 1):
         rec, dual_ok, mu, snapshot = step(k, mu, sv)
         trace.append(rec)
-        if iterates is not None:
+        if iterates is not None and snapshot is not None:
             iterates.append(snapshot())
         sv = predict_rank(rec.rank_a, rec.sv_pred, d, jump)
         if rec.feas < cfg.eps1 and dual_ok:

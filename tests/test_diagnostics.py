@@ -85,11 +85,12 @@ def test_lyapunov_requires_oracle(inst20):
 # ---------------------------------------------------- objective rate check
 
 def test_objective_gap_bounded_by_inverse_penalty(inst20, tight_reference):
-    # the outer objective gap decays at least like 1/mu: fit the constant on
-    # the first three outers, verify on the rest
-    res = solve_ealm(inst20.d)
-    objs = [r.objective for r in res.trace]
-    mus = [r.mu for r in res.trace]
+    # the objective gap at the multiplier steps (the last record at each mu)
+    # decays at least like 1/mu: fit the constant on the first three, verify
+    # on the rest
+    steps = {r.mu: r for r in solve_ealm(inst20.d).trace}.values()
+    objs = [r.objective for r in steps]
+    mus = [r.mu for r in steps]
     C, ok = objective_rate_check(objs, mus, tight_reference.objective)
     assert C > 0
     assert all(ok)
@@ -193,6 +194,18 @@ def test_verify_report_catches_tampered_mu(inst20):
     rep["trace"][3]["mu"] *= 1.01
     by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
     assert by_name["mu_adaptive_rule"] == "fail"
+
+
+def test_verify_report_checks_the_ealm_penalty_path(inst20):
+    # EALM's trace shows the penalty of every sweep: held between multiplier
+    # steps, never lowered
+    cfg = RpcaConfig()
+    rep = solve_ealm(inst20.d, cfg).report(config=cfg)
+    by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
+    assert by_name["mu_nondecreasing"] == "pass"
+    rep["trace"][-1]["mu"] = rep["trace"][0]["mu"] / 2
+    by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
+    assert by_name["mu_nondecreasing"] == "fail"
 
 
 def test_verify_report_rank_warning_only(inst20):

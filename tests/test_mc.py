@@ -387,20 +387,17 @@ def test_loop_predicts_rank_through_predict_rank(kind):
             # IT converges in far more iterations; 300 of them take 0.3 s
             cfg = RpcaConfig(max_iter=300 if kind == "it" else None)
             res, jump = solvers[kind](gen_rpca(50, 2, 0.05, 12).d, cfg), None
-    # the loop's calls pass four arguments and EALM's inner sweeps' three;
-    # together they make one call per SVT
-    calls = [c for c in spy.call_args_list if len(c.args) == 4]
-    assert len(calls) == res.iterations
-    assert spy.call_count == res.svd_count
+    # the loop is the only caller, once per record, and each record is one SVT
+    calls = spy.call_args_list
+    assert len(calls) == res.iterations == res.svd_count
     # each call takes that iteration's kept rank and SVD size with the kind's
     # jump, and its result is the next iteration's SVD hint: completion's SVD
     # takes the hint as is, recovery's SVT doubles it while every computed
-    # value clears the threshold (EALM records its last inner SVT instead)
+    # value clears the threshold
     for call, rec, nxt in zip(calls, res.trace, res.trace[1:]):
         assert call.args == (rec.rank_a, rec.sv_pred, 50, jump)
         hint = predict_rank(*call.args)
-        if kind != "ealm":
-            assert nxt.sv_pred in ({hint} if jump else {min(hint << j, 50) for j in range(7)})
+        assert nxt.sv_pred in ({hint} if jump else {min(hint << j, 50) for j in range(7)})
 
 
 def test_mc_rank_path_stabilizes_at_true_rank(mc50):

@@ -5,9 +5,11 @@ from lowrank.linalg import spectral_norm, svt_triplets
 from lowrank.mc import McConfig, solve_mc_ialm
 from lowrank.problems import gen_mc, gen_rpca
 from lowrank.rpca import (
+    ALM_MU0_FACTOR,
     APG_ETA,
     APG_MU_BAR_FACTOR,
     RpcaConfig,
+    _dual_start,
     predict_rank,
     solve_apg,
     solve_ealm,
@@ -209,9 +211,11 @@ def test_it_needs_orders_of_magnitude_more_iterations():
     assert it.trace[-1].feas < it.trace[0].feas
 
 
-def test_it_takes_predicted_hints_and_warm_starts(monkeypatch):
-    # IT's SVT step is APG's: the first hint is SV0_DEFAULTS["it"], each later
-    # one comes from predict_rank, and each call starts from the previous V
+@pytest.mark.parametrize("solver", [solve_it, solve_apg, solve_ealm, solve_ialm])
+def test_each_record_is_one_svt_with_a_predicted_hint_and_warm_start(solver, monkeypatch):
+    # every solver makes one SVT per record, EALM's sweeps included: the first
+    # hint is the solver's SV0_DEFAULTS entry, each later one comes from
+    # predict_rank, and each call starts from the previous V
     import lowrank.rpca as rpca
 
     calls = []
@@ -223,32 +227,13 @@ def test_it_takes_predicted_hints_and_warm_starts(monkeypatch):
 
     monkeypatch.setattr(rpca, "svt_triplets", spy)
     inst = gen_rpca(100, 5, 0.05, 2)
-    res = solve_it(inst.d, RpcaConfig(max_iter=30))
-    assert len(calls) == res.iterations == 30
-    assert calls[0][0] == rpca.SV0_DEFAULTS["it"] and calls[0][1] is None
+    res = solver(inst.d, RpcaConfig(max_iter=30))
+    assert len(calls) == len(res.trace) == res.iterations == res.svd_count
+    assert calls[0][0] == rpca.SV0_DEFAULTS[res.algorithm] and calls[0][1] is None
     for (_, _, (kept, svp, s_raw)), nxt, rec in zip(calls, calls[1:], res.trace):
         assert rec.sv_pred == len(s_raw) and rec.svp == svp
         assert nxt[0] == predict_rank(svp, len(s_raw), 100)
         assert nxt[1] is kept.V
-
-
-def test_ealm_records_the_svd_size_of_its_last_inner_sweep(monkeypatch):
-    # an outer step's sv_pred is the size its last inner SVT used, as in the
-    # other solvers' records; all inner SVTs of a step threshold at its 1/mu
-    import lowrank.rpca as rpca
-
-    calls = []
-
-    def spy(W, eps, sv_hint, v0=None):
-        out = svt_triplets(W, eps, sv_hint, v0=v0)
-        calls.append((eps, len(out[2])))
-        return out
-
-    monkeypatch.setattr(rpca, "svt_triplets", spy)
-    res = solve_ealm(gen_rpca(100, 5, 0.05, 41003).d)
-    assert len(calls) == res.svd_count
-    for rec in res.trace:
-        assert rec.sv_pred == [size for eps, size in calls if eps == 1.0 / rec.mu][-1]
 
 
 # ----------------------------------------------------------- trace rules
@@ -323,15 +308,16 @@ def test_ealm_takes_the_spectral_norms_of_sign_d_and_d():
     assert lanczos.call_count == 2
 
 
-def test_ealm_inner_sweep_cap_bounds_each_outer_step(small_instance, monkeypatch):
-    # an inner tolerance no sweep can meet: every outer step stops after two
-    # sweeps, still takes its multiplier step and record, and the solve goes on
-    # until max_iter, since only a step whose inner solve met inner_tol can end it
-    monkeypatch.setattr("lowrank.rpca.EALM_MAX_INNER", 2)
-    res = solve_ealm(small_instance.d, RpcaConfig(inner_tol=1e-300, max_iter=3))
-    assert not res.converged
-    assert res.svd_count == 6
-    assert res.iterations == 3 and [r.iter for r in res.trace] == [1, 2, 3]
+def test_ealm_steps_the_multiplier_only_once_the_subproblem_is_solved(small_instance):
+    # an inner tolerance no sweep can meet: every sweep keeps mu0 and the
+    # starting multiplier, keeps no snapshot, and the solve ends at max_iter
+    D = small_instance.d
+    res = solve_ealm(D, RpcaConfig(inner_tol=1e-300, max_iter=5, keep_iterates=True))
+    assert not res.converged and res.iterates == []
+    assert [r.iter for r in res.trace] == [1, 2, 3, 4, 5]
+    assert {r.mu for r in res.trace} == {ALM_MU0_FACTOR / spectral_norm(D)}
+    sgn = np.sign(D)
+    assert np.array_equal(res.Y, _dual_start(sgn, spectral_norm(sgn), 1 / np.sqrt(20)))
 
 
 SCALE_EXPONENTS = [-40, -20, -10, 0, 6, 10, 20, 40]

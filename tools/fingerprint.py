@@ -2,8 +2,10 @@
 
 Each digest covers the result arrays (recovery: A, E, Y; completion: the
 factors U * s and V of A), the trace records, and the report JSON both bare and
-with ``config`` and ``a_star``. Three more digests cover every ``Iterate`` of
-an IALM, an EALM and a completion solve with ``keep_iterates``. Two checkouts
+with ``config`` and ``a_star``. Next to it, ``arrays=`` digests the result
+arrays alone, so a diff tells a moved result from a moved trace. Three more
+digests cover every ``Iterate`` of an IALM, an EALM and a completion solve
+with ``keep_iterates``. Two checkouts
 whose outputs are equal line for line compute the same numbers. Only the
 public API is used, so the same file runs on an older checkout too:
 
@@ -55,12 +57,14 @@ def _factors(a):
 
 
 def _digest(res, cfg, a_star):
-    h = hashlib.sha256()
-    _update(h, _factors(res.A) or (res.A, res.E, res.Y))
+    """The full digest, then ``arrays=`` and the digest of the arrays alone."""
+    arrays = hashlib.sha256()
+    _update(arrays, _factors(res.A) or (res.A, res.E, res.Y))
+    h = arrays.copy()
     h.update(json.dumps([r.to_dict() for r in res.trace]).encode())
     h.update(json.dumps(res.report()).encode())
     h.update(json.dumps(res.report(config=cfg, a_star=a_star)).encode())
-    return h.hexdigest()
+    return f"{h.hexdigest()} arrays={arrays.hexdigest()}"
 
 
 def _iterates_digest(res):
