@@ -4,13 +4,16 @@ All randomness comes from a Philox4x64-10 counter-based generator keyed by
 the instance seed, with a fixed draw order (left factor, right factor,
 support draws, support values), so instances are bit-reproducible across
 platforms. Corruption supports and sample sets are drawn without replacement
-by a partial Fisher-Yates pass over row-major linear indices whose swaps are
-kept in a hash map; the i-th draw picks position ``i + (r_i mod (N - i))``
-with ``r_i`` a raw 64-bit word from the generator.
+by a partial Fisher-Yates pass over row-major linear indices: the i-th draw
+picks position ``i + (r_i mod (N - i))`` with ``r_i`` a raw 64-bit word from
+the generator. The pass is evaluated with array operations on the k draws
+alone (sort by target, then follow the few collision chains), so memory is
+O(k) whatever N is.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,22 +41,64 @@ def degrees_of_freedom(m, r):
 def sample_without_replacement(n_total, k, rng):
     """k distinct integers from [0, n_total) via partial Fisher-Yates.
 
-    Sparse state (hash map) keeps memory at O(k) regardless of n_total. The
-    modulo bias of ``r mod (n - i)`` is below 2**-40 for any desk-scale n and
-    is accepted for the sake of an easily specified byte-level algorithm.
+    Byte-level definition: with ``w`` one ``rng.integers(0, 2**64, size=k,
+    dtype=np.uint64)`` call, step i swaps positions i and
+    ``j_i = i + (w_i mod (n_total - i))`` of the virtual array ``0..n_total-1``
+    and picks the value now at i. The modulo bias of ``w_i mod (n_total - i)``
+    is below 2**-40 for any desk-scale n_total and is accepted for the sake of
+    an easily specified algorithm.
+
+    The steps are evaluated together, in O(k) memory independent of n_total.
+    Since ``j_i >= i``, no step reads a position that an earlier step used as
+    its source, so step i picks ``j_i`` unless an earlier step t also targeted
+    ``j_i``; then it picks the value the latest such t moved there. That value
+    is t itself, unless an earlier step targeted position t, and so on down a
+    chain. Sorting the steps by (target, step) pairs each step with its
+    previous one at the same target, and one search per link follows the
+    chains; there are about k**2 / (2 n_total) collisions.
     """
-    if not (0 <= k <= n_total):
+    n_total, k = operator.index(n_total), operator.index(k)
+    if not (0 <= k <= n_total <= 2**63):
         raise ValueError("sample size out of range")
     if k == 0:
         return np.empty(0, dtype=np.int64)
     draws = rng.integers(0, 2**64, size=k, dtype=np.uint64)
-    state: dict[int, int] = {}
-    picked = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        j = i + int(draws[i] % np.uint64(n_total - i))
-        picked[i] = state.get(j, j)
-        state[j] = state.get(i, i)
-    return picked
+    step = np.arange(k, dtype=np.uint64)
+    target = np.uint64(n_total) - step
+    np.remainder(draws, target, out=target)
+    target += step
+    del draws
+    # every target and step is below n_total <= 2**63, so both fit in int64
+    target, step = target.view(np.int64), step.view(np.int64)
+    # the steps ordered by (target, step): one packed sort key when it fits
+    if n_total * k <= 2**63:
+        key = target * k
+        key += step
+        key.sort()
+        sorted_target, order = np.divmod(key, k)
+        del key
+    else:
+        order = np.argsort(target, kind="stable")
+        sorted_target = target[order]
+    del step
+    # step ``later`` picks what step ``source`` moved, the previous step at its target
+    same = sorted_target[1:] == sorted_target[:-1]
+    later = order[1:][same]
+    source = order[:-1][same]
+    # step t moves t itself unless an earlier step targeted position t; then it
+    # moves what the latest such step moved. That step is the last entry at
+    # target t: the steps there are at most t, and t is not among them, since
+    # every step on a chain targets above itself. A negative ``last`` means no
+    # entry, and ``found`` masks its wrapped lookup.
+    pending = np.arange(source.size)
+    while pending.size:
+        t = source[pending]
+        last = np.searchsorted(sorted_target, t, side="right") - 1
+        found = (last >= 0) & (sorted_target[last] == t)
+        source[pending[found]] = order[last[found]]
+        pending = pending[found]
+    target[later] = source
+    return target
 
 
 def _low_rank(m, r, rng):

@@ -1,7 +1,9 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lowrank.problems import (
     degrees_of_freedom,
@@ -30,10 +32,114 @@ def test_sample_without_replacement_distinct_and_in_range():
     assert picked.min() >= 0 and picked.max() < 1000
 
 
+def test_sample_without_replacement_validation():
+    g = np.random.Generator(np.random.Philox(0))
+    for n_total, k in ((5, 6), (5, -1), (2**63 + 1, 1)):
+        with pytest.raises(ValueError):
+            sample_without_replacement(n_total, k, g)
+
+
 def test_sample_without_replacement_full_draw():
     g = np.random.Generator(np.random.Philox(1))
     picked = sample_without_replacement(10, 10, g)
     assert sorted(picked.tolist()) == list(range(10))
+
+
+def _sequential_sample(n_total, k, rng):
+    """The reference partial Fisher-Yates: one step at a time, swaps in a dict."""
+    draws = rng.integers(0, 2**64, size=k, dtype=np.uint64) if k else ()
+    state = {}
+    picked = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        j = i + int(draws[i] % np.uint64(n_total - i))
+        picked[i] = state.get(j, j)
+        state[j] = state.get(i, i)
+    return picked
+
+
+def _both_samples(n_total, k, seed):
+    return [f(n_total, k, np.random.Generator(np.random.Philox(seed)))
+            for f in (sample_without_replacement, _sequential_sample)]
+
+
+@st.composite
+def _sample_sizes(draw):
+    # small N: collisions and long chains are common; huge N: the packed
+    # (target, step) key overflows past N * k = 2**63 and the other sort runs
+    n_total = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000),
+                             st.integers(2**32, 2**62)))
+    return n_total, draw(st.integers(0, min(n_total, 600)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=_sample_sizes(), seed=st.integers(0, 2**32 - 1))
+@example(sizes=(1, 0), seed=0)
+@example(sizes=(1, 1), seed=0)
+@example(sizes=(7, 1), seed=3)
+@example(sizes=(400, 400), seed=5)
+@example(sizes=(2**61, 4), seed=6)
+@example(sizes=(2**61, 5), seed=6)
+@example(sizes=(2**63, 3), seed=7)
+def test_sample_without_replacement_matches_sequential(sizes, seed):
+    picked, reference = _both_samples(*sizes, seed)
+    assert picked.dtype == reference.dtype == np.int64
+    assert picked.tobytes() == reference.tobytes()
+
+
+class _Words:
+    """A stand-in generator whose one 64-bit draw returns the given words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, 2**64, len(self.words), np.uint64)
+        return np.array(self.words, dtype=np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_total=st.one_of(st.integers(1, 40), st.integers(2**60, 2**62)))
+def test_sample_without_replacement_matches_sequential_on_crafted_words(data, n_total):
+    # small words make steps collide and chain at any N, so both sorts meet
+    # ties: the packed key's at small N, the other one's past N * k = 2**63
+    k = data.draw(st.integers(0, min(n_total, 100)))
+    words = data.draw(st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1)),
+                               min_size=k, max_size=k))
+    picked = sample_without_replacement(n_total, k, _Words(words))
+    reference = _sequential_sample(n_total, k, _Words(words))
+    assert picked.tobytes() == reference.tobytes()
+
+
+def test_sample_without_replacement_past_the_packed_key():
+    # N * k > 2**63: a packed (target, step) key would wrap step 2's target
+    # 2**62 onto position 0, and step 1's chain looks position 0 up
+    n_total, words = 2**62 + 1, [5, 4, 2**62 - 2, 0]
+    picked = sample_without_replacement(n_total, 4, _Words(words))
+    assert picked.tolist() == _sequential_sample(n_total, 4, _Words(words)).tolist() \
+        == [5, 0, 2**62, 3]
+
+
+def test_sample_without_replacement_matches_sequential_at_benchmark_scale():
+    # the completion benchmark's size: N = 1000**2, p = 6 * r(2m - r) at r = 10
+    picked, reference = _both_samples(10**6, 119_400, 1000)
+    assert picked.tobytes() == reference.tobytes()
+
+
+def test_sample_without_replacement_memory_independent_of_range():
+    # an arange(n_total) or bitmap over the range would take terabytes
+    n_total, k = 10**12, 1000
+    tracemalloc.start()
+    try:
+        picked = sample_without_replacement(
+            n_total, k, np.random.Generator(np.random.Philox(8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.unique(picked).size == k
+    assert picked.min() >= 0 and picked.max() < n_total
+    reference = _sequential_sample(n_total, k, np.random.Generator(np.random.Philox(8)))
+    assert picked.tobytes() == reference.tobytes()
 
 
 def test_gen_rpca_table_protocol_counts():

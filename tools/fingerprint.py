@@ -5,9 +5,11 @@ factors U * s and V of A), the trace records, and the report JSON both bare and
 with ``config`` and ``a_star``. Next to it, ``arrays=`` digests the result
 arrays alone, so a diff tells a moved result from a moved trace. Three more
 digests cover every ``Iterate`` of an IALM, an EALM and a completion solve
-with ``keep_iterates``. Two checkouts
-whose outputs are equal line for line compute the same numbers. Only the
-public API is used, so the same file runs on an older checkout too:
+with ``keep_iterates``, and two more the sampled sets alone at sizes where
+the sampler's draws collide and chain: a completion Omega and a corruption
+support at m = 1000. Two checkouts whose outputs are equal line for line
+compute the same numbers. Only the public API is used, so the same file runs
+on an older checkout too:
 
     python tools/fingerprint.py > new.txt
     mkdir -p ../old/tools && cp tools/fingerprint.py ../old/tools/
@@ -114,6 +116,16 @@ def main():
     inst = lowrank.gen_mc(*args)
     res = lowrank.solve_mc_ialm(inst.omega, inst.d_values, lowrank.McConfig(keep_iterates=True))
     print(f"mc-ialm iterates gen_mc{args} {_iterates_digest(res)}")
+
+    h = hashlib.sha256()
+    args = (1000, 10, 119400, 5)
+    omega = lowrank.gen_mc(*args).omega
+    _update(h, (omega.row_idx, omega.col_idx))
+    print(f"omega gen_mc{args} {h.hexdigest()}")
+    h = hashlib.sha256()
+    args = (1000, 50, 0.05, 201000)
+    _update(h, (lowrank.gen_rpca(*args).e_star != 0,))
+    print(f"support gen_rpca{args} {h.hexdigest()}")
     return 0
 
 
