@@ -103,12 +103,12 @@ def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None, max_iter
     norm2 = spectral_norm(D)
     mu0 = ALM_MU0_FACTOR / norm2
     cap = mu_cap_factor * mu0 if mu_cap_factor is not None else np.inf
-    A = np.zeros_like(D)
+    A, E, T = np.zeros(D.shape), np.zeros(D.shape), np.empty(D.shape)
     Y = _dual_start(D, norm2, lam)
     d = min(D.shape)
     mu = mu0
     for k in range(1, max_iter + 1):
-        _, A, Y = _ialm_sweep(D, A, Y, mu, lam, d)[:3]
+        A, E = _ialm_sweep(D, A, E, Y, T, mu, lam, d)[:2]
         if mu != cap:
             with np.errstate(over="ignore"):
                 mu = min(mu0 * np.float64(growth) ** k, cap)

@@ -142,11 +142,15 @@ class TruncatedSVD:
     def shape(self):
         return (self.U.shape[0], self.V.shape[0])
 
-    def compose(self):
-        """Materialize ``U @ diag(s) @ V.T``."""
+    def compose(self, out=None):
+        """Materialize ``U @ diag(s) @ V.T``, into ``out`` (a float64 array of
+        :attr:`shape`) when given; zeros when ``s`` is empty."""
         if not self.s.size:
-            return np.zeros(self.shape)
-        return (self.U * self.s) @ self.V.T
+            if out is None:
+                return np.zeros(self.shape)
+            out.fill(0.0)
+            return out
+        return np.matmul(self.U * self.s, self.V.T, out=out)
 
     def values_at(self, omega):
         """Entries of ``U @ diag(s) @ V.T`` on an :class:`ObservedSet`, without
@@ -200,16 +204,28 @@ class SparsePlusLowRank:
         return np.asarray(self.S.todense()) + self.L @ self.R.T
 
 
-def shrink(W, eps):
+def shrink(W, eps, out=None):
     """Entrywise soft thresholding: the proximal map of ``eps * |.|_1``.
 
-    Maps w to w - eps for w > eps, w + eps for w < -eps and 0 otherwise.
-    Accepts scalars or arrays; ``eps`` must be nonnegative.
+    Maps w to w - eps for w > eps, w + eps for w < -eps and 0 otherwise, as
+    sign(w) * max(|w| - eps, 0). Accepts scalars or arrays; ``eps`` must be
+    nonnegative. With ``out`` (a float64 array of W's shape that does not
+    overlap W), the result goes into ``out`` and a float64 W is overwritten
+    as the workspace, so no array is allocated.
     """
     if eps < 0:
         raise ValueError("shrink threshold must be nonnegative")
     W = np.asarray(W, dtype=np.float64)
-    return np.sign(W) * np.maximum(np.abs(W) - eps, 0.0)
+    if out is None:
+        sign, mag = np.sign(W, out=np.empty_like(W)), np.abs(W, out=np.empty_like(W))
+    elif np.may_share_memory(out, W):
+        raise ValueError("shrink out must not overlap W")
+    else:
+        sign, mag = np.sign(W, out=out), np.abs(W, out=W)
+    mag -= eps
+    np.maximum(mag, 0.0, out=mag)
+    sign *= mag
+    return sign if out is not None or sign.ndim else sign[()]
 
 
 def _full_svd(W, k, eps=None):

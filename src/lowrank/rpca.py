@@ -232,9 +232,10 @@ def _start(D, cfg, algorithm):
             min(D.shape))
 
 
-def _record(k, mu, feas, dual, kept, svp, sv, E, lam):
-    """The iteration's ``IterRecord``, with ||E||_1 and ||E||_0 from one pass of |E|."""
-    abs_e = np.abs(E)
+def _record(k, mu, feas, dual, kept, svp, sv, E, lam, work=None):
+    """The iteration's ``IterRecord``, with ||E||_1 and ||E||_0 from one pass of
+    |E|, made into ``work`` when given."""
+    abs_e = np.abs(E, out=work)
     obj = float(kept.s.sum() + lam * float(abs_e.sum()))
     return IterRecord(k, mu, feas, dual, svp, int((abs_e > ZERO_TOL).sum()), sv, svp, obj)
 
@@ -373,7 +374,9 @@ def solve_ialm(D, cfg=None):
     sweep (:func:`_ialm_sweep`) shrinks E against the previous A, thresholds A,
     then steps the multiplier by mu_k along the residual. The dual surrogate
     mu_k * ||E_{k+1} - E_k||_F / ||D||_F below ``eps2`` grows the penalty by
-    ``rho`` and meets the dual half of the stopping test.
+    ``rho`` and meets the dual half of the stopping test. Besides D and the
+    SVT's own workspace, the solve runs in four dense arrays: A, E and Y,
+    updated in place, and one work matrix; kept iterates are copies.
     """
     cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "ialm")
     if not dnorm:
@@ -382,20 +385,19 @@ def solve_ialm(D, cfg=None):
     mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / norm2
     rho = cfg.rho if cfg.rho is not None else IALM_RHO
     Y = _dual_start(D, norm2, lam)
-    A = np.zeros_like(D)
-    E = np.zeros_like(D)
+    A, E, T = np.zeros(D.shape), np.zeros(D.shape), np.empty(D.shape)
     kept = None
 
     def step(k, mu, sv):
-        nonlocal A, E, Y, kept
-        E_next, A, Y, r_norm, kept, svp, s_raw = _ialm_sweep(
-            D, A, Y, mu, lam, sv, None if kept is None else kept.V)
+        nonlocal A, E, kept
+        A, E, de_norm, r_norm, kept, svp, s_raw = _ialm_sweep(
+            D, A, E, Y, T, mu, lam, sv, None if kept is None else kept.V)
         feas = float(r_norm / dnorm)
-        dual = float(mu * np.linalg.norm(E_next - E) / dnorm)
-        E = E_next
-        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
+        dual = float(mu * de_norm / dnorm)
+        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam, work=T)
         ok = dual < cfg.eps2
-        return rec, ok, _grow(mu, rho) if ok else mu, lambda: Iterate(A, E, Y, mu)
+        return (rec, ok, _grow(mu, rho) if ok else mu,
+                lambda: Iterate(A.copy(), E.copy(), Y.copy(), mu))
 
     converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["ialm"], d), d, max_iter)
     return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates)
@@ -406,7 +408,8 @@ def _loop(step, cfg, mu, sv, d, max_iter, jump=None):
     at penalty ``mu`` (IT's tau) from an SVD of size ``sv`` and returns ``(record,
     dual_ok, mu_next, snapshot)``: the step owns its penalty schedule. The loop
     keeps the trace and, with ``cfg.keep_iterates``, ``snapshot()`` where it is
-    not None (no copies: no solver changes an array it made), takes the next
+    not None (called before the next step, so a solver that updates its arrays
+    in place, as IALM does, snapshots copies of them), takes the next
     size from ``predict_rank`` with ``jump``, stops once ``record.feas <
     cfg.eps1`` and ``dual_ok``, and else goes on at ``mu_next``, ending
     unconverged where that is not a finite double. Returns ``(converged,
@@ -432,13 +435,28 @@ def _grow(mu, rho):
         return rho * mu
 
 
-def _ialm_sweep(D, A, Y, mu, lam, sv, v0=None):
-    """One inexact-ALM sweep at penalty ``mu``: shrink E, threshold A (hint
-    ``sv``, warm start ``v0``), step Y along R = D - A - E. Returns
-    ``(E, A, Y, ||R||_F, kept, svp, s_raw)``; only the norm of R is returned,
-    so no residual matrix outlives the sweep."""
-    E = shrink(D - A + Y / mu, lam / mu)
-    kept, svp, s_raw = svt_triplets(D - E + Y / mu, 1.0 / mu, sv, v0=v0)
-    A = kept.compose()
-    R = D - A - E
-    return E, A, Y + mu * R, np.linalg.norm(R), kept, svp, s_raw
+def _ialm_sweep(D, A, E, Y, T, mu, lam, sv, v0=None):
+    """One inexact-ALM sweep at penalty ``mu``, in place over the dense arrays
+    A, E, Y and the work matrix T: shrink E against A, threshold A (hint
+    ``sv``, warm start ``v0``), step Y along R = D - A - E. It allocates no
+    full-size array of its own; each value is formed in the order
+    ``shrink(D - A + Y / mu)``, ``D - E + Y / mu`` and ``Y + mu * R`` would
+    form it, so the bits are theirs. Returns ``(A, E, ||E - E_prev||_F,
+    ||R||_F, kept, svp, s_raw)``: the new E lands in the old A's array and the
+    new A in the old E's, so the caller takes both back; Y is updated where it
+    is and T holds no result."""
+    np.subtract(D, A, out=T)
+    T += np.divide(Y, mu, out=A)
+    shrink(T, lam / mu, out=A)
+    de_norm = np.linalg.norm(np.subtract(A, E, out=T))
+    A, E = E, A
+    np.subtract(D, E, out=T)
+    T += np.divide(Y, mu, out=A)
+    kept, svp, s_raw = svt_triplets(T, 1.0 / mu, sv, v0=v0)
+    kept.compose(out=A)
+    np.subtract(D, A, out=T)
+    T -= E
+    r_norm = np.linalg.norm(T)
+    T *= mu
+    Y += T
+    return A, E, de_norm, r_norm, kept, svp, s_raw

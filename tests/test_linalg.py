@@ -12,6 +12,7 @@ import lowrank.linalg as ll
 from lowrank.linalg import (
     ObservedSet,
     SparsePlusLowRank,
+    TruncatedSVD,
     shrink,
     spectral_norm,
     svt_triplets,
@@ -85,6 +86,61 @@ def test_shrink_scalar_prox_properties(w, eps):
         assert x == pytest.approx(w + eps, abs=1e-12)
     else:
         assert abs(w) <= eps + 1e-12
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and x.tobytes() == y.tobytes()
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+@st.composite
+def _shrink_cases(draw):
+    """(W, eps): W a Python float, a 0-d array or a small matrix whose entries
+    are often +-0.0, +-eps or their neighbours."""
+    eps = draw(st.floats(0, 1e3))
+    edge = [0.0, -0.0, eps, -eps, np.nextafter(eps, np.inf), -np.nextafter(eps, 0.0)]
+    entry = st.one_of(st.sampled_from(edge), st.floats(-1e6, 1e6))
+    kind = draw(st.sampled_from(["float", "0-d", "matrix"]))
+    if kind == "float":
+        return draw(entry), eps
+    shape = () if kind == "0-d" else draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    values = draw(st.lists(entry, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=np.float64).reshape(shape), eps
+
+
+@given(_shrink_cases())
+def test_shrink_kernel_bitwise_with_and_without_out(case):
+    W, eps = case
+    ref = np.sign(W) * np.maximum(np.abs(W) - eps, 0.0)
+    before = np.array(W)
+    fresh = shrink(W, eps)
+    assert type(fresh) is type(ref) and _same_bits(fresh, ref)
+    assert _same_bits(W, before)
+    work = np.array(W, dtype=np.float64)
+    out = np.full_like(work, np.nan)
+    assert shrink(work, eps, out=out) is out
+    assert _same_bits(out, ref)
+
+
+def test_shrink_out_must_not_overlap_w():
+    W = np.ones((3, 3))
+    with pytest.raises(ValueError, match="overlap"):
+        shrink(W, 0.5, out=W)
+    with pytest.raises(ValueError, match="overlap"):
+        shrink(W, 0.5, out=W.T)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_compose_out_is_compose_bitwise(k):
+    g = rng(k)
+    t = TruncatedSVD(g.standard_normal((7, k)), np.sort(g.uniform(0.1, 2.0, k))[::-1].copy(),
+                     g.standard_normal((5, k)))
+    out = np.full((7, 5), -np.nan)
+    assert t.compose(out=out) is out
+    assert _same_bits(out, t.compose())
+    if not k:
+        assert _same_bits(out, np.zeros((7, 5)))
 
 
 # ---------------------------------------------------------- truncated_svd
