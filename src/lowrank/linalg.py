@@ -3,6 +3,10 @@ thresholding, spectral norms, observed index sets and a partial SVD of the
 matrix-free sparse-plus-low-rank operator. Each SVD entry point takes one
 input kind: :func:`truncated_svd` the operator (completion),
 :func:`svt_triplets` and :func:`spectral_norm` a dense matrix (recovery).
+A :class:`TruncatedSVD` gives its entries on a sample set
+(:meth:`TruncatedSVD.values_at`) in workspace of ``VALUES_BUDGET`` entries,
+without forming the dense matrix. :func:`spectral_norm`'s result does not
+depend on the memory layout of its input.
 
 The two dense size gates price different algorithms. :data:`_FULL_SVD_DIM`
 (150) is where ARPACK's top-1 Lanczos run starts to beat LAPACK
@@ -54,9 +58,10 @@ _BLOCK_MAX_DEGREE = 4
 _BLOCK_MAX_STEPS = 100
 # Philox key of the Gaussian columns that fill the block past the warm start.
 _BLOCK_KEY = 20100918
-# Observed entries per gather in TruncatedSVD.values_at: the factor rows of a
-# chunk are copied, so its extra memory is O(chunk * k), not O(|Omega| * k).
-VALUES_CHUNK = 8192
+# Factor entries gathered per operand in TruncatedSVD.values_at: a chunk of
+# VALUES_BUDGET // k samples, so its extra memory is bounded whatever k and
+# |Omega| are.
+VALUES_BUDGET = 2**15
 
 _log = logging.getLogger("lowrank")
 
@@ -152,16 +157,26 @@ class TruncatedSVD:
             return out
         return np.matmul(self.U * self.s, self.V.T, out=out)
 
-    def values_at(self, omega):
-        """Entries of ``U @ diag(s) @ V.T`` on an :class:`ObservedSet`, without
-        composing it: ``VALUES_CHUNK`` rows of ``U * s`` and ``V`` at a time."""
-        out = np.zeros(omega.size)
-        for lo in range(0, omega.size, VALUES_CHUNK):
-            hi = lo + VALUES_CHUNK
-            left = self.U.take(omega.row_idx[lo:hi], axis=0)
-            left *= self.s
-            right = self.V.take(omega.col_idx[lo:hi], axis=0)
-            out[lo:hi] = np.einsum("ij,ij->i", left, right)
+    def values_at(self, omega, out=None):
+        """Entries of ``U @ diag(s) @ V.T`` on an :class:`ObservedSet`, into
+        ``out`` (a float64 vector of ``omega.size``) when given, without
+        composing it: the rows of ``U * s`` and ``V`` of ``VALUES_BUDGET // k``
+        samples (at least one) at a time, gathered into two reused buffers.
+        Each entry is one row-by-row dot product, so the bits do not depend on
+        the chunk size."""
+        if out is None:
+            out = np.empty(omega.size)
+        k = self.s.size
+        chunk = max(1, min(VALUES_BUDGET // max(k, 1), omega.size))
+        left, right = np.empty((chunk, k)), np.empty((chunk, k))
+        for lo in range(0, omega.size, chunk):
+            rows, cols = omega.row_idx[lo:lo + chunk], omega.col_idx[lo:lo + chunk]
+            # the set's indices are in range, so "clip" changes none of them;
+            # unlike the default mode it writes into ``out`` without a buffer
+            L = self.U.take(rows, axis=0, out=left[:rows.size], mode="clip")
+            L *= self.s
+            R = self.V.take(cols, axis=0, out=right[:rows.size], mode="clip")
+            np.einsum("ij,ij->i", L, R, out=out[lo:lo + chunk])
         return out
 
 
@@ -445,8 +460,9 @@ def spectral_norm(W):
     if not W.any():
         return 0.0
     if min(W.shape) > _FULL_SVD_DIM:
+        # ARPACK's products round by the memory layout; C order for all inputs
         try:
-            return float(_lanczos_svd(W, 1).s[0])
+            return float(_lanczos_svd(np.ascontiguousarray(W), 1).s[0])
         except ArpackError:
             pass
     return float(np.linalg.svd(W, compute_uv=False)[0])

@@ -1,11 +1,15 @@
 """Matrix completion by the inexact augmented Lagrange multiplier method.
 
 The iterate ``A`` is the ``TruncatedSVD`` U diag(s) V.T its SVT step returns
-and is never composed in the solver hot path; the unobserved block ``E`` is
-implicit (it always equals the negated off-sample part of ``A``), and the
-multiplier is a value vector on the sample set. One partial SVD of a
-sparse-plus-low-rank operator per iteration, with a gap-based rank truncation
-that keeps the iterate rank from oscillating.
+and is never composed; the unobserved block ``E`` is implicit (it always
+equals the negated off-sample part of ``A``), and the multiplier is a value
+vector on the sample set. One partial SVD of a sparse-plus-low-rank operator
+per iteration, with a gap-based rank truncation that keeps the iterate rank
+from oscillating.
+
+A solve holds three vectors of the sample count, updated in place (the
+multiplier, ``A`` on the samples and one work vector), plus workspace of the
+factors' size: nothing of size m x n, and nothing of size |Omega| x k.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ DE_RESOLUTION = float(np.sqrt(np.finfo(np.float64).eps))
 # Bits of each row that the split projections of the step formula carry: about
 # the 64-bit mantissa of the extended precision they are summed in.
 SLICE_BITS = 60
+# Entries per slice of a row block of the split projections: their workspace is
+# a few such slices, whatever the dimensions and the rank.
+SLICE_BUDGET = 2**13
 
 
 def rho_from_density(rho_s):
@@ -80,7 +87,12 @@ def gap_truncated_rank(singular_values, svp):
     return int(min(svp, max_id + 1))
 
 
-def _exact_slices(X, inner):
+def _row_max(X):
+    """max |x| over each row of ``X``, as a column."""
+    return np.maximum(X.max(axis=1, keepdims=True), -X.min(axis=1, keepdims=True))
+
+
+def _exact_slices(X, inner, row_max):
     """Split the rows of ``X`` into slices X = X_1 + X_2 + ... whose products
     with slices of another matrix, summed over ``inner`` terms, are exact in
     float64 (the error-free splitting of Ozaki, Ogita, Oishi and Rump, 2012).
@@ -88,36 +100,55 @@ def _exact_slices(X, inner):
     Each slice keeps 53 - beta bits on its row's power of two, with
     2 * beta >= 53 + log2(inner), so a slice product never needs more than
     53 bits; enough slices are taken to carry ``SLICE_BITS`` of each row.
+    The powers of two come from ``row_max`` (:func:`_row_max`), the largest
+    magnitude in each row of ``X`` or of a wider matrix whose block of columns
+    ``X`` is: the slices are then those columns of the wider matrix's slices.
+    They are generated one at a time from a C-ordered copy of ``X``, which
+    holds the remainder, so ``X`` itself is left as it is.
     """
     beta = (54 + int(inner).bit_length()) // 2
+    X = np.array(X, dtype=np.float64, order="C")
     # 2**e bounds the row, and each slice leaves a rest below 2**(e - 53 + beta)
-    sigma = np.ldexp(1.0, np.frexp(np.abs(X).max(axis=1, keepdims=True))[1] + beta)
-    slices = []
-    for _ in range(-(-SLICE_BITS // (53 - beta))):
-        hi = (X + sigma) - sigma
-        slices.append(hi)
-        X = X - hi
-        sigma = np.ldexp(sigma, beta - 53)
-    return slices
+    sigma = np.ldexp(1.0, np.frexp(row_max)[1] + beta)
+    count = -(-SLICE_BITS // (53 - beta))
+    for i in range(count):
+        hi = X + sigma
+        hi -= sigma
+        yield hi
+        if i + 1 < count:
+            X -= hi
+            sigma = np.ldexp(sigma, beta - 53)
 
 
 def _projection(Q, S):
     """``Q.T @ S`` to about ``SLICE_BITS`` bits, as an extended-precision
     array: the sum of the exact float64 products of the slices of both
-    operands, leaving out the products below that resolution."""
-    qs = _exact_slices(np.ascontiguousarray(Q.T), Q.shape[0])
-    ss = _exact_slices(np.ascontiguousarray(S.T), S.shape[0])
+    operands, leaving out the products below that resolution.
+
+    The inner dimension is taken in blocks of ``SLICE_BUDGET // k`` rows, k
+    the wider operand's column count, so each slice holds at most that many
+    entries. Every slice product is exact, so its block products add up to it
+    exactly in float64, and the result does not depend on the blocks."""
+    inner = Q.shape[0]
+    q_max, s_max = _row_max(Q.T), _row_max(S.T)
+    rows = max(1, SLICE_BUDGET // max(Q.shape[1], S.shape[1], 1))
+    parts = {}
+    for lo in range(0, inner, rows):
+        ss = list(_exact_slices(S[lo:lo + rows].T, inner, s_max))
+        for i, q in enumerate(_exact_slices(Q[lo:lo + rows].T, inner, q_max)):
+            for j, s in enumerate(ss[:len(ss) - i]):
+                parts[i, j] = parts.get((i, j), 0.0) + q @ s.T
     out = np.zeros((Q.shape[1], S.shape[1]), dtype=np.longdouble)
-    for i, q in enumerate(qs):
-        for s in ss[:len(qs) - i]:
-            out += q @ s.T
+    for p in parts.values():
+        out += p
     return out
 
 
-def _delta_e_factored(A_new, A_old, obs_new, obs_old):
+def _delta_e_factored(A_new, A_old, on_sample2):
     """||off-sample part of (A_new - A_old)||_F for two ``TruncatedSVD``
-    iterates, via the Gram identity sqrt(||dA||_F^2 - ||on-sample dA||_F^2),
-    with the radicand clamped at zero against rounding.
+    iterates, via the Gram identity sqrt(||dA||_F^2 - ``on_sample2``), where
+    ``on_sample2`` is ||on-sample dA||_F^2, with the radicand clamped at zero
+    against rounding.
 
     The difference dA is the product of the stacked factors Ls = [L_new L_old]
     and Rs = [V_new -V_old], with L = U * s. Its norm is that of the small core
@@ -129,17 +160,19 @@ def _delta_e_factored(A_new, A_old, obs_new, obs_old):
     at second order. A float64 core (the QR triangles, say) would carry an
     absolute error of eps * ||A||_F, and the Gram traces of the stacked
     factors one of sqrt(eps) * ||A||_F, once the step is small relative to
-    ||A||_F. Cost stays O((m + n) k^2) BLAS work with no dense intermediate.
+    ||A||_F. Cost stays O((m + n) k^2) BLAS work with no dense intermediate;
+    the two sides are projected one after the other, so the workspace is a
+    few copies of one stacked factor and the slices of one row block.
     """
-    Ls = np.hstack([A_new.U * A_new.s, A_old.U * A_old.s])
-    Rs = np.hstack([A_new.V, -A_old.V])
     da2 = 0.0
-    if Ls.shape[1]:
-        core = (_projection(np.linalg.qr(Ls)[0], Ls)
-                @ _projection(np.linalg.qr(Rs)[0], Rs).T)
+    if A_new.s.size + A_old.s.size:
+        # one stacked factor at a time: rebinding X frees the left one
+        X = np.hstack([A_new.U * A_new.s, A_old.U * A_old.s])
+        left = _projection(np.linalg.qr(X)[0], X)
+        X = np.hstack([A_new.V, -A_old.V])
+        core = left @ _projection(np.linalg.qr(X)[0], X).T
         da2 = np.sum(core * core)
-    diff = obs_new - obs_old
-    return float(np.sqrt(max(da2 - diff @ diff, 0.0)))
+    return float(np.sqrt(max(da2 - on_sample2, 0.0)))
 
 
 def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
@@ -178,31 +211,40 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     if mu is None:
         probe = SparsePlusLowRank(observed.to_csr(vals), A.U, A.V)
         mu = 1.0 / truncated_svd(probe, 1).s[0]
+    # the multiplier and the iterate on the samples, and one work vector:
+    # the whole sample-length state, updated in place
     Y = np.zeros(observed.size)
     obs_a = np.zeros(observed.size)
+    work = np.empty(observed.size)
 
     def step(k, mu, sv):
-        nonlocal A, Y, obs_a
-        # D - E_k + Y/mu = (sparse correction on the samples) + (U s) V^T
-        t = truncated_svd(SparsePlusLowRank(observed.to_csr(vals + Y / mu - obs_a),
-                                            A.U * A.s, A.V), sv)
+        nonlocal A, Y, obs_a, work
+        # D - E_k + Y/mu = (sparse correction on the samples) + (U s) V^T, the
+        # correction formed as vals + Y / mu - obs_a would form it
+        np.add(vals, np.divide(Y, mu, out=work), out=work)
+        work -= obs_a
+        t = truncated_svd(SparsePlusLowRank(observed.to_csr(work), A.U * A.s, A.V), sv)
         svp = int((t.s > 1.0 / mu).sum())
         svn = gap_truncated_rank(t.s, svp) if svp else 0
         # keep U in the SVD's memory order: BLAS products with U * s round by it
         A_new = TruncatedSVD(t.U[:, :svn].copy(order="K"), t.s[:svn] - 1.0 / mu,
                              t.V[:, :svn].copy())
-        obs_new = A_new.values_at(observed)
-        delta_e = _delta_e_factored(A_new, A, obs_new, obs_a)
-        resid = vals - obs_new
-        Y = Y + mu * resid
-        A, obs_a = A_new, obs_new
+        del t  # its m x sv and n x sv factors, past the cut
+        # the new iterate on the samples goes to work, its change to obs_a
+        A_new.values_at(observed, out=work)
+        np.subtract(work, obs_a, out=obs_a)
+        delta_e = _delta_e_factored(A_new, A, obs_a @ obs_a)
+        A, obs_a, work = A_new, work, obs_a
+        resid = np.subtract(vals, obs_a, out=work)
         feas = float(np.linalg.norm(resid) / dnorm)
+        resid *= mu
+        Y += resid
         dual = float(min(mu, np.sqrt(mu)) * delta_e / dnorm)
         obj = float(A.s.sum())
         a_norm = float(np.sqrt(np.sum(A.s ** 2)))
         dual_ok = dual < cfg.eps2 or delta_e <= DE_RESOLUTION * a_norm
         rec = IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj)
-        return rec, dual_ok, _grow(mu, rho), lambda: Iterate(A, None, Y, mu)
+        return rec, dual_ok, _grow(mu, rho), lambda: Iterate(A, None, Y.copy(), mu)
 
     converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["mc-ialm"], d), d,
                                        cfg.max_iter, SV_JUMP)

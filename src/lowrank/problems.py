@@ -18,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ObservedSet
+from .linalg import ObservedSet, TruncatedSVD
 
 __all__ = ["RpcaInstance", "McInstance", "gen_rpca", "gen_mc", "degrees_of_freedom"]
 
 CORRUPTION_RANGE = 500.0
+# Rows per block of the relative error: its dense workspace is this many rows.
+ERROR_ROWS = 64
 
 
 def _generator(seed):
@@ -121,16 +123,35 @@ def _default_lam(rows):
 
 def _rel_error(A, a_star):
     """||A - a_star||_F / ||a_star||_F, or ||A||_F when ``a_star`` is zero; a
-    ``ValueError`` unless the shapes agree. A ``TruncatedSVD`` ``A`` is composed
-    as an unnamed temporary that the subtraction reuses: one dense matrix, not two."""
-    a_star = np.asarray(a_star)
+    ``ValueError`` unless the shapes agree.
+
+    Both norms are summed over blocks of ``ERROR_ROWS`` rows. A dense ``A``
+    is read through row views, and a ``TruncatedSVD`` ``A`` is never composed:
+    each block of (U * s) V^T is formed in one reused buffer of that many rows.
+    """
+    a_star = np.asarray(a_star, dtype=np.float64)
     if A.shape != a_star.shape:
         raise ValueError(f"truth matrix has shape {a_star.shape}, the estimate {A.shape}")
-    dense = getattr(A, "compose", lambda: A)
-    denom = np.linalg.norm(a_star)
-    if denom == 0.0:
-        return float(np.linalg.norm(dense()))
-    return float(np.linalg.norm(dense() - a_star) / denom)
+    factored = isinstance(A, TruncatedSVD)
+    if factored:
+        L, Vt = A.U * A.s, A.V.T
+    else:
+        A = np.asarray(A, dtype=np.float64)
+    m, n = a_star.shape
+    buf = np.empty((min(ERROR_ROWS, m), n))
+    err2 = ref2 = 0.0
+    for lo in range(0, m, ERROR_ROWS):
+        truth = a_star[lo:lo + ERROR_ROWS]
+        diff = buf[:truth.shape[0]]
+        if factored:
+            np.matmul(L[lo:lo + ERROR_ROWS], Vt, out=diff)
+            diff -= truth
+        else:
+            np.subtract(A[lo:lo + ERROR_ROWS], truth, out=diff)
+        err2 += np.vdot(diff, diff)
+        ref2 += np.vdot(truth, truth)
+    err = np.sqrt(err2)
+    return float(err / np.sqrt(ref2) if ref2 else err)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lowrank.linalg import TruncatedSVD
 from lowrank.problems import (
+    ERROR_ROWS,
+    _rel_error,
     degrees_of_freedom,
     gen_mc,
     gen_rpca,
@@ -271,3 +274,20 @@ def test_rel_error_of_zero_truth_is_norm_of_estimate():
         assert inst.rel_error(np.full((10, 10), 0.5)) == pytest.approx(5.0)
     inst = gen_mc(10, 2, 50, 1)
     assert inst.rel_error(2.0 * inst.a_star) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 1, 1), (ERROR_ROWS, 5, 2),
+                                     (2 * ERROR_ROWS + 1, 70, 3), (150, 2 * ERROR_ROWS, 0)])
+def test_rel_error_of_factored_estimate_matches_dense_formula(m, n, k):
+    # the blocked sums, for a factored or a dense estimate, give the value of
+    # the formula on the composed matrix, block edges and zero rank included;
+    # a Fortran-ordered truth is read through copies of its row blocks
+    g = np.random.Generator(np.random.Philox(m + n + k))
+    T = TruncatedSVD(g.standard_normal((m, k)), g.uniform(1, 2, k), g.standard_normal((n, k)))
+    A = T.compose()
+    for a_star in (g.standard_normal((m, n)), np.asfortranarray(A + g.standard_normal((m, n)))):
+        dense = np.linalg.norm(A - a_star) / np.linalg.norm(a_star)
+        assert _rel_error(T, a_star) == pytest.approx(dense, rel=1e-14, abs=0)
+        assert _rel_error(A, a_star) == pytest.approx(dense, rel=1e-14, abs=0)
+    zero = np.zeros((m, n))
+    assert _rel_error(T, zero) == pytest.approx(np.linalg.norm(A), rel=1e-14, abs=0)

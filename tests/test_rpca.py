@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lowrank.linalg import spectral_norm, svt_triplets
+from lowrank.linalg import _FULL_SVD_DIM, spectral_norm, svt_triplets
 from lowrank.mc import McConfig, solve_mc_ialm
 from lowrank.problems import gen_mc, gen_rpca
 from lowrank.rpca import (
@@ -276,6 +277,45 @@ def test_ialm_bits_do_not_follow_the_layout_of_d():
     for x, y in ((c.A, f.A), (c.E, f.E), (c.Y, f.Y)):
         assert x.tobytes() == np.ascontiguousarray(y).tobytes()
     assert [r.to_dict() for r in c.trace] == [r.to_dict() for r in f.trace]
+
+
+@pytest.mark.parametrize("solve", [solve_ialm, solve_ealm, solve_apg])
+def test_recovery_bits_do_not_follow_the_layout_of_d(solve):
+    # past the LAPACK size gate the start-up spectral norm is an ARPACK run,
+    # whose products round by the memory layout; it runs on a C-ordered copy,
+    # so a strided view, its C copy and its Fortran copy take the same steps
+    D = gen_rpca(200, 4, 0.05, 3).d[:, :160]
+    assert min(D.shape) > _FULL_SVD_DIM and not D.flags.c_contiguous
+    results = [solve(X) for X in (np.ascontiguousarray(D), np.asfortranarray(D), D)]
+    ref = results[0]
+    for res in results[1:]:
+        for x, y in ((ref.A, res.A), (ref.E, res.E), (ref.Y, res.Y)):
+            # APG keeps no multiplier
+            assert (x is y is None) or x.tobytes() == np.ascontiguousarray(y).tobytes()
+        assert [r.to_dict() for r in ref.trace] == [r.to_dict() for r in res.trace]
+
+
+@settings(max_examples=5, deadline=None)
+@given(m=st.integers(50, 100), r=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       transpose=st.booleans(), solve=st.sampled_from([solve_ialm, solve_ealm, solve_apg]))
+def test_recovery_is_equivariant_under_permutations_and_transposes(m, r, seed, transpose,
+                                                                  solve):
+    # a square D with its rows and columns permuted, and transposed or not,
+    # takes the same number of steps to the same A, permuted alike, up to the
+    # rounding of the SVT (3e-13 relative measured). The block SVT's Gaussian
+    # start lives in column space, so this is no identity of the bits. A
+    # non-square transpose changes lam = 1/sqrt(rows) and is left out.
+    D = gen_rpca(m, r, 0.05, seed).d
+    g = np.random.Generator(np.random.Philox(seed))
+    rows, cols = g.permutation(m), g.permutation(m)
+
+    def move(X):
+        X = X[rows][:, cols]
+        return X.T if transpose else X
+
+    ref, res = solve(D), solve(move(D))
+    assert res.iterations == ref.iterations
+    assert np.linalg.norm(res.A - move(ref.A)) <= 1e-12 * np.linalg.norm(ref.A)
 
 
 def test_ialm_working_set_is_four_dense_matrices():

@@ -3,7 +3,9 @@
 Each digest covers the result arrays (recovery: A, E, Y; completion: the
 factors U * s and V of A), the trace records, and the report JSON both bare and
 with ``config`` and ``a_star``. Next to it, ``arrays=`` digests the result
-arrays alone, so a diff tells a moved result from a moved trace. Three more
+arrays alone and ``trace=`` the arrays, the records and the bare report, so a
+diff tells a moved result from a moved trace, and both from a moved
+``rel_error``, which only the report with ``a_star`` carries. Three more
 digests cover every ``Iterate`` of an IALM, an EALM and a completion solve
 with ``keep_iterates``, and two more the sampled sets alone at sizes where
 the sampler's draws collide and chain: a completion Omega and a corruption
@@ -59,14 +61,16 @@ def _factors(a):
 
 
 def _digest(res, cfg, a_star):
-    """The full digest, then ``arrays=`` and the digest of the arrays alone."""
+    """The full digest, then ``arrays=``, the digest of the arrays alone, and
+    ``trace=``, that of the arrays, the records and the bare report."""
     arrays = hashlib.sha256()
     _update(arrays, _factors(res.A) or (res.A, res.E, res.Y))
-    h = arrays.copy()
-    h.update(json.dumps([r.to_dict() for r in res.trace]).encode())
-    h.update(json.dumps(res.report()).encode())
+    trace = arrays.copy()
+    trace.update(json.dumps([r.to_dict() for r in res.trace]).encode())
+    trace.update(json.dumps(res.report()).encode())
+    h = trace.copy()
     h.update(json.dumps(res.report(config=cfg, a_star=a_star)).encode())
-    return f"{h.hexdigest()} arrays={arrays.hexdigest()}"
+    return f"{h.hexdigest()} arrays={arrays.hexdigest()} trace={trace.hexdigest()}"
 
 
 def _iterates_digest(res):
