@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix
 from .problems import RpcaInstance
-from .rpca import ALM_MU0_FACTOR, IALM_RHO, RpcaConfig, _dual_start, _ialm_sweep, solve_ealm
+from .rpca import IALM_RHO, RpcaConfig, solve_ealm, solve_ialm
 
 __all__ = [
     "lyapunov_trace",
@@ -83,38 +83,21 @@ def objective_rate_check(objectives, mus, f_star):
     return C, ok
 
 
-def divergence_demo(instance: RpcaInstance, growth, mu_cap_factor=None, max_iter=100):
-    """Run the inexact ALM sweep from zero iterates under a forced geometric
-    penalty schedule mu_k = mu0 * growth**k.
+def divergence_demo(instance: RpcaInstance, growth, max_iter=100):
+    """Solve ``instance`` by IALM with rho = ``growth`` and the dual gate held
+    open (eps2 the largest double), so the penalty grows at every sweep:
+    mu_k = mu0 * growth**(k - 1).
 
     With ``growth`` >= 3 the inverse penalties are summable, so the iterates
-    stall far from the optimum: ``stalled`` reports whether the final
-    recovery error exceeds :data:`STALL_ERROR`. Passing ``mu_cap_factor`` bounds
-    the schedule at that multiple of mu0 (making the inverse sum diverge
-    again), which restores convergence and serves as the control run; a
-    capped schedule stays at its cap. An uncapped one ends where mu is not a
-    finite double, as the solvers' loop does. Each sweep takes a
-    full-dimension partial SVD with no warm start.
+    stall far from the optimum, often at a point IALM's feasibility test
+    accepts: ``stalled`` reports whether the final recovery error exceeds
+    :data:`STALL_ERROR`. Plain IALM at the same rho, with its dual gate, is
+    the control run. Returns ``(stalled, final_error)``.
     """
     if growth < 3:
         raise ValueError("growth must be at least 3 so the inverse penalties are summable")
-    D = instance.d
-    lam = instance.lam
-    norm2 = spectral_norm(D)
-    mu0 = ALM_MU0_FACTOR / norm2
-    cap = mu_cap_factor * mu0 if mu_cap_factor is not None else np.inf
-    A, E, T = np.zeros(D.shape), np.zeros(D.shape), np.empty(D.shape)
-    Y = _dual_start(D, norm2, lam)
-    d = min(D.shape)
-    mu = mu0
-    for k in range(1, max_iter + 1):
-        A, E = _ialm_sweep(D, A, E, Y, T, mu, lam, d)[:2]
-        if mu != cap:
-            with np.errstate(over="ignore"):
-                mu = min(mu0 * np.float64(growth) ** k, cap)
-        if mu == np.inf:
-            break
-    final_error = instance.rel_error(A)
+    cfg = RpcaConfig(rho=growth, eps2=np.finfo(np.float64).max, max_iter=max_iter)
+    final_error = instance.rel_error(solve_ialm(instance.d, cfg).A)
     return final_error > STALL_ERROR, final_error
 
 

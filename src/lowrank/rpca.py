@@ -435,7 +435,7 @@ def _grow(mu, rho):
         return rho * mu
 
 
-def _ialm_sweep(D, A, E, Y, T, mu, lam, sv, v0=None):
+def _ialm_sweep(D, A, E, Y, T, mu, lam, sv, v0):
     """One inexact-ALM sweep at penalty ``mu``, in place over the dense arrays
     A, E, Y and the work matrix T: shrink E against A, threshold A (hint
     ``sv``, warm start ``v0``), step Y along R = D - A - E. It allocates no

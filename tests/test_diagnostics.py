@@ -1,6 +1,5 @@
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from lowrank.diagnostics import (
@@ -116,42 +115,59 @@ def test_divergence_demo_standard_schedule_converges():
     assert inst.rel_error(res.A) < 1e-6
 
 
-def test_divergence_demo_bounded_schedule_control():
+@pytest.mark.parametrize("rho", [3.0, 10.0, 100.0])
+def test_divergence_demo_control_is_ialm_with_its_dual_gate(rho):
+    # the same rho, but mu grows only where the dual surrogate is below eps2
     inst = gen_rpca(30, 2, 0.05, 11)
-    stalled, err = divergence_demo(inst, 10.0, mu_cap_factor=30.0)
-    assert not stalled
-    assert err < 1e-2
+    assert divergence_demo(inst, rho)[0]
+    res = solve_ialm(inst.d, RpcaConfig(rho=rho))
+    assert res.converged
+    assert inst.rel_error(res.A) < 1e-5
 
 
-def test_divergence_demo_survives_a_schedule_past_the_largest_double():
-    # mu0 * 10**k passes the largest double near k = 309: the capped control
-    # stays at its cap, and the uncapped schedule ends there, still stalled
+def test_divergence_demo_on_a_zero_matrix():
+    assert divergence_demo(gen_rpca(20, 0, 0.0, 3), 10.0) == (False, 0.0)
+
+
+def test_divergence_demo_stall_is_flagged_by_the_report(monkeypatch):
+    # IALM calls the stalled point converged (it is feasible); the report's
+    # dual gauge is what tells it from the optimum
+    import lowrank.diagnostics as diag
+
+    spy = mock.Mock(wraps=solve_ialm)
+    monkeypatch.setattr(diag, "solve_ialm", spy)
     inst = gen_rpca(30, 2, 0.05, 11)
-    stalled, err = divergence_demo(inst, 10.0, mu_cap_factor=30.0, max_iter=320)
-    assert not stalled and err < 1e-2
-    stalled, err = divergence_demo(inst, 10.0, max_iter=320)
-    assert stalled and np.isfinite(err)
+    assert divergence_demo(inst, 10.0)[0]
+    assert spy.call_count == 1
+    cfg = spy.call_args.args[1]
+    res = solve_ialm(inst.d, cfg)
+    assert res.converged
+    report = res.report(config=cfg)
+    assert report["final"]["linf_y_over_lambda"] == pytest.approx(1.884, abs=1e-3)
+    assert report["final"]["spectral_y"] == pytest.approx(1.0, abs=1e-3)
+    by_name = {c["invariant"]: c["status"] for c in verify_report(report)}
+    assert by_name.pop("dual_feasibility") == "fail"
+    assert set(by_name.values()) == {"pass"}
 
 
 def test_divergence_demo_takes_one_spectral_norm(monkeypatch):
-    import lowrank.diagnostics as diag
     import lowrank.linalg as ll
+    import lowrank.rpca as rpca
 
     spy = mock.Mock(wraps=ll.spectral_norm)
     monkeypatch.setattr(ll, "spectral_norm", spy)
-    monkeypatch.setattr(diag, "spectral_norm", spy)
+    monkeypatch.setattr(rpca, "spectral_norm", spy)
     divergence_demo(gen_rpca(30, 2, 0.05, 11), 10.0)
     assert spy.call_count == 1
 
 
 def test_divergence_demo_runs_the_ialm_sweep(monkeypatch):
-    import lowrank.diagnostics as diag
-    from lowrank.rpca import _ialm_sweep
+    import lowrank.rpca as rpca
 
-    spy = mock.Mock(wraps=_ialm_sweep)
-    monkeypatch.setattr(diag, "_ialm_sweep", spy)
-    divergence_demo(gen_rpca(30, 2, 0.05, 11), 10.0, max_iter=7)
-    assert spy.call_count == 7
+    spy = mock.Mock(wraps=rpca._ialm_sweep)
+    monkeypatch.setattr(rpca, "_ialm_sweep", spy)
+    divergence_demo(gen_rpca(30, 2, 0.05, 11), 10.0, max_iter=5)
+    assert spy.call_count == 5
 
 
 def test_divergence_demo_growth_precondition():

@@ -18,6 +18,7 @@ from lowrank.linalg import (
     svt_triplets,
     truncated_svd,
 )
+from lowrank.rpca import predict_rank
 
 
 def rng(seed=0):
@@ -474,6 +475,36 @@ def test_full_svt_doubles_hint_over_one_decomposition():
     assert svp == 10 and len(s_raw) == 12
     assert np.allclose(s_raw, s[:12], rtol=1e-12, atol=1e-14)
     assert np.allclose(kept.s, np.array(s[:10]) - 1.0, rtol=1e-12)
+
+
+# route: (min(m, n), range of the count above eps, range of the hint, calls of
+# (_block_svd, _full_svd)); the fallback's hint doubles past 20% of d
+SVT_ROUTES = {"lapack": (40, (0, 40), (1, 40), (0, 1)),
+              "block": (120, (0, 11), (1, 12), (1, 0)),
+              "block-fallback": (120, (25, 120), (1, 24), (1, 1))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(route=st.sampled_from(sorted(SVT_ROUTES)), r_frac=st.floats(0.0, 1.0),
+       hint_frac=st.floats(0.0, 1.0), extra=st.integers(0, 30), tall=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_svt_hint_is_saturated_only_at_full_dimension(route, r_frac, hint_frac, extra, tall,
+                                                      seed):
+    # every route leaves a value at or below eps in s_raw unless it holds all
+    # min(m, n) values, so the next hint is min(svp + 1, d) and predict_rank's
+    # jump never applies to a recovery solve
+    d, (r_lo, r_hi), (h_lo, h_hi), calls = SVT_ROUTES[route]
+    r = r_lo + int(r_frac * (r_hi - r_lo))
+    hint = h_lo + int(hint_frac * (h_hi - h_lo))
+    s = list(np.linspace(10.0, 2.0, r)) + list(np.linspace(0.5, 0.0, d - r))
+    W = with_spectrum(*((d + extra, d) if tall else (d, d + extra)), s, seed)
+    with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full, \
+            mock.patch.object(ll, "_block_svd", wraps=ll._block_svd) as block:
+        _, svp, s_raw = svt_triplets(W, 1.0, hint)
+    assert (block.call_count, full.call_count) == calls
+    assert svp == r
+    assert svp < len(s_raw) or len(s_raw) == d
+    assert predict_rank(svp, len(s_raw), d) == min(svp + 1, d)
 
 
 def test_block_svt_stale_warm_starts():
