@@ -108,10 +108,14 @@ def _check(name, status, detail):
 def _report_fields(report, manifest):
     """The trace, config and final block of a report, once every field that
     :func:`verify_report` reads holds its JSON type; ``ValueError`` names the
-    first that is missing or mistyped."""
+    first that is missing or mistyped. A JSON boolean is not a number here,
+    though Python's ``bool`` is an ``int``."""
     def need(ok, field, kind):
         if not ok:
             raise ValueError(f"report field {field!r} must be {kind}")
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
 
     if not isinstance(report, dict) or not isinstance(manifest, (dict, type(None))):
         raise ValueError("the report and the manifest must be JSON objects")
@@ -120,13 +124,13 @@ def _report_fields(report, manifest):
     for i, rec in enumerate(trace):
         need(isinstance(rec, dict), f"trace[{i}]", "an object")
         for k in ("feas", "dual_est", "mu", "rank_a"):
-            need(isinstance(rec.get(k), (int, float)), f"trace[{i}].{k}", "a number")
+            need(number(rec.get(k)), f"trace[{i}].{k}", "a number")
     need(isinstance(cfg, dict), "config", "an object")
     for k in ("eps1", "eps2", "rho"):
-        need(isinstance(cfg.get(k), (int, float, type(None))), f"config.{k}", "a number or null")
+        need(cfg.get(k) is None or number(cfg.get(k)), f"config.{k}", "a number or null")
     need(isinstance(final, dict), "final", "an object")
     for k in ("spectral_y", "linf_y_over_lambda") if "spectral_y" in final else ():
-        need(isinstance(final.get(k), (int, float)), f"final.{k}", "a number")
+        need(number(final.get(k)), f"final.{k}", "a number")
     return trace, cfg, final
 
 

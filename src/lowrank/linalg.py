@@ -150,11 +150,6 @@ class TruncatedSVD:
     def compose(self, out=None):
         """Materialize ``U @ diag(s) @ V.T``, into ``out`` (a float64 array of
         :attr:`shape`) when given; zeros when ``s`` is empty."""
-        if not self.s.size:
-            if out is None:
-                return np.zeros(self.shape)
-            out.fill(0.0)
-            return out
         return np.matmul(self.U * self.s, self.V.T, out=out)
 
     def values_at(self, omega, out=None):
@@ -228,7 +223,7 @@ def shrink(W, eps, out=None):
     overlap W), the result goes into ``out`` and a float64 W is overwritten
     as the workspace, so no array is allocated.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("shrink threshold must be nonnegative")
     W = np.asarray(W, dtype=np.float64)
     if out is None:
@@ -437,7 +432,7 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     triplets and ``s_raw`` the raw singular values at the final hint (on the
     block route, the values below ``eps`` are only certified to be below it).
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("svt threshold must be nonnegative")
     W = as_matrix(W)
     d = min(W.shape)

@@ -29,9 +29,8 @@ __all__ = [
     "solve_mc_ialm",
 ]
 
-# Rank heuristic: the truncating gap ratio and the hint jump on saturation.
+# Rank heuristic: the truncating gap ratio.
 GAP_THRESHOLD = 2.0
-SV_JUMP = 10
 # A step smaller than this multiple of ||A||_F cannot be distinguished from
 # zero by any double-precision evaluation of the factored step formula (the
 # Gram subtraction cancels at sqrt(eps)); the stopping test treats such steps
@@ -183,7 +182,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     to the implicit D - E + Y / mu, held as sparse-plus-low-rank on the set's
     CSR pattern, takes the off-sample part as the new E and steps the
     multiplier on the samples. The penalty grows by ``rho`` every sweep and the
-    SVD size jumps by ``SV_JUMP``. The dual test is damped:
+    SVD size follows ``rpca.predict_rank``. The dual test is damped:
     min(mu, sqrt(mu)) * ||dE||_F / ||D||_F < ``eps2``, or a step below the
     resolution of the step formula, ``DE_RESOLUTION`` * ||A||_F. ``A`` is the
     last SVT's ``TruncatedSVD``; the result has no ``E`` or ``Y``.
@@ -225,7 +224,7 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         work -= obs_a
         t = truncated_svd(SparsePlusLowRank(observed.to_csr(work), A.U * A.s, A.V), sv)
         svp = int((t.s > 1.0 / mu).sum())
-        svn = gap_truncated_rank(t.s, svp) if svp else 0
+        svn = gap_truncated_rank(t.s, svp)
         # keep U in the SVD's memory order: BLAS products with U * s round by it
         A_new = TruncatedSVD(t.U[:, :svn].copy(order="K"), t.s[:svn] - 1.0 / mu,
                              t.V[:, :svn].copy())
@@ -247,5 +246,5 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         return rec, dual_ok, _grow(mu, rho), lambda: Iterate(A, None, Y.copy(), mu)
 
     converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["mc-ialm"], d), d,
-                                       cfg.max_iter, SV_JUMP)
+                                       cfg.max_iter)
     return SolveResult(A, None, converged, trace, "mc-ialm", iterates=iterates)

@@ -109,8 +109,6 @@ def _low_rank(m, r, rng):
         raise ValueError("rank cannot exceed dimension")
     if r < 0 or m <= 0:
         raise ValueError("m must be positive and r nonnegative")
-    if r == 0:
-        return np.zeros((m, m))
     L = rng.standard_normal((m, r))
     R = rng.standard_normal((m, r))
     return L @ R.T
@@ -212,9 +210,7 @@ def gen_rpca(m, r, corruption_frac, seed):
     k = round_half_up(corruption_frac * m * m)
     support = sample_without_replacement(m * m, k, rng)
     e_star = np.zeros((m, m))
-    if k:
-        values = rng.uniform(-CORRUPTION_RANGE, CORRUPTION_RANGE, size=k)
-        e_star.flat[support] = values
+    e_star.flat[support] = rng.uniform(-CORRUPTION_RANGE, CORRUPTION_RANGE, size=k)
     return RpcaInstance(a_star=a_star, e_star=e_star, d=a_star + e_star,
                         r=r, e_card=k, seed=int(seed))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import as_matrix, shrink, spectral_norm, svt_triplets
-from .problems import _default_lam, _rel_error, round_half_up
+from .problems import _default_lam, _rel_error
 
 __all__ = [
     "RpcaConfig",
@@ -37,6 +37,8 @@ ZERO_TOL = 1e-12
 
 MAX_ITER_DEFAULTS = {"it": 100_000, "apg": 1000, "ealm": 10_000, "ialm": 1000}
 SV0_DEFAULTS = {"it": 5, "apg": 5, "ealm": 10, "ialm": 10, "mc-ialm": 5}
+# predict_rank's step once the kept count fills the partial-SVD size just used.
+SV_JUMP = 10
 # Iterative thresholding: tau = IT_TAU_FACTOR * ||D||_2, multiplier step IT_DELTA.
 IT_TAU_FACTOR = 20.0
 IT_DELTA = 1.0
@@ -190,15 +192,17 @@ class SolveResult:
         return out
 
 
-def predict_rank(svp, sv, d, jump=None):
-    """Next partial-SVD dimension, for recovery and completion: one more than
-    the kept count while it is below ``sv``, else a jump (``None``: 5% of the
-    small dimension), capped at ``d``."""
+def predict_rank(svp, sv, d):
+    """Next partial-SVD dimension, for all five solvers: ``svp + 1`` while the
+    kept count ``svp`` is below the size ``sv`` just used, else ``svp +``
+    :data:`SV_JUMP`, capped at ``d``. Recovery's SVT doubles a saturated hint
+    inside the call, so its count fills ``sv`` only at ``sv == d``, where
+    either rule gives ``d``."""
     if not (0 <= svp <= sv <= d):
         raise ValueError("expected 0 <= svp <= sv <= d")
     if svp < sv:
         return svp + 1
-    return min(svp + (round_half_up(0.05 * d) if jump is None else jump), d)
+    return min(svp + SV_JUMP, d)
 
 
 def t_next(t):
@@ -403,17 +407,16 @@ def solve_ialm(D, cfg=None):
     return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates)
 
 
-def _loop(step, cfg, mu, sv, d, max_iter, jump=None):
+def _loop(step, cfg, mu, sv, d, max_iter):
     """The loop of all five solvers. ``step(k, mu, sv)`` runs step k, one SVT,
     at penalty ``mu`` (IT's tau) from an SVD of size ``sv`` and returns ``(record,
     dual_ok, mu_next, snapshot)``: the step owns its penalty schedule. The loop
     keeps the trace and, with ``cfg.keep_iterates``, ``snapshot()`` where it is
     not None (called before the next step, so a solver that updates its arrays
     in place, as IALM does, snapshots copies of them), takes the next
-    size from ``predict_rank`` with ``jump``, stops once ``record.feas <
-    cfg.eps1`` and ``dual_ok``, and else goes on at ``mu_next``, ending
-    unconverged where that is not a finite double. Returns ``(converged,
-    trace, iterates)``."""
+    size from ``predict_rank``, stops once ``record.feas < cfg.eps1`` and
+    ``dual_ok``, and else goes on at ``mu_next``, ending unconverged where
+    that is not a finite double. Returns ``(converged, trace, iterates)``."""
     trace = []
     iterates = [] if cfg.keep_iterates else None
     for k in range(1, max_iter + 1):
@@ -421,7 +424,7 @@ def _loop(step, cfg, mu, sv, d, max_iter, jump=None):
         trace.append(rec)
         if iterates is not None and snapshot is not None:
             iterates.append(snapshot())
-        sv = predict_rank(rec.rank_a, rec.sv_pred, d, jump)
+        sv = predict_rank(rec.rank_a, rec.sv_pred, d)
         if rec.feas < cfg.eps1 and dual_ok:
             return True, trace, iterates
         if not mu < np.inf:

@@ -128,6 +128,10 @@ def test_solve_rpca_wrong_shaped_truth_exits_two(tmp_path, capsys):
     ([1, 2], "JSON objects"),
     ({"trace": [{"mu": 1}]}, "'trace[0].feas'"),
     ({"trace": "x"}, "'trace'"),
+    ({"trace": [{"feas": True, "dual_est": 0, "mu": 1, "rank_a": 0}]}, "'trace[0].feas'"),
+    ({"config": {"eps1": False}}, "'config.eps1'"),
+    ({"final": {"spectral_y": 0.5, "linf_y_over_lambda": True}},
+     "'final.linf_y_over_lambda'"),
 ])
 def test_check_malformed_report_exits_two(tmp_path, capsys, report, field):
     # a report the checks cannot read is bad input (2), not a failed check (1)

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import pytest
@@ -201,6 +202,22 @@ def test_verify_report_dual_feasibility_bands(inst20, sp, li, status):
     rep["final"].update(spectral_y=sp, linf_y_over_lambda=li)
     by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
     assert by_name["dual_feasibility"] == status
+
+
+@pytest.mark.parametrize("block, field", [
+    ("trace", "feas"), ("trace", "dual_est"), ("trace", "mu"), ("trace", "rank_a"),
+    ("config", "eps1"), ("config", "eps2"), ("config", "rho"),
+    ("final", "spectral_y"), ("final", "linf_y_over_lambda"),
+])
+def test_verify_report_refuses_booleans_as_numbers(inst20, block, field):
+    # Python's bool is an int, but a JSON true is no number: a report with
+    # "feas": true must not be judged as feas 1
+    cfg = RpcaConfig()
+    rep = solve_ialm(inst20.d, cfg).report(config=cfg)
+    (rep["trace"][-1] if block == "trace" else rep[block])[field] = True
+    where = f"trace[{len(rep['trace']) - 1}]" if block == "trace" else block
+    with pytest.raises(ValueError, match=re.escape(f"'{where}.{field}'")):
+        verify_report(rep)
 
 
 def test_verify_report_catches_tampered_mu(inst20):

@@ -43,6 +43,13 @@ def test_shrink_negative_eps_rejected():
         shrink(np.ones((2, 2)), -0.1)
 
 
+def test_shrink_nan_eps_rejected():
+    # NaN compares false both ways: it must not pass as a threshold and turn
+    # every entry NaN
+    with pytest.raises(ValueError, match="nonnegative"):
+        shrink(np.ones((2, 2)), np.nan)
+
+
 def test_shrink_matches_grid_search_prox_oracle():
     # independent oracle: brute-force the 1-D prox objective on a grid
     g = rng(42)
@@ -295,6 +302,14 @@ def test_svt_hint_out_of_range():
         svt_triplets(np.eye(4), -0.1, 4)
 
 
+@pytest.mark.parametrize("d", [40, 120], ids=["lapack", "block"])
+def test_svt_nan_threshold_rejected(d):
+    # a NaN threshold would read as "nothing kept" on the LAPACK route and
+    # fail inside the block iteration's degree estimate
+    with pytest.raises(ValueError, match="nonnegative"):
+        svt_triplets(rng(3).standard_normal((d, d)), np.nan, 3)
+
+
 # ------------------------------------------------------- block SVT route
 # Dense inputs with min(m, n) > _BLOCK_MIN_DIM (65) and a hint within 20% of
 # it take the warm-started block iteration; the reference is the
@@ -491,8 +506,8 @@ SVT_ROUTES = {"lapack": (40, (0, 40), (1, 40), (0, 1)),
 def test_svt_hint_is_saturated_only_at_full_dimension(route, r_frac, hint_frac, extra, tall,
                                                       seed):
     # every route leaves a value at or below eps in s_raw unless it holds all
-    # min(m, n) values, so the next hint is min(svp + 1, d) and predict_rank's
-    # jump never applies to a recovery solve
+    # min(m, n) values, so the next hint is min(svp + 1, d): predict_rank's
+    # SV_JUMP step, which completion takes, gives d for a recovery solve too
     d, (r_lo, r_hi), (h_lo, h_hi), calls = SVT_ROUTES[route]
     r = r_lo + int(r_frac * (r_hi - r_lo))
     hint = h_lo + int(hint_frac * (h_hi - h_lo))
@@ -505,6 +520,32 @@ def test_svt_hint_is_saturated_only_at_full_dimension(route, r_frac, hint_frac, 
     assert svp == r
     assert svp < len(s_raw) or len(s_raw) == d
     assert predict_rank(svp, len(s_raw), d) == min(svp + 1, d)
+
+
+@pytest.mark.parametrize("eps", [1.5, 6.0], ids=["below", "above"])
+def test_block_svt_null_vector_power_step(eps):
+    # one nonzero entry c = 3: the first Rayleigh-Ritz step finds c and zeros,
+    # so the block holds a null vector and the Chebyshev interval is empty;
+    # the block takes a plain power step from W^T u_i instead
+    W = np.zeros((100, 100))
+    W[17, 42] = 3.0
+    steps, rayleigh_ritz = [], ll._rayleigh_ritz
+
+    def spy(W, Qt):
+        steps.append(rayleigh_ritz(W, Qt))
+        return steps[-1]
+
+    with mock.patch.object(ll, "_rayleigh_ritz", spy), \
+            mock.patch.object(ll, "_orth_rows", wraps=ll._orth_rows) as orth:
+        kept, svp, s_raw = svt_triplets(W, eps, 3)
+    powered = [Zt for _, s, _, Zt, _ in steps if s[-1] == 0.0]
+    assert any(call.args[0] is Zt for call in orth.call_args_list for Zt in powered)
+    with mock.patch.object(ll, "_BLOCK_MIN_DIM", 100):
+        ref, ref_svp, _ = svt_triplets(W, eps, 3)
+    assert svp == ref_svp == (1 if eps < 3.0 else 0)
+    assert s_raw[0] == pytest.approx(3.0, rel=1e-14)
+    assert np.allclose(kept.s, ref.s, rtol=1e-14)
+    assert np.allclose(kept.compose(), ref.compose(), rtol=0, atol=1e-14)
 
 
 def test_block_svt_stale_warm_starts():

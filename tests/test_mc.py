@@ -10,7 +10,6 @@ from lowrank.linalg import ObservedSet, SparsePlusLowRank, TruncatedSVD
 from lowrank.mc import (
     DE_RESOLUTION,
     McConfig,
-    SV_JUMP,
     gap_truncated_rank,
     rho_from_density,
     _delta_e_factored,
@@ -20,7 +19,8 @@ from lowrank.mc import (
     solve_mc_ialm,
 )
 from lowrank.problems import degrees_of_freedom, gen_mc, gen_rpca
-from lowrank.rpca import RpcaConfig, predict_rank, solve_apg, solve_ealm, solve_ialm, solve_it
+from lowrank.rpca import (SV_JUMP, RpcaConfig, predict_rank, solve_apg, solve_ealm, solve_ialm,
+                          solve_it)
 
 
 def _mask(omega):
@@ -55,11 +55,11 @@ def test_rho_from_density_range():
 
 def _predict_mc(svp, sv, s, d):
     """Completion's next partial-SVD dimension, as the solver computes it."""
-    return predict_rank(gap_truncated_rank(s, svp), sv, d, SV_JUMP)
+    return predict_rank(gap_truncated_rank(s, svp), sv, d)
 
 
 def test_predict_rank_mc_no_gap_saturated():
-    assert _predict_mc(4, 4, [10, 9, 8, 7.5], 100) == 14
+    assert _predict_mc(4, 4, [10, 9, 8, 7.5], 100) == 14 == 4 + SV_JUMP
 
 
 def test_predict_rank_mc_gap_branch():
@@ -423,30 +423,30 @@ def test_mc_solve_and_report_stay_below_one_dense_matrix():
 
 @pytest.mark.parametrize("kind", ["mc-ialm", "ialm", "ealm", "it", "apg"])
 def test_loop_predicts_rank_through_predict_rank(kind):
-    # all five solvers take their SVD sizes from the one outer loop, which
-    # differs between them only in the jump it passes on
+    # all five solvers take their SVD sizes from the one outer loop and its
+    # one rule
     from unittest import mock
 
     solvers = {"ialm": solve_ialm, "ealm": solve_ealm, "it": solve_it, "apg": solve_apg}
     with mock.patch("lowrank.rpca.predict_rank", wraps=predict_rank) as spy:
         if kind == "mc-ialm":
             inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
-            res, jump = solve_mc_ialm(inst.omega, inst.d_values), SV_JUMP
+            res = solve_mc_ialm(inst.omega, inst.d_values)
         else:
             # IT converges in far more iterations; 300 of them take 0.3 s
             cfg = RpcaConfig(max_iter=300 if kind == "it" else None)
-            res, jump = solvers[kind](gen_rpca(50, 2, 0.05, 12).d, cfg), None
+            res = solvers[kind](gen_rpca(50, 2, 0.05, 12).d, cfg)
     # the loop is the only caller, once per record, and each record is one SVT
     calls = spy.call_args_list
     assert len(calls) == res.iterations == res.svd_count
-    # each call takes that iteration's kept rank and SVD size with the kind's
-    # jump, and its result is the next iteration's SVD hint: completion's SVD
-    # takes the hint as is, recovery's SVT doubles it while every computed
-    # value clears the threshold
+    # each call takes that iteration's kept rank and SVD size, and its result
+    # is the next iteration's SVD hint: completion's SVD takes the hint as is,
+    # recovery's SVT doubles it while every computed value clears the threshold
     for call, rec, nxt in zip(calls, res.trace, res.trace[1:]):
-        assert call.args == (rec.rank_a, rec.sv_pred, 50, jump)
+        assert call.args == (rec.rank_a, rec.sv_pred, 50)
         hint = predict_rank(*call.args)
-        assert nxt.sv_pred in ({hint} if jump else {min(hint << j, 50) for j in range(7)})
+        doubled = {min(hint << j, 50) for j in range(7)}
+        assert nxt.sv_pred in ({hint} if kind == "mc-ialm" else doubled)
 
 
 def test_mc_rank_path_stabilizes_at_true_rank(mc50):

@@ -188,6 +188,15 @@ def test_gen_rpca_draws_pinned(seed, e_star_sha, a_star_sha):
     assert _sha256(inst.a_star) == a_star_sha
 
 
+def test_gen_rpca_rank_zero_draws_no_factor():
+    # a rank-0 A* takes nothing from the stream, so the support and its values
+    # are the first draws: a factor draw that consumed state would move the pin
+    inst = gen_rpca(30, 0, 0.05, 7)
+    assert not inst.a_star.any() and inst.e_card == np.count_nonzero(inst.e_star) == 45
+    assert _sha256(inst.e_star) == \
+        "84c9fae7a17a485cf74f58627f9c6c3e2698b78bda0f27b0d5d356ff22d3b0b3"
+
+
 def test_gen_rpca_degenerate_zero():
     inst = gen_rpca(20, 0, 0.0, 1)
     assert not inst.d.any() and not inst.a_star.any() and not inst.e_star.any()

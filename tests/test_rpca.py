@@ -43,7 +43,7 @@ def small_solutions(small_instance):
 # ---------------------------------------------------------- predict_rank
 
 def test_predict_rank_saturated_branch():
-    assert predict_rank(10, 10, 500) == 35
+    assert predict_rank(10, 10, 500) == 20
 
 
 def test_predict_rank_growing_branch():

@@ -50,13 +50,10 @@ def _update(h, arrays):
 
 
 def _factors(a):
-    """A completion iterate as the factors (L, R) of L @ R.T: (U * s, V) of a
-    ``TruncatedSVD``, or (L, R) of the ``FactoredMatrix`` of older checkouts;
+    """A completion iterate as the factors (U * s, V) of its ``TruncatedSVD``;
     None for a dense array."""
     if hasattr(a, "U"):
         return (a.U * a.s, a.V)
-    if hasattr(a, "L"):
-        return (a.L, a.R)
     return None
 
 
