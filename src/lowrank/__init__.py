@@ -14,17 +14,14 @@ import logging
 
 from .linalg import (
     ObservedSet,
-    SparsePlusLowRank,
     TruncatedSVD,
     shrink,
-    truncated_svd,
 )
 from .problems import McInstance, RpcaInstance, gen_mc, gen_rpca
 from .rpca import (
     IterRecord,
     RpcaConfig,
     SolveResult,
-    predict_rank,
     solve_apg,
     solve_ealm,
     solve_ialm,
@@ -32,7 +29,6 @@ from .rpca import (
 )
 from .mc import (
     McConfig,
-    rho_from_density,
     solve_mc_ialm,
 )
 from .diagnostics import divergence_demo, lyapunov_increases, lyapunov_trace
@@ -43,10 +39,8 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ObservedSet",
-    "SparsePlusLowRank",
     "TruncatedSVD",
     "shrink",
-    "truncated_svd",
     "McInstance",
     "RpcaInstance",
     "gen_mc",
@@ -54,13 +48,11 @@ __all__ = [
     "IterRecord",
     "RpcaConfig",
     "SolveResult",
-    "predict_rank",
     "solve_apg",
     "solve_ealm",
     "solve_ialm",
     "solve_it",
     "McConfig",
-    "rho_from_density",
     "solve_mc_ialm",
     "divergence_demo",
     "lyapunov_increases",

@@ -122,6 +122,15 @@ def _read_dense(path):
     return mio.read_dense_csv(path)
 
 
+def _write_text(path, text):
+    """``text`` to the file at ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _cmd_gen(args):
     os.makedirs(args.out, exist_ok=True)
     manifest = {"kind": args.kind, "m": args.m, "r": args.r, "seed": args.seed}
@@ -146,10 +155,9 @@ def _cmd_gen(args):
         mio.write_dense_csv(os.path.join(args.out, "a_star.csv"), inst.a_star)
         manifest["p"] = inst.p
         manifest["d_r"] = inst.d_r
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    print(os.path.join(args.out, "manifest.json"))
+    path = os.path.join(args.out, "manifest.json")
+    _write_text(path, json.dumps(manifest, indent=2) + "\n")
+    print(path)
     return 0
 
 
@@ -166,9 +174,7 @@ def _finish_solve(args, res, cfg):
     a_star = _read_dense(args.truth) if args.truth else None
     report = res.report(config=cfg, a_star=a_star)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.trace, json.dumps(report, indent=2) + "\n")
     line = report["algorithm"] + ":" + "".join(
         f" {key}={report[key]}" for key in
         ("converged", "iterations", "svd_count", "rank", "e_card") if key in report)
@@ -242,12 +248,7 @@ def _cmd_bench(args):
     lines = [f"# {BENCH_SCHEMA}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt_cell(row[c]) for c in columns))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if all(r["converged"] for r in rows) else 1
 
 
@@ -270,12 +271,7 @@ def _cmd_check(args):
     verdict = {"schema": "lowrank-check-v1",
                "ok": all(c["status"] != "fail" for c in checks),
                "checks": checks}
-    text = json.dumps(verdict, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, json.dumps(verdict, indent=2) + "\n")
     return 0 if verdict["ok"] else 1
 
 

@@ -163,14 +163,12 @@ def _delta_e_factored(A_new, A_old, on_sample2):
     the two sides are projected one after the other, so the workspace is a
     few copies of one stacked factor and the slices of one row block.
     """
-    da2 = 0.0
-    if A_new.s.size + A_old.s.size:
-        # one stacked factor at a time: rebinding X frees the left one
-        X = np.hstack([A_new.U * A_new.s, A_old.U * A_old.s])
-        left = _projection(np.linalg.qr(X)[0], X)
-        X = np.hstack([A_new.V, -A_old.V])
-        core = left @ _projection(np.linalg.qr(X)[0], X).T
-        da2 = np.sum(core * core)
+    # one stacked factor at a time: rebinding X frees the left one
+    X = np.hstack([A_new.U * A_new.s, A_old.U * A_old.s])
+    left = _projection(np.linalg.qr(X)[0], X)
+    X = np.hstack([A_new.V, -A_old.V])
+    core = left @ _projection(np.linalg.qr(X)[0], X).T
+    da2 = np.sum(core * core)
     return float(np.sqrt(max(da2 - on_sample2, 0.0)))
 
 

@@ -62,8 +62,6 @@ def sample_without_replacement(n_total, k, rng):
     n_total, k = operator.index(n_total), operator.index(k)
     if not (0 <= k <= n_total <= 2**63):
         raise ValueError("sample size out of range")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
     draws = rng.integers(0, 2**64, size=k, dtype=np.uint64)
     step = np.arange(k, dtype=np.uint64)
     target = np.uint64(n_total) - step

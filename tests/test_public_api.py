@@ -8,10 +8,8 @@ from lowrank import McConfig, RpcaConfig
 
 PUBLIC = [
     "ObservedSet",
-    "SparsePlusLowRank",
     "TruncatedSVD",
     "shrink",
-    "truncated_svd",
     "McInstance",
     "RpcaInstance",
     "gen_mc",
@@ -19,13 +17,11 @@ PUBLIC = [
     "IterRecord",
     "RpcaConfig",
     "SolveResult",
-    "predict_rank",
     "solve_apg",
     "solve_ealm",
     "solve_ialm",
     "solve_it",
     "McConfig",
-    "rho_from_density",
     "solve_mc_ialm",
     "divergence_demo",
     "lyapunov_increases",
