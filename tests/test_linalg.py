@@ -590,6 +590,19 @@ def test_spectral_norm_partial_route_matches_full(shape):
         assert abs(got - expect) <= 1e-12 * expect
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_spectral_norm_of_zero_takes_no_decomposition(n):
+    # no solver reaches the zero return, but without it a zero matrix past
+    # _FULL_SVD_DIM makes ARPACK raise on its zero start product and the
+    # fallback run a full LAPACK SVD (375 ms at n=1000 and 3.9 s at n=2000,
+    # against 3 and 7 ms with the return)
+    with mock.patch.object(ll, "_lanczos_svd") as lanczos, \
+            mock.patch.object(np.linalg, "svd") as svd:
+        assert spectral_norm(np.zeros((n, n))) == 0.0
+    lanczos.assert_not_called()
+    svd.assert_not_called()
+
+
 # ------------------------------------------------------ densify fallbacks
 
 def test_operator_densify_logs_one_warning_per_fallback(caplog, monkeypatch):
