@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lowrank.linalg import _FULL_SVD_DIM, spectral_norm, svt_triplets
 from lowrank.mc import McConfig, solve_mc_ialm
@@ -298,13 +298,21 @@ def test_recovery_bits_do_not_follow_the_layout_of_d(solve):
 @settings(max_examples=5, deadline=None)
 @given(m=st.integers(50, 100), r=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        transpose=st.booleans(), solve=st.sampled_from([solve_ialm, solve_ealm, solve_apg]))
+# two draws that differed by 1.20e-12 and 1.04e-12 with the block SVT's
+# tolerance at 1e-12 of the largest singular value
+@example(m=67, r=1, seed=1438092372, transpose=True, solve=solve_ealm)
+@example(m=86, r=2, seed=1504398529, transpose=True, solve=solve_ealm)
 def test_recovery_is_equivariant_under_permutations_and_transposes(m, r, seed, transpose,
                                                                   solve):
     # a square D with its rows and columns permuted, and transposed or not,
     # takes the same number of steps to the same A, permuted alike, up to the
-    # rounding of the SVT (3e-13 relative measured). The block SVT's Gaussian
-    # start lives in column space, so this is no identity of the bits. A
-    # non-square transpose changes lam = 1/sqrt(rows) and is left out.
+    # block SVT's stopping tolerance. The block SVT's Gaussian start lives in
+    # column space, so this is no identity of the bits. At that tolerance,
+    # 1e-13, 300 draws per solver differed by at most 1.0e-13 relative (at
+    # 1e-12 the worst read 1.2e-12), but for one EALM draw (m=79, r=3,
+    # seed=1658044285, transposed) on which the block SVT of D misses a value
+    # just above the threshold: the runs end at ranks 3 and 4. A non-square
+    # transpose changes lam = 1/sqrt(rows) and is left out.
     D = gen_rpca(m, r, 0.05, seed).d
     g = np.random.Generator(np.random.Philox(seed))
     rows, cols = g.permutation(m), g.permutation(m)
