@@ -51,10 +51,8 @@ _FULL_SVD_FRACTION = 0.2
 # residual tolerance (relative to the largest singular value) of a triplet above
 # the threshold, the largest Chebyshev filter degree between two Rayleigh-Ritz
 # steps, and the number of products with W^T W after which it gives up and
-# takes the full LAPACK decomposition. The tolerance bounds how far the solves
-# of D and of D permuted or transposed part: 1e-12 let them differ by 1.2e-12
-# relative, 1e-13 by at most 1.0e-13 where both keep the same ranks (measured
-# on 300 random draws per solver).
+# takes the full LAPACK decomposition. At 1e-13 a permuted or transposed D
+# gives the same A to 1.0e-13 relative where ranks agree (1.2e-12 at 1e-12).
 _BLOCK_OVERSAMPLE = 10
 _BLOCK_TOL = 1e-13
 _BLOCK_MAX_DEGREE = 4

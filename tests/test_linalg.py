@@ -594,8 +594,8 @@ def test_spectral_norm_partial_route_matches_full(shape):
 def test_spectral_norm_of_zero_takes_no_decomposition(n):
     # no solver reaches the zero return, but without it a zero matrix past
     # _FULL_SVD_DIM makes ARPACK raise on its zero start product and the
-    # fallback run a full LAPACK SVD (375 ms at n=1000 and 3.9 s at n=2000,
-    # against 3 and 7 ms with the return)
+    # fallback run a full LAPACK SVD (0.37 s at n=1000 and 3.7 s at n=2000,
+    # against 3 and 8 ms with the return, one BLAS thread)
     with mock.patch.object(ll, "_lanczos_svd") as lanczos, \
             mock.patch.object(np.linalg, "svd") as svd:
         assert spectral_norm(np.zeros((n, n))) == 0.0
