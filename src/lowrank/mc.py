@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ObservedSet, SparsePlusLowRank, TruncatedSVD, truncated_svd
-from .rpca import (SV0_DEFAULTS, IterRecord, Iterate, SolveResult, _Config, _fro_norm,
-                   _grow, _loop)
+from .rpca import IterRecord, Iterate, SolveResult, _Config, _fro_norm, _grow, _loop
 
 __all__ = [
     "McConfig",
@@ -55,13 +54,14 @@ def rho_from_density(rho_s):
 @dataclass
 class McConfig(_Config):
     """``None`` selects the data-driven defaults mu0 = 1 / ||D||_2 and
-    rho = rho_from_density(|Omega| / (m n))."""
+    rho = rho_from_density(|Omega| / (m n)), and for ``max_iter`` the
+    ``rpca.MAX_ITER_DEFAULTS`` entry, 500."""
 
     mu0: float | None = None
     rho: float | None = None
     eps1: float = 1e-7
     eps2: float = 1e-6
-    max_iter: int = 500
+    max_iter: int | None = None
     keep_iterates: bool = False
 
 
@@ -243,6 +243,5 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         rec = IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj)
         return rec, dual_ok, _grow(mu, rho), lambda: Iterate(A, None, Y.copy(), mu)
 
-    converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["mc-ialm"], d), d,
-                                       cfg.max_iter)
+    converged, trace, iterates = _loop(step, cfg, mu, d, "mc-ialm")
     return SolveResult(A, None, converged, trace, "mc-ialm", iterates=iterates)

@@ -35,7 +35,7 @@ __all__ = [
 # soft thresholding produces exact zeros, so this is a safety margin only.
 ZERO_TOL = 1e-12
 
-MAX_ITER_DEFAULTS = {"it": 100_000, "apg": 1000, "ealm": 10_000, "ialm": 1000}
+MAX_ITER_DEFAULTS = {"it": 100_000, "apg": 1000, "ealm": 10_000, "ialm": 1000, "mc-ialm": 500}
 SV0_DEFAULTS = {"it": 5, "apg": 5, "ealm": 10, "ialm": 10, "mc-ialm": 5}
 # predict_rank's step once the kept count fills the partial-SVD size just used.
 SV_JUMP = 10
@@ -57,9 +57,12 @@ class _Config:
     values, and the echo that goes into a report."""
 
     def __post_init__(self):
-        for name in ("lam", "mu0", "rho", "eps1", "eps2", "inner_tol"):
-            v, low = getattr(self, name, None), 1 if name == "rho" else 0
-            if v is not None and not low < v < np.inf:
+        for name, v in vars(self).items():
+            # None means "the default" where there is one; a tolerance has none
+            if name in ("max_iter", "keep_iterates") or v is None and name in ("lam", "mu0", "rho"):
+                continue
+            low = 1 if name == "rho" else 0
+            if v is None or not low < v < np.inf:
                 raise ValueError(f"{name} must be finite and exceed {low}, got {v}")
         n = self.max_iter
         if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1):
@@ -84,7 +87,9 @@ class RpcaConfig(_Config):
     :data:`APG_MU_BAR_FACTOR`, :data:`IT_TAU_FACTOR` and :data:`IT_DELTA`.
     ``max_iter`` counts SVTs, for every solver. ``keep_iterates`` makes EALM
     and IALM keep one ``Iterate`` per multiplier step; IT and APG refuse it,
-    having no ALM multiplier for the Lyapunov check.
+    having no ALM multiplier for the Lyapunov check. A solver ignores the
+    fields it does not read: EALM never reads ``eps2``, APG reads neither
+    ``rho`` nor ``eps2``, and IT reads only ``lam``, ``eps1`` and ``max_iter``.
     """
 
     lam: float | None = None
@@ -222,7 +227,7 @@ def _fro_norm(X, name):
 
 
 def _start(D, cfg, algorithm):
-    """``(cfg, D, lam, ||D||_F, max_iter, min(m, n))`` with the defaults of
+    """``(cfg, D, lam, ||D||_F, min(m, n))`` with the defaults of
     ``algorithm``; ||D||_F is 0 only for a zero D. An empty D is a ``ValueError``,
     and so is ``keep_iterates`` for IT and APG, which have no ALM multiplier."""
     cfg = cfg or RpcaConfig()
@@ -232,8 +237,7 @@ def _start(D, cfg, algorithm):
     if not min(D.shape):
         raise ValueError(f"D must have positive dimensions, got shape {D.shape}")
     lam = cfg.lam if cfg.lam is not None else _default_lam(D.shape[0])
-    return (cfg, D, lam, _fro_norm(D, "D"), cfg.max_iter or MAX_ITER_DEFAULTS[algorithm],
-            min(D.shape))
+    return cfg, D, lam, _fro_norm(D, "D"), min(D.shape)
 
 
 def _record(k, mu, feas, dual, kept, svp, sv, E, lam, work=None):
@@ -268,7 +272,7 @@ def solve_it(D, cfg=None):
     Stops once the scaled feasibility residual drops below ``eps1``; hitting
     ``max_iter`` returns ``converged=False`` with the full trace.
     """
-    cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "it")
+    cfg, D, lam, dnorm, d = _start(D, cfg, "it")
     if not dnorm:
         return _zero_result(D, "it")
     tau = IT_TAU_FACTOR * spectral_norm(D)
@@ -287,7 +291,7 @@ def solve_it(D, cfg=None):
         E = E_next
         return _record(k, tau, feas, dual, kept, svp, len(s_raw), E, lam), True, tau, None
 
-    converged, trace, _ = _loop(step, cfg, tau, min(SV0_DEFAULTS["it"], d), d, max_iter)
+    converged, trace, _ = _loop(step, cfg, tau, d, "it")
     return SolveResult(A, E, converged, trace, "it", Y=Y)
 
 
@@ -301,7 +305,7 @@ def solve_apg(D, cfg=None):
     parameter by :data:`APG_ETA` down to the floor
     :data:`APG_MU_BAR_FACTOR` * mu0. Stops on feasibility alone.
     """
-    cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "apg")
+    cfg, D, lam, dnorm, d = _start(D, cfg, "apg")
     if not dnorm:
         return _zero_result(D, "apg")
     mu = cfg.mu0 if cfg.mu0 is not None else 0.99 * spectral_norm(D)
@@ -326,7 +330,7 @@ def solve_apg(D, cfg=None):
         rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
         return rec, True, max(APG_ETA * mu, mu_bar), None
 
-    converged, trace, _ = _loop(step, cfg, mu, min(SV0_DEFAULTS["apg"], d), d, max_iter)
+    converged, trace, _ = _loop(step, cfg, mu, d, "apg")
     return SolveResult(A, E, converged, trace, "apg")
 
 
@@ -341,7 +345,7 @@ def solve_ealm(D, cfg=None):
     multiplier step, grows the penalty by ``rho`` and can end the solve.
     ``dual_est`` measures E against E_k, the E of the last multiplier step.
     """
-    cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "ealm")
+    cfg, D, lam, dnorm, d = _start(D, cfg, "ealm")
     if not dnorm:
         return _zero_result(D, "ealm")
     sgn = np.sign(D)
@@ -369,20 +373,20 @@ def solve_ealm(D, cfg=None):
         Y, E_k = Y + mu * R, E
         return rec, True, _grow(mu, rho), lambda: Iterate(A, E, Y, mu)
 
-    converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["ealm"], d), d, max_iter)
+    converged, trace, iterates = _loop(step, cfg, mu, d, "ealm")
     return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates)
 
 
 def solve_ialm(D, cfg=None):
     """Inexact augmented Lagrange multiplier method, run by :func:`_loop`: each
-    sweep (:func:`_ialm_sweep`) shrinks E against the previous A, thresholds A,
+    sweep shrinks E against the previous A, thresholds A,
     then steps the multiplier by mu_k along the residual. The dual surrogate
     mu_k * ||E_{k+1} - E_k||_F / ||D||_F below ``eps2`` grows the penalty by
     ``rho`` and meets the dual half of the stopping test. Besides D and the
     SVT's own workspace, the solve runs in four dense arrays: A, E and Y,
     updated in place, and one work matrix; kept iterates are copies.
     """
-    cfg, D, lam, dnorm, max_iter, d = _start(D, cfg, "ialm")
+    cfg, D, lam, dnorm, d = _start(D, cfg, "ialm")
     if not dnorm:
         return _zero_result(D, "ialm")
     norm2 = spectral_norm(D)
@@ -393,9 +397,26 @@ def solve_ialm(D, cfg=None):
     kept = None
 
     def step(k, mu, sv):
-        nonlocal A, E, kept
-        A, E, de_norm, r_norm, kept, svp, s_raw = _ialm_sweep(
-            D, A, E, Y, T, mu, lam, sv, None if kept is None else kept.V)
+        # one sweep in place over A, E, Y and the work matrix T, allocating no
+        # full-size array of its own: each value is formed in the order
+        # shrink(D - A + Y / mu), D - E + Y / mu and Y + mu * R would form it,
+        # so the bits are theirs. The new E lands in the old A's array and the
+        # new A in the old E's; T holds no result
+        nonlocal A, E, Y, T, kept
+        np.subtract(D, A, out=T)
+        T += np.divide(Y, mu, out=A)
+        shrink(T, lam / mu, out=A)
+        de_norm = np.linalg.norm(np.subtract(A, E, out=T))
+        A, E = E, A
+        np.subtract(D, E, out=T)
+        T += np.divide(Y, mu, out=A)
+        kept, svp, s_raw = svt_triplets(T, 1.0 / mu, sv, v0=None if kept is None else kept.V)
+        kept.compose(out=A)
+        np.subtract(D, A, out=T)
+        T -= E
+        r_norm = np.linalg.norm(T)
+        T *= mu
+        Y += T
         feas = float(r_norm / dnorm)
         dual = float(mu * de_norm / dnorm)
         rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam, work=T)
@@ -403,12 +424,15 @@ def solve_ialm(D, cfg=None):
         return (rec, ok, _grow(mu, rho) if ok else mu,
                 lambda: Iterate(A.copy(), E.copy(), Y.copy(), mu))
 
-    converged, trace, iterates = _loop(step, cfg, mu, min(SV0_DEFAULTS["ialm"], d), d, max_iter)
+    converged, trace, iterates = _loop(step, cfg, mu, d, "ialm")
     return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates)
 
 
-def _loop(step, cfg, mu, sv, d, max_iter):
-    """The loop of all five solvers. ``step(k, mu, sv)`` runs step k, one SVT,
+def _loop(step, cfg, mu, d, algorithm):
+    """The loop of all five solvers, which owns the run: it starts at the SVD
+    size ``SV0_DEFAULTS[algorithm]``, at most ``d`` = min(m, n), and takes at
+    most ``cfg.max_iter`` steps, or ``MAX_ITER_DEFAULTS[algorithm]`` for None.
+    ``step(k, mu, sv)`` runs step k, one SVT,
     at penalty ``mu`` (IT's tau) from an SVD of size ``sv`` and returns ``(record,
     dual_ok, mu_next, snapshot)``: the step owns its penalty schedule. The loop
     keeps the trace and, with ``cfg.keep_iterates``, ``snapshot()`` where it is
@@ -419,7 +443,8 @@ def _loop(step, cfg, mu, sv, d, max_iter):
     that is not a finite double. Returns ``(converged, trace, iterates)``."""
     trace = []
     iterates = [] if cfg.keep_iterates else None
-    for k in range(1, max_iter + 1):
+    sv = min(SV0_DEFAULTS[algorithm], d)
+    for k in range(1, (cfg.max_iter or MAX_ITER_DEFAULTS[algorithm]) + 1):
         rec, dual_ok, mu, snapshot = step(k, mu, sv)
         trace.append(rec)
         if iterates is not None and snapshot is not None:
@@ -436,30 +461,3 @@ def _grow(mu, rho):
     """The ALM penalty step rho * mu, inf where it overflows (which ends the solve)."""
     with np.errstate(over="ignore"):
         return rho * mu
-
-
-def _ialm_sweep(D, A, E, Y, T, mu, lam, sv, v0):
-    """One inexact-ALM sweep at penalty ``mu``, in place over the dense arrays
-    A, E, Y and the work matrix T: shrink E against A, threshold A (hint
-    ``sv``, warm start ``v0``), step Y along R = D - A - E. It allocates no
-    full-size array of its own; each value is formed in the order
-    ``shrink(D - A + Y / mu)``, ``D - E + Y / mu`` and ``Y + mu * R`` would
-    form it, so the bits are theirs. Returns ``(A, E, ||E - E_prev||_F,
-    ||R||_F, kept, svp, s_raw)``: the new E lands in the old A's array and the
-    new A in the old E's, so the caller takes both back; Y is updated where it
-    is and T holds no result."""
-    np.subtract(D, A, out=T)
-    T += np.divide(Y, mu, out=A)
-    shrink(T, lam / mu, out=A)
-    de_norm = np.linalg.norm(np.subtract(A, E, out=T))
-    A, E = E, A
-    np.subtract(D, E, out=T)
-    T += np.divide(Y, mu, out=A)
-    kept, svp, s_raw = svt_triplets(T, 1.0 / mu, sv, v0=v0)
-    kept.compose(out=A)
-    np.subtract(D, A, out=T)
-    T -= E
-    r_norm = np.linalg.norm(T)
-    T *= mu
-    Y += T
-    return A, E, de_norm, r_norm, kept, svp, s_raw

@@ -14,7 +14,7 @@ import pytest
 
 from lowrank.linalg import ObservedSet
 from lowrank.mc import McConfig, solve_mc_ialm
-from lowrank.rpca import RpcaConfig, solve_apg, solve_ealm, solve_ialm, solve_it
+from lowrank.rpca import MAX_ITER_DEFAULTS, RpcaConfig, solve_apg, solve_ealm, solve_ialm, solve_it
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (8, 20), (20, 8)]
 SPECTRA = ["single", "rank1", "full", "repeated", "sparse", "clustered"]
@@ -106,3 +106,15 @@ def test_completion_stops_before_its_penalty_overflows(case):
     assert len(res.trace) == res.iterations
     assert np.isfinite(res.trace[-1].mu)
     _assert_finite(res.A.compose())
+
+
+@pytest.mark.parametrize("cfg", [McConfig(), McConfig(max_iter=None)], ids=["default", "none"])
+def test_completion_stops_at_its_default_cap(cfg):
+    # the same full-rank input, held at rank 1: at the default cap, 500 sweeps,
+    # the penalty is still finite, so the cap alone ends the solve
+    m, n, linear = MC_CASES[1]
+    omega = ObservedSet.from_linear(m, n, linear)
+    values = _matrix(m, n, "full")[omega.row_idx, omega.col_idx]
+    res = solve_mc_ialm(omega, values, cfg)
+    assert not res.converged and res.iterations == MAX_ITER_DEFAULTS["mc-ialm"] == 500
+    assert np.isfinite(res.trace[-1].mu)

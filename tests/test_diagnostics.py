@@ -163,12 +163,16 @@ def test_divergence_demo_takes_one_spectral_norm(monkeypatch):
 
 
 def test_divergence_demo_runs_the_ialm_sweep(monkeypatch):
+    # one IALM solve, one SVT per sweep
+    import lowrank.diagnostics as diagnostics
     import lowrank.rpca as rpca
 
-    spy = mock.Mock(wraps=rpca._ialm_sweep)
-    monkeypatch.setattr(rpca, "_ialm_sweep", spy)
+    solve = mock.Mock(wraps=rpca.solve_ialm)
+    svt = mock.Mock(wraps=rpca.svt_triplets)
+    monkeypatch.setattr(diagnostics, "solve_ialm", solve)
+    monkeypatch.setattr(rpca, "svt_triplets", svt)
     divergence_demo(gen_rpca(30, 2, 0.05, 11), 10.0, max_iter=5)
-    assert spy.call_count == 5
+    assert solve.call_count == 1 and svt.call_count == 5
 
 
 def test_divergence_demo_growth_precondition():

@@ -19,8 +19,8 @@ from lowrank.mc import (
     solve_mc_ialm,
 )
 from lowrank.problems import degrees_of_freedom, gen_mc, gen_rpca
-from lowrank.rpca import (SV_JUMP, RpcaConfig, predict_rank, solve_apg, solve_ealm, solve_ialm,
-                          solve_it)
+from lowrank.rpca import (SV0_DEFAULTS, SV_JUMP, RpcaConfig, predict_rank, solve_apg, solve_ealm,
+                          solve_ialm, solve_it)
 
 
 def _mask(omega):
@@ -439,6 +439,10 @@ def test_loop_predicts_rank_through_predict_rank(kind):
     # the loop is the only caller, once per record, and each record is one SVT
     calls = spy.call_args_list
     assert len(calls) == res.iterations == res.svd_count
+    # the loop also sets the first size, from the algorithm's default
+    first = min(SV0_DEFAULTS[kind], 50)
+    assert res.trace[0].sv_pred in ({first} if kind == "mc-ialm"
+                                    else {min(first << j, 50) for j in range(7)})
     # each call takes that iteration's kept rank and SVD size, and its result
     # is the next iteration's SVD hint: completion's SVD takes the hint as is,
     # recovery's SVT doubles it while every computed value clears the threshold

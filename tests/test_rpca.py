@@ -127,14 +127,16 @@ def test_config_validation():
 
 
 _NEVER_WORK = [(f, v) for f in ("mu0", "rho", "eps1", "eps2") for v in (np.nan, np.inf)] \
-    + [("max_iter", 2.5), ("max_iter", True)]
+    + [("eps1", None), ("eps2", None), ("max_iter", 2.5), ("max_iter", True)]
 
 
 @pytest.mark.parametrize("config, field, value",
                          [(RpcaConfig, f, v) for f in ("lam", "inner_tol") for v in (np.nan, np.inf)]
+                         + [(RpcaConfig, "inner_tol", None)]
                          + [(c, f, v) for c in (RpcaConfig, McConfig) for f, v in _NEVER_WORK])
 def test_config_rejects_values_that_never_work(config, field, value):
-    # a NaN tolerance never stops a solve, and a non-finite penalty or a
+    # a NaN tolerance never stops a solve, and a non-finite penalty, a None
+    # tolerance (None means "the default" only where there is one) or a
     # fractional iteration count fails only mid-solve
     with pytest.raises(ValueError, match=field):
         config(**{field: value})

@@ -5,7 +5,9 @@ factors U * s and V of A), the trace records, and the report JSON both bare and
 with ``config`` and ``a_star``. Next to it, ``arrays=`` digests the result
 arrays alone and ``trace=`` the arrays, the records and the bare report, so a
 diff tells a moved result from a moved trace, and both from a moved
-``rel_error``, which only the report with ``a_star`` carries. Three more
+``rel_error``, which only the report with ``a_star`` carries. Five lines
+cover solves capped at ``max_iter=3`` (IT, APG, EALM, IALM and completion),
+which end unconverged at the loop's iteration cap. Three more
 digests cover every ``Iterate`` of an IALM, an EALM and a completion solve
 with ``keep_iterates``, and two more the sampled sets alone at sizes where
 the sampler's draws collide and chain: a completion Omega and a corruption
@@ -95,6 +97,20 @@ def main():
         inst = lowrank.gen_rpca(*args)
         res = solve(inst.d)
         print(f"{name} gen_rpca{args} {_digest(res, lowrank.RpcaConfig(), inst.a_star)}")
+
+    # capped solves that end unconverged, at the loop's max_iter exit
+    args = (100, 5, 0.05, 41000)
+    inst = lowrank.gen_rpca(*args)
+    cfg = lowrank.RpcaConfig(max_iter=3)
+    for name, solve in (("it", lowrank.solve_it), ("apg", lowrank.solve_apg),
+                        ("ealm", lowrank.solve_ealm), ("ialm", lowrank.solve_ialm)):
+        res = solve(inst.d, cfg)
+        print(f"{name} max_iter=3 gen_rpca{args} {_digest(res, cfg, inst.a_star)}")
+    args = (300, 5, 17850, 1)
+    inst = lowrank.gen_mc(*args)
+    cfg = lowrank.McConfig(max_iter=3)
+    res = lowrank.solve_mc_ialm(inst.omega, inst.d_values, cfg)
+    print(f"mc-ialm max_iter=3 gen_mc{args} {_digest(res, cfg, inst.a_star)}")
 
     out = lowrank.divergence_demo(lowrank.gen_rpca(30, 2, 0.05, 11), 10.0)
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
