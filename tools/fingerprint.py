@@ -5,7 +5,10 @@ factors U * s and V of A), the trace records, and the report JSON both bare and
 with ``config`` and ``a_star``. Next to it, ``arrays=`` digests the result
 arrays alone and ``trace=`` the arrays, the records and the bare report, so a
 diff tells a moved result from a moved trace, and both from a moved
-``rel_error``, which only the report with ``a_star`` carries. Five lines
+``rel_error``, which only the report with ``a_star`` carries. ``path=``
+digests the solve's path alone: ``converged`` and each record's ``rank_a``,
+``svp`` and ``e_card``, so the iteration count and the rank and support
+sequences, without the SVD sizes (``sv_pred``) or any float. Five lines
 cover solves capped at ``max_iter=3`` (IT, APG, EALM, IALM and completion),
 which end unconverged at the loop's iteration cap. Three more
 digests cover every ``Iterate`` of an IALM, an EALM and a completion solve
@@ -60,8 +63,9 @@ def _factors(a):
 
 
 def _digest(res, cfg, a_star):
-    """The full digest, then ``arrays=``, the digest of the arrays alone, and
-    ``trace=``, that of the arrays, the records and the bare report."""
+    """The full digest, then ``arrays=``, the digest of the arrays alone,
+    ``trace=``, that of the arrays, the records and the bare report, and
+    ``path=``, that of ``converged`` and each record's rank and support counts."""
     arrays = hashlib.sha256()
     _update(arrays, _factors(res.A) or (res.A, res.E, res.Y))
     trace = arrays.copy()
@@ -69,7 +73,10 @@ def _digest(res, cfg, a_star):
     trace.update(json.dumps(res.report()).encode())
     h = trace.copy()
     h.update(json.dumps(res.report(config=cfg, a_star=a_star)).encode())
-    return f"{h.hexdigest()} arrays={arrays.hexdigest()} trace={trace.hexdigest()}"
+    path = hashlib.sha256(json.dumps(
+        [res.converged] + [[r.rank_a, r.svp, r.e_card] for r in res.trace]).encode())
+    return (f"{h.hexdigest()} arrays={arrays.hexdigest()} trace={trace.hexdigest()} "
+            f"path={path.hexdigest()}")
 
 
 def _iterates_digest(res):
