@@ -239,15 +239,10 @@ def shrink(W, eps, out=None):
     return sign if out is not None or sign.ndim else sign[()]
 
 
-def _full_svd(W, k, eps=None):
-    """Top-``k`` triplets from one LAPACK SVD. Given ``eps``, ``k`` first
-    doubles (capped at min(m, n)) while the k-th value is above ``eps``, the
-    rank a saturated SVT hint grows to; only the kept columns are copied."""
+def _full_svd(W, k):
+    """Top-``k`` triplets from one LAPACK SVD, as views of its factors."""
     U, s, Vt = np.linalg.svd(W, full_matrices=False)
-    if eps is not None:
-        while k < s.size and s[k - 1] > eps:
-            k = min(2 * k, s.size)
-    return TruncatedSVD(U[:, :k].copy(), s[:k].copy(), Vt[:k].T.copy())
+    return TruncatedSVD(U[:, :k], s[:k], Vt[:k].T)
 
 
 def _lanczos_svd(op, k):
@@ -354,11 +349,12 @@ def _block_svd(W, eps, k, v0):
     above ``eps`` proves the hint saturated: ``k`` doubles and the block grows
     in place.
 
-    Returns ``(tsvd, k)``; ``tsvd`` is None when ``k`` would pass the
-    :data:`_FULL_SVD_FRACTION` share of min(m, n) or the filter has spent
-    ``_BLOCK_MAX_STEPS`` products with ``W.T @ W`` (the caller then takes the
-    full decomposition at that ``k``). The values past the last one above
-    ``eps`` are Ritz values certified below ``eps``, not necessarily converged.
+    Returns the top-``k`` :class:`TruncatedSVD` at the final ``k``, or None
+    when ``k`` would pass the :data:`_FULL_SVD_FRACTION` share of min(m, n) or
+    the filter has spent ``_BLOCK_MAX_STEPS`` products with ``W.T @ W`` (the
+    caller then takes the full decomposition). The values past the last one
+    above ``eps`` are Ritz values certified below ``eps``, not necessarily
+    converged.
     """
     m, n = W.shape
     d = min(m, n)
@@ -379,7 +375,7 @@ def _block_svd(W, eps, k, v0):
         if s[k - 1] > eps:
             k = min(2 * k, d)
             if k > _FULL_SVD_FRACTION * d:
-                return None, k
+                return None
             grown = min(k + _BLOCK_OVERSAMPLE, d)
             Qt = _orth_rows(np.vstack([Vt, rng.standard_normal((grown - b, n))]))
             b = grown
@@ -387,7 +383,7 @@ def _block_svd(W, eps, k, v0):
         tol = _BLOCK_TOL * s[0]
         lagging = (res[:k] > tol) & ((s[:k] > eps) | (s[:k] + res[:k] >= eps) | cold)
         if not lagging.any():
-            return TruncatedSVD(Ut[:k].T, s[:k], Vt[:k].T), k
+            return TruncatedSVD(Ut[:k].T, s[:k], Vt[:k].T)
         cold = False  # a power or filter step follows
         if s[-1] == 0.0:
             # the block holds a null vector of W, so the filter interval
@@ -409,29 +405,30 @@ def _block_svd(W, eps, k, v0):
             X, X_prev = (4.0 / c) * ((X @ W.T) @ W) - 2.0 * X - X_prev, X
         steps += degree - 1
         Qt = _orth_rows(X)
-    return None, k
+    return None
 
 
 def svt_triplets(W, eps, sv_hint, v0=None):
     """Singular value thresholding of dense ``W``, returned in factored form.
 
-    Computes the top ``sv_hint`` triplets of ``W``, keeps those with singular
-    value strictly above ``eps`` and subtracts ``eps`` from them. While every
-    computed value clears the threshold the hint doubles (capped at
-    min(m, n)), so nothing above ``eps`` is missed.
+    Keeps the triplets of ``W`` with singular value strictly above ``eps`` and
+    subtracts ``eps`` from them.
 
     When the small dimension exceeds :data:`_BLOCK_MIN_DIM` and the hint is
     within the :data:`_FULL_SVD_FRACTION` share of it, a block iteration
     (:func:`_block_svd`) warm-started from ``v0``, the right singular vectors
     of a nearby matrix (typically the previous call's ``tsvd.V``), computes
-    the triplets. Every other input, and every block fallback, takes one full
-    LAPACK SVD and doubles the hint over its values; ``v0`` is then ignored.
-    The gate is lower than ARPACK's :data:`_FULL_SVD_DIM`: a warm-started
-    block needs few products with ``W`` per call, a cold Lanczos run many.
+    the top ``sv_hint`` triplets; while every computed value clears the
+    threshold the hint doubles, so nothing above ``eps`` is missed. Every
+    other input, and every block fallback, takes all min(m, n) triplets from
+    one full LAPACK SVD; ``v0`` is then ignored. The gate is lower than
+    ARPACK's :data:`_FULL_SVD_DIM`: a warm-started block needs few products
+    with ``W`` per call, a cold Lanczos run many.
 
     Returns ``(tsvd, svp, s_raw)`` where ``tsvd`` holds the ``svp`` thresholded
-    triplets and ``s_raw`` the raw singular values at the final hint (on the
-    block route, the values below ``eps`` are only certified to be below it).
+    triplets and ``s_raw`` the raw singular values computed: every one on the
+    LAPACK route, those at the final hint on the block route (where the values
+    below ``eps`` are only certified to be below it).
     """
     if not eps >= 0:
         raise ValueError("svt threshold must be nonnegative")
@@ -440,9 +437,9 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     sv = int(min(max(sv_hint, 1), d))
     t = None
     if d > _BLOCK_MIN_DIM and sv <= _FULL_SVD_FRACTION * d:
-        t, sv = _block_svd(W, eps, sv, v0)
+        t = _block_svd(W, eps, sv, v0)
     if t is None:
-        t = _full_svd(W, sv, eps)
+        t = _full_svd(W, d)
     svp = int((t.s > eps).sum())
     kept = TruncatedSVD(t.U[:, :svp].copy(), t.s[:svp] - eps, t.V[:, :svp].copy())
     return kept, svp, t.s

@@ -292,8 +292,8 @@ def test_svt_hint_reexpansion_catches_everything():
 
 
 def test_svt_hint_out_of_range():
-    # a hint past min(m, n) is clamped to it, one below 1 is raised to 1 and
-    # then doubles while the values clear the threshold
+    # on the LAPACK route every hint, past min(m, n) or below 1, gives all
+    # min(m, n) values
     for hint in (5, 0, -3):
         kept, svp, s_raw = svt_triplets(np.eye(4), 0.1, hint)
         assert svp == 4 and s_raw.size == 4
@@ -328,7 +328,8 @@ def assert_matches_full(W, eps, hint, v0=None):
     with mock.patch.object(ll, "_BLOCK_MIN_DIM", min(W.shape)):
         kf, svp_f, s_f = svt_triplets(W, eps, hint)
     assert svp_b == svp_f
-    assert len(s_b) == len(s_f)
+    d = min(W.shape)
+    assert predict_rank(svp_b, len(s_b), d) == predict_rank(svp_f, len(s_f), d)
     assert np.allclose(kb.s, kf.s, rtol=1e-10, atol=1e-12 * s_f[0])
     ref = kf.compose()
     assert np.linalg.norm(kb.compose() - ref) <= 1e-9 * max(np.linalg.norm(ref), s_f[0])
@@ -360,7 +361,7 @@ def test_block_svt_matches_full_tall_and_wide(m, n, r, eps_frac, hint_frac, seed
     while (s > eps).sum() >= k:
         k = 2 * k
     # the block route gives up only where the doubling passes 20% of d
-    assert (ll._block_svd(W, eps, hint, None)[0] is None) == (k > 0.2 * d)
+    assert (ll._block_svd(W, eps, hint, None) is None) == (k > 0.2 * d)
 
 
 @settings(max_examples=15, deadline=None)
@@ -387,13 +388,13 @@ def test_block_svt_threshold_above_top_value(shape):
 
 def test_block_svt_saturation_past_fraction_falls_back_to_full():
     # 60 values above eps from a hint of 8: the block doubles in place to 16
-    # and 32, then 64 passes 20% of 200 and the full SVD takes over
+    # and 32, then 64 passes 20% of 200 and the full SVD takes all 200 values
     s = list(np.linspace(10.0, 2.0, 60)) + list(np.linspace(0.5, 0.0, 140))
     W = with_spectrum(250, 200, s, 22)
     with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
         kept, svp, s_raw = svt_triplets(W, 1.0, 8)
     assert full.call_count == 1
-    assert svp == 60 and len(s_raw) == 64
+    assert svp == 60 and len(s_raw) == 200
     assert_matches_full(W, 1.0, 8)
 
 
@@ -413,9 +414,9 @@ def test_block_svt_step_cap_falls_back_to_full(monkeypatch):
     eps = 0.8 * np.linalg.svd(W, compute_uv=False)[0]
     with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
         _, svp, s_raw = svt_triplets(W, eps, 10)
-    # one LAPACK SVD; the hint doubles over its values, 10 -> 20 -> 40
+    # one LAPACK SVD, which gives all 240 values
     assert full.call_count == 1
-    assert svp == 26 and len(s_raw) == 40
+    assert svp == 26 and len(s_raw) == 240
     assert_matches_full(W, eps, 10)
 
 
@@ -457,12 +458,12 @@ def test_block_svt_counts_match_lapack_through_solves(shape, solver):
     block = ll._block_svd
 
     def audited(W, eps, k, v0):
-        t, k = block(W, eps, k, v0)
+        t = block(W, eps, k, v0)
         if t is not None:
             want = int((np.linalg.svd(W, compute_uv=False) > eps).sum())
             if (t.s > eps).sum() != want:
                 wrong.append((int((t.s > eps).sum()), want))
-        return t, k
+        return t
 
     with mock.patch.object(ll, "_block_svd", side_effect=audited) as spy:
         getattr(rpca, f"solve_{solver}")(corrupted_low_rank(*shape, 1))
@@ -479,21 +480,22 @@ def test_qr_matches_scipy_economic_bit_for_bit(shape):
     assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
 
 
-def test_full_svt_doubles_hint_over_one_decomposition():
-    # 10 values above eps from a hint of 3: the hint saturates at 3 and 6 and
-    # stops at 12; d = 40 is below the block route's dimension
+def test_full_svt_takes_every_value_from_one_decomposition():
+    # 10 values above eps from a hint of 3: d = 40 is below the block route's
+    # dimension, so one LAPACK SVD gives all 40 values whatever the hint
     s = list(np.linspace(10.0, 2.0, 10)) + list(np.linspace(0.5, 0.0, 30))
     W = with_spectrum(60, 40, s, 33)
     with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
         kept, svp, s_raw = svt_triplets(W, 1.0, 3)
     assert full.call_count == 1
-    assert svp == 10 and len(s_raw) == 12
-    assert np.allclose(s_raw, s[:12], rtol=1e-12, atol=1e-14)
+    assert svp == 10 and len(s_raw) == 40
+    assert np.allclose(s_raw, s, rtol=1e-12, atol=1e-14)
     assert np.allclose(kept.s, np.array(s[:10]) - 1.0, rtol=1e-12)
 
 
 # route: (min(m, n), range of the count above eps, range of the hint, calls of
-# (_block_svd, _full_svd)); the fallback's hint doubles past 20% of d
+# (_block_svd, _full_svd)); on "block-fallback" the block's hint doubles past
+# 20% of d
 SVT_ROUTES = {"lapack": (40, (0, 40), (1, 40), (0, 1)),
               "block": (120, (0, 11), (1, 12), (1, 0)),
               "block-fallback": (120, (25, 120), (1, 24), (1, 1))}

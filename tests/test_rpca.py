@@ -221,17 +221,24 @@ def test_it_needs_orders_of_magnitude_more_iterations():
 def test_each_record_is_one_svt_with_a_predicted_hint_and_warm_start(solver, monkeypatch):
     # every solver makes one SVT per record, EALM's sweeps included: the first
     # hint is the solver's SV0_DEFAULTS entry, each later one comes from
-    # predict_rank, and each call starts from the previous V
+    # predict_rank, and each call starts from the previous V. A record's
+    # sv_pred is min(m, n) exactly where its SVT took the full LAPACK SVD
+    import lowrank.linalg as ll
     import lowrank.rpca as rpca
 
-    calls = []
+    calls, lapack, full_svd = [], set(), ll._full_svd
 
     def spy(W, eps, sv_hint, v0=None):
         out = svt_triplets(W, eps, sv_hint, v0=v0)
         calls.append((sv_hint, v0, out))
         return out
 
+    def full_spy(W, k):
+        lapack.add(len(calls))
+        return full_svd(W, k)
+
     monkeypatch.setattr(rpca, "svt_triplets", spy)
+    monkeypatch.setattr(ll, "_full_svd", full_spy)
     inst = gen_rpca(100, 5, 0.05, 2)
     res = solver(inst.d, RpcaConfig(max_iter=30))
     assert len(calls) == len(res.trace) == res.iterations == res.svd_count
@@ -240,6 +247,8 @@ def test_each_record_is_one_svt_with_a_predicted_hint_and_warm_start(solver, mon
         assert rec.sv_pred == len(s_raw) and rec.svp == svp
         assert nxt[0] == predict_rank(svp, len(s_raw), 100)
         assert nxt[1] is kept.V
+    assert [rec.sv_pred == 100 for rec in res.trace] == [i in lapack for i in range(len(calls))]
+    assert lapack or res.algorithm != "ealm"
 
 
 # ----------------------------------------------------------- trace rules
