@@ -49,6 +49,8 @@ IALM_RHO = 1.6
 # APG continuation: mu decays by APG_ETA per iteration down to APG_MU_BAR_FACTOR * mu0.
 APG_ETA = 0.9
 APG_MU_BAR_FACTOR = 1e-9
+# The solvers with a multiplier of the program (IT's Y is its tau-relaxation's).
+_ALM = ("ealm", "ialm")
 
 
 @dataclass
@@ -67,6 +69,8 @@ class _Config:
         n = self.max_iter
         if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1):
             raise ValueError(f"max_iter must be a positive int, got {n!r}")
+        if not isinstance(self.keep_iterates, (bool, np.bool_)):
+            raise ValueError(f"keep_iterates must be a bool, got {self.keep_iterates!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -135,9 +139,10 @@ class Iterate:
 
 @dataclass
 class SolveResult:
-    """Any solver's outcome, with at least one trace record. Completion
-    (``"mc-ialm"``) holds ``A`` as a ``TruncatedSVD`` (``A.s`` the thresholded
-    singular values, ``A.compose()`` the dense matrix) and no ``E`` or ``Y``."""
+    """Any solver's outcome, with at least one trace record, a recovery solve's
+    ``lam`` and EALM's or IALM's multiplier ``Y``. Completion (``"mc-ialm"``)
+    holds ``A`` as a ``TruncatedSVD`` (``A.s`` the thresholded singular values,
+    ``A.compose()`` the dense matrix) and no ``E``, ``Y`` or ``lam``."""
 
     A: np.ndarray
     E: np.ndarray | None
@@ -146,6 +151,7 @@ class SolveResult:
     algorithm: str
     Y: np.ndarray | None = None
     iterates: list[Iterate] | None = None
+    lam: float | None = None
 
     @property
     def iterations(self):
@@ -170,8 +176,8 @@ class SolveResult:
     def report(self, config=None, a_star=None):
         """The ``lowrank.solve.v1`` dict: config echo, counts (``e_card`` only
         with a dense ``E``), final residuals and the full trace. A nonzero
-        final ``Y`` adds its gauge values, with lam from ``config`` or
-        1/sqrt(rows); ``a_star`` adds the relative error of ``A``."""
+        final ``Y`` adds its gauge values against the solve's ``lam``;
+        ``a_star`` adds the relative error of ``A``."""
         last = self.trace[-1]
         out = {
             "schema": "lowrank.solve.v1",
@@ -188,10 +194,8 @@ class SolveResult:
             out["config"] = config.to_dict()
         Y = self.Y
         if Y is not None and Y.any():
-            lam = config.lam if config is not None and config.lam is not None \
-                else _default_lam(Y.shape[0])
             out["final"]["spectral_y"] = spectral_norm(Y)
-            out["final"]["linf_y_over_lambda"] = float(np.abs(Y).max() / lam)
+            out["final"]["linf_y_over_lambda"] = float(np.abs(Y).max() / self.lam)
         if a_star is not None:
             out["rel_error"] = _rel_error(self.A, np.asarray(a_star))
         return out
@@ -231,7 +235,7 @@ def _start(D, cfg, algorithm):
     ``algorithm``; ||D||_F is 0 only for a zero D. An empty D is a ``ValueError``,
     and so is ``keep_iterates`` for IT and APG, which have no ALM multiplier."""
     cfg = cfg or RpcaConfig()
-    if cfg.keep_iterates and algorithm not in ("ealm", "ialm"):
+    if cfg.keep_iterates and algorithm not in _ALM:
         raise ValueError(f"{algorithm} cannot keep_iterates; EALM, IALM and completion can")
     D = as_matrix(D, "D")
     if not min(D.shape):
@@ -253,11 +257,12 @@ def _dual_start(X, norm2, lam):
     return X / max(norm2, np.abs(X).max() / lam)
 
 
-def _zero_result(D, algorithm):
+def _zero_result(D, algorithm, lam):
     Z = np.zeros_like(D)
     rec = IterRecord(iter=1, mu=0.0, feas=0.0, dual_est=0.0, rank_a=0,
                      e_card=0, sv_pred=0, svp=0, objective=0.0)
-    return SolveResult(Z, Z.copy(), True, [rec], algorithm, Y=Z.copy())
+    Y = Z.copy() if algorithm in _ALM else None
+    return SolveResult(Z, Z.copy(), True, [rec], algorithm, Y=Y, lam=lam)
 
 
 def solve_it(D, cfg=None):
@@ -274,7 +279,7 @@ def solve_it(D, cfg=None):
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "it")
     if not dnorm:
-        return _zero_result(D, "it")
+        return _zero_result(D, "it", lam)
     tau = IT_TAU_FACTOR * spectral_norm(D)
     A = E = Y = np.zeros_like(D)
     kept = None
@@ -292,7 +297,7 @@ def solve_it(D, cfg=None):
         return _record(k, tau, feas, dual, kept, svp, len(s_raw), E, lam), True, tau, None
 
     converged, trace, _ = _loop(step, cfg, tau, d, "it")
-    return SolveResult(A, E, converged, trace, "it", Y=Y)
+    return SolveResult(A, E, converged, trace, "it", lam=lam)
 
 
 def solve_apg(D, cfg=None):
@@ -307,7 +312,7 @@ def solve_apg(D, cfg=None):
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "apg")
     if not dnorm:
-        return _zero_result(D, "apg")
+        return _zero_result(D, "apg", lam)
     mu = cfg.mu0 if cfg.mu0 is not None else 0.99 * spectral_norm(D)
     mu_bar = APG_MU_BAR_FACTOR * mu
     A = A_prev = E = E_prev = np.zeros_like(D)
@@ -331,7 +336,7 @@ def solve_apg(D, cfg=None):
         return rec, True, max(APG_ETA * mu, mu_bar), None
 
     converged, trace, _ = _loop(step, cfg, mu, d, "apg")
-    return SolveResult(A, E, converged, trace, "apg")
+    return SolveResult(A, E, converged, trace, "apg", lam=lam)
 
 
 def solve_ealm(D, cfg=None):
@@ -347,7 +352,7 @@ def solve_ealm(D, cfg=None):
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "ealm")
     if not dnorm:
-        return _zero_result(D, "ealm")
+        return _zero_result(D, "ealm", lam)
     sgn = np.sign(D)
     Y = _dual_start(sgn, spectral_norm(sgn), lam)
     mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / spectral_norm(D)
@@ -374,7 +379,7 @@ def solve_ealm(D, cfg=None):
         return rec, True, _grow(mu, rho), lambda: Iterate(A, E, Y, mu)
 
     converged, trace, iterates = _loop(step, cfg, mu, d, "ealm")
-    return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates)
+    return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates, lam=lam)
 
 
 def solve_ialm(D, cfg=None):
@@ -388,7 +393,7 @@ def solve_ialm(D, cfg=None):
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "ialm")
     if not dnorm:
-        return _zero_result(D, "ialm")
+        return _zero_result(D, "ialm", lam)
     norm2 = spectral_norm(D)
     mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / norm2
     rho = cfg.rho if cfg.rho is not None else IALM_RHO
@@ -425,7 +430,7 @@ def solve_ialm(D, cfg=None):
                 lambda: Iterate(A.copy(), E.copy(), Y.copy(), mu))
 
     converged, trace, iterates = _loop(step, cfg, mu, d, "ialm")
-    return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates)
+    return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates, lam=lam)
 
 
 def _loop(step, cfg, mu, d, algorithm):

@@ -95,21 +95,27 @@ def test_solve_rpca_nan_tolerance_exits_two(tmp_path, capsys):
     assert "eps1" in capsys.readouterr().err
 
 
-def test_check_verdict_on_solve_trace(tmp_path):
+# EALM is left out: its multiplier's |Y|_2 reads 1.17 on this instance, the
+# gauge's known gap on correct EALM solves (ROADMAP item 7). IT returns no
+# multiplier, since its Y, of the tau-relaxed program, would fail
+# dual_feasibility (|Y|_2 = 7,649 after 50 iterations)
+@pytest.mark.parametrize("alg, flags", [("it", ("--max-iter", "50")), ("apg", ()), ("ialm", ())],
+                         ids=["it", "apg", "ialm"])
+def test_check_verdict_on_solve_trace(tmp_path, alg, flags):
     out = tmp_path / "inst"
     run("gen", "--kind", "rpca", "--m", "30", "--r", "2",
         "--frac", "0.05", "--seed", "11", "--out", str(out))
     trace = tmp_path / "trace.json"
-    run("solve-rpca", "--alg", "ialm", "--input", str(out / "d.csv"),
-        "--trace", str(trace))
+    run("solve-rpca", "--alg", alg, "--input", str(out / "d.csv"),
+        "--trace", str(trace), *flags)
     verdict = tmp_path / "verdict.json"
     assert run("check", "--trace", str(trace),
                "--manifest", str(out / "manifest.json"),
                "--out", str(verdict)) == 0
     v = json.loads(verdict.read_text())
     assert v["ok"]
-    assert any(c["invariant"] == "mu_adaptive_rule" and c["status"] == "pass"
-               for c in v["checks"])
+    assert alg != "ialm" or any(c["invariant"] == "mu_adaptive_rule" and c["status"] == "pass"
+                                for c in v["checks"])
 
 
 def test_solve_rpca_wrong_shaped_truth_exits_two(tmp_path, capsys):

@@ -91,6 +91,30 @@ def test_zero_input_short_circuits(solver):
     assert res.rank == 0 and res.e_card == 0
 
 
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_only_alm_solvers_return_a_multiplier(solver, small_instance):
+    # IT's Y is the dual variable of its tau-relaxed program, not a dual
+    # point of the program, so IT returns none, as APG does; so does the
+    # zero-input result of either, and every result records its lam
+    for D in (small_instance.d, np.zeros_like(small_instance.d)):
+        res = solver(D)
+        assert (res.Y is None) == (res.algorithm in ("it", "apg"))
+        assert res.lam == small_instance.lam
+
+
+@pytest.mark.parametrize("solver", [solve_ialm, solve_ealm])
+def test_report_gauges_the_multiplier_against_the_solves_lam(solver):
+    # a bare report gauges Y against the solve's lam, not 1/sqrt(rows): on
+    # this IALM solve those read |Y|_inf / lam = 1.064 and 0.412
+    cfg = RpcaConfig(lam=0.05)
+    res = solver(gen_rpca(60, 3, 0.05, 1).d, cfg)
+    assert res.lam == 0.05
+    bare, configured = res.report()["final"], res.report(config=cfg)["final"]
+    for key in ("spectral_y", "linf_y_over_lambda"):
+        assert bare[key] == configured[key]
+    assert configured["linf_y_over_lambda"] == np.abs(res.Y).max() / 0.05
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
 def test_empty_input_rejected(solver, shape):
@@ -127,7 +151,8 @@ def test_config_validation():
 
 
 _NEVER_WORK = [(f, v) for f in ("mu0", "rho", "eps1", "eps2") for v in (np.nan, np.inf)] \
-    + [("eps1", None), ("eps2", None), ("max_iter", 2.5), ("max_iter", True)]
+    + [("eps1", None), ("eps2", None), ("max_iter", 2.5), ("max_iter", True),
+       ("keep_iterates", "yes"), ("keep_iterates", 1)]
 
 
 @pytest.mark.parametrize("config, field, value",
@@ -137,7 +162,8 @@ _NEVER_WORK = [(f, v) for f in ("mu0", "rho", "eps1", "eps2") for v in (np.nan, 
 def test_config_rejects_values_that_never_work(config, field, value):
     # a NaN tolerance never stops a solve, and a non-finite penalty, a None
     # tolerance (None means "the default" only where there is one) or a
-    # fractional iteration count fails only mid-solve
+    # fractional iteration count fails only mid-solve; a keep_iterates that is
+    # not a bool would be read as its truth value
     with pytest.raises(ValueError, match=field):
         config(**{field: value})
 
