@@ -11,8 +11,8 @@ depend on the memory layout of its input.
 The two dense size gates price different algorithms. :data:`_FULL_SVD_DIM`
 (150) is where ARPACK's top-1 Lanczos run starts to beat LAPACK
 (:func:`spectral_norm`). Above :data:`_BLOCK_MIN_DIM` (65) the dense SVT's
-block iteration, which reuses the previous call's subspace, is no slower than
-one LAPACK SVD per threshold for any recovery solver."""
+block iteration, which restarts from the previous call's block, is no slower
+than one LAPACK SVD per threshold for any recovery solver."""
 
 from __future__ import annotations
 
@@ -335,9 +335,10 @@ def _block_svd(W, eps, k, v0):
     Chebyshev-filtered block subspace iteration with Rayleigh-Ritz.
 
     The block has ``k + _BLOCK_OVERSAMPLE`` columns: the leading ones are
-    ``v0`` (a guess of the right singular subspace, e.g. the previous SVT's
-    ``V``; may be None, narrower or wider than the block, or rank deficient),
-    the rest Gaussian from a Philox stream keyed by ``_BLOCK_KEY``. It stops
+    ``v0`` (a guess of the right singular subspace, e.g. the block the
+    previous SVT returned; may be None, narrower or wider than the block, or
+    rank deficient), the rest Gaussian from a Philox stream keyed by
+    ``_BLOCK_KEY``. It stops
     when every Ritz triplet among the top ``k`` with value above ``eps`` has
     residual at most ``_BLOCK_TOL`` times the largest value, and every one at
     or below ``eps`` has that residual too or satisfies ``s + res < eps``, the
@@ -349,12 +350,14 @@ def _block_svd(W, eps, k, v0):
     above ``eps`` proves the hint saturated: ``k`` doubles and the block grows
     in place.
 
-    Returns the top-``k`` :class:`TruncatedSVD` at the final ``k``, or None
+    Returns every Ritz triplet of the block it stopped on as a
+    :class:`TruncatedSVD`: the top ``k`` at the final ``k``, then the others
+    (``_BLOCK_OVERSAMPLE`` of them once min(m, n) > 12). It returns None
     when ``k`` would pass the :data:`_FULL_SVD_FRACTION` share of min(m, n) or
     the filter has spent ``_BLOCK_MAX_STEPS`` products with ``W.T @ W`` (the
     caller then takes the full decomposition). The values past the last one
-    above ``eps`` are Ritz values certified below ``eps``, not necessarily
-    converged.
+    above ``eps`` are Ritz values at or below it, certified so among the top
+    ``k``, and not necessarily converged.
     """
     m, n = W.shape
     d = min(m, n)
@@ -383,7 +386,7 @@ def _block_svd(W, eps, k, v0):
         tol = _BLOCK_TOL * s[0]
         lagging = (res[:k] > tol) & ((s[:k] > eps) | (s[:k] + res[:k] >= eps) | cold)
         if not lagging.any():
-            return TruncatedSVD(Ut[:k].T, s[:k], Vt[:k].T)
+            return TruncatedSVD(Ut.T, s, Vt.T)
         cold = False  # a power or filter step follows
         if s[-1] == 0.0:
             # the block holds a null vector of W, so the filter interval
@@ -416,19 +419,26 @@ def svt_triplets(W, eps, sv_hint, v0=None):
 
     When the small dimension exceeds :data:`_BLOCK_MIN_DIM` and the hint is
     within the :data:`_FULL_SVD_FRACTION` share of it, a block iteration
-    (:func:`_block_svd`) warm-started from ``v0``, the right singular vectors
-    of a nearby matrix (typically the previous call's ``tsvd.V``), computes
-    the top ``sv_hint`` triplets; while every computed value clears the
-    threshold the hint doubles, so nothing above ``eps`` is missed. Every
+    (:func:`_block_svd`) warm-started from ``v0``, the right vectors of a
+    nearby matrix (typically the ``block`` the previous call returned),
+    computes the top ``sv_hint`` triplets; while every computed value clears
+    the threshold the hint doubles, so nothing above ``eps`` is missed. Every
     other input, and every block fallback, takes all min(m, n) triplets from
     one full LAPACK SVD; ``v0`` is then ignored. The gate is lower than
     ARPACK's :data:`_FULL_SVD_DIM`: a warm-started block needs few products
     with ``W`` per call, a cold Lanczos run many.
 
-    Returns ``(tsvd, svp, s_raw)`` where ``tsvd`` holds the ``svp`` thresholded
-    triplets and ``s_raw`` the raw singular values computed: every one on the
-    LAPACK route, those at the final hint on the block route (where the values
-    below ``eps`` are only certified to be below it).
+    Returns ``(tsvd, svp, s_raw, block)`` where ``tsvd`` holds the ``svp``
+    thresholded triplets and ``s_raw`` the raw singular values computed: every
+    one on the LAPACK route, those at the final hint on the block route (where
+    the values below ``eps`` are only certified to be below it). ``block``
+    warm-starts the next call: the whole right Ritz block the block route
+    stopped on, its oversampling vectors included, or the LAPACK SVD's ``V``
+    (n x min(m, n)). It is None when nothing was kept,
+    so the next block starts cold: such a call stops once every Ritz value is
+    certified below its threshold, converged or not, so its block need not
+    hold the top singular vectors, and a block warm-started from it can
+    certify below ``eps`` off its first Rayleigh-Ritz step a value above it.
     """
     if not eps >= 0:
         raise ValueError("svt threshold must be nonnegative")
@@ -439,10 +449,14 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     if d > _BLOCK_MIN_DIM and sv <= _FULL_SVD_FRACTION * d:
         t = _block_svd(W, eps, sv, v0)
     if t is None:
-        t = _full_svd(W, d)
+        t, n_raw = _full_svd(W, d), d
+    else:
+        # the block has k + _BLOCK_OVERSAMPLE columns: k is within a fifth of
+        # d > _BLOCK_MIN_DIM, so the sum is below d
+        n_raw = t.s.size - _BLOCK_OVERSAMPLE
     svp = int((t.s > eps).sum())
     kept = TruncatedSVD(t.U[:, :svp].copy(), t.s[:svp] - eps, t.V[:, :svp].copy())
-    return kept, svp, t.s
+    return kept, svp, t.s[:n_raw], t.V if svp else None
 
 
 def spectral_norm(W):

@@ -282,11 +282,11 @@ def solve_it(D, cfg=None):
         return _zero_result(D, "it", lam)
     tau = IT_TAU_FACTOR * spectral_norm(D)
     A = E = Y = np.zeros_like(D)
-    kept = None
+    block = None
 
     def step(k, tau, sv):
-        nonlocal A, E, Y, kept
-        kept, svp, s_raw = svt_triplets(Y, tau, sv, v0=None if kept is None else kept.V)
+        nonlocal A, E, Y, block
+        kept, svp, s_raw, block = svt_triplets(Y, tau, sv, v0=block)
         A = kept.compose()
         E_next = shrink(Y, lam * tau)
         R = D - A - E_next
@@ -317,16 +317,15 @@ def solve_apg(D, cfg=None):
     mu_bar = APG_MU_BAR_FACTOR * mu
     A = A_prev = E = E_prev = np.zeros_like(D)
     t = t_prev = 1.0
-    kept = None
+    block = None
 
     def step(k, mu, sv):
-        nonlocal A, A_prev, E, E_prev, t, t_prev, kept
+        nonlocal A, A_prev, E, E_prev, t, t_prev, block
         coef = (t_prev - 1.0) / t
         YA = A + coef * (A - A_prev)
         YE = E + coef * (E - E_prev)
         half = 0.5 * (YA + YE - D)
-        kept, svp, s_raw = svt_triplets(YA - half, mu / 2.0, sv,
-                                        v0=None if kept is None else kept.V)
+        kept, svp, s_raw, block = svt_triplets(YA - half, mu / 2.0, sv, v0=block)
         A_prev, A = A, kept.compose()
         E_prev, E = E, shrink(YE - half, lam * mu / 2.0)
         t_prev, t = t, t_next(t)
@@ -358,12 +357,11 @@ def solve_ealm(D, cfg=None):
     mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / spectral_norm(D)
     rho = cfg.rho if cfg.rho is not None else 6.0
     A = E = E_k = np.zeros_like(D)
-    kept = None
+    block = None
 
     def step(k, mu, sv):
-        nonlocal A, E, E_k, Y, kept
-        kept, svp, s_raw = svt_triplets(D - E + Y / mu, 1.0 / mu, sv,
-                                        v0=None if kept is None else kept.V)
+        nonlocal A, E, E_k, Y, block
+        kept, svp, s_raw, block = svt_triplets(D - E + Y / mu, 1.0 / mu, sv, v0=block)
         A_next = kept.compose()
         E_next = shrink(D - A_next + Y / mu, lam / mu)
         solved = (np.linalg.norm(A_next - A) / dnorm < cfg.inner_tol
@@ -399,7 +397,7 @@ def solve_ialm(D, cfg=None):
     rho = cfg.rho if cfg.rho is not None else IALM_RHO
     Y = _dual_start(D, norm2, lam)
     A, E, T = np.zeros(D.shape), np.zeros(D.shape), np.empty(D.shape)
-    kept = None
+    block = None
 
     def step(k, mu, sv):
         # one sweep in place over A, E, Y and the work matrix T, allocating no
@@ -407,7 +405,7 @@ def solve_ialm(D, cfg=None):
         # shrink(D - A + Y / mu), D - E + Y / mu and Y + mu * R would form it,
         # so the bits are theirs. The new E lands in the old A's array and the
         # new A in the old E's; T holds no result
-        nonlocal A, E, Y, T, kept
+        nonlocal A, E, Y, T, block
         np.subtract(D, A, out=T)
         T += np.divide(Y, mu, out=A)
         shrink(T, lam / mu, out=A)
@@ -415,7 +413,7 @@ def solve_ialm(D, cfg=None):
         A, E = E, A
         np.subtract(D, E, out=T)
         T += np.divide(Y, mu, out=A)
-        kept, svp, s_raw = svt_triplets(T, 1.0 / mu, sv, v0=None if kept is None else kept.V)
+        kept, svp, s_raw, block = svt_triplets(T, 1.0 / mu, sv, v0=block)
         kept.compose(out=A)
         np.subtract(D, A, out=T)
         T -= E

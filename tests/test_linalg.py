@@ -239,7 +239,7 @@ def test_lanczos_failure_falls_back_to_lapack(monkeypatch, error):
 # ------------------------------------------------------------------- svt
 
 def test_svt_diagonal_example():
-    kept, svp, _ = svt_triplets(np.diag([3.0, 1.0, 0.2]), 0.5, 3)
+    kept, svp, _, _ = svt_triplets(np.diag([3.0, 1.0, 0.2]), 0.5, 3)
     assert svp == 2
     assert np.allclose(kept.compose(), np.diag([2.5, 0.5, 0.0]), atol=1e-12)
 
@@ -247,7 +247,7 @@ def test_svt_diagonal_example():
 def test_svt_zero_eps_is_identity():
     g = rng(9)
     W = g.standard_normal((6, 6))
-    kept, svp, _ = svt_triplets(W, 0.0, 6)
+    kept, svp, _, _ = svt_triplets(W, 0.0, 6)
     assert np.allclose(kept.compose(), W, atol=1e-10)
     assert svp == 6
 
@@ -270,7 +270,7 @@ def test_svt_threshold_consistency():
     for _ in range(20):
         W = g.standard_normal((7, 5)) * g.uniform(0.2, 3)
         eps = float(g.uniform(0.1, 2))
-        kept, svp, s_raw = svt_triplets(W, eps, 5)
+        kept, svp, s_raw, _ = svt_triplets(W, eps, 5)
         assert (s_raw[:svp] > eps - 1e-12).all()
         assert (s_raw[svp:] <= eps + 1e-12).all()
         # retained values in the output are the shifted ones
@@ -285,7 +285,7 @@ def test_svt_hint_reexpansion_catches_everything():
     U, _ = np.linalg.qr(g.standard_normal((10, 4)))
     V, _ = np.linalg.qr(g.standard_normal((8, 4)))
     W = (U * np.array([9.0, 8.0, 7.0, 6.0])) @ V.T
-    kept, svp, _ = svt_triplets(W, 0.5, 1)
+    kept, svp, _, _ = svt_triplets(W, 0.5, 1)
     assert svp == 4
     s = np.linalg.svd(kept.compose(), compute_uv=False)
     assert np.allclose(s[:4], [8.5, 7.5, 6.5, 5.5], atol=1e-9)
@@ -295,7 +295,7 @@ def test_svt_hint_out_of_range():
     # on the LAPACK route every hint, past min(m, n) or below 1, gives all
     # min(m, n) values
     for hint in (5, 0, -3):
-        kept, svp, s_raw = svt_triplets(np.eye(4), 0.1, hint)
+        kept, svp, s_raw, _ = svt_triplets(np.eye(4), 0.1, hint)
         assert svp == 4 and s_raw.size == 4
         assert np.allclose(kept.compose(), 0.9 * np.eye(4), atol=1e-12)
     with pytest.raises(ValueError):
@@ -324,9 +324,9 @@ def with_spectrum(m, n, s, seed):
 
 
 def assert_matches_full(W, eps, hint, v0=None):
-    kb, svp_b, s_b = svt_triplets(W, eps, hint, v0=v0)
+    kb, svp_b, s_b, _ = svt_triplets(W, eps, hint, v0=v0)
     with mock.patch.object(ll, "_BLOCK_MIN_DIM", min(W.shape)):
-        kf, svp_f, s_f = svt_triplets(W, eps, hint)
+        kf, svp_f, s_f, _ = svt_triplets(W, eps, hint)
     assert svp_b == svp_f
     d = min(W.shape)
     assert predict_rank(svp_b, len(s_b), d) == predict_rank(svp_f, len(s_f), d)
@@ -386,13 +386,27 @@ def test_block_svt_threshold_above_top_value(shape):
     assert len(s_raw) == 12 and (s_raw < 1.5 * s1).all()
 
 
+@pytest.mark.parametrize("d", [ll._BLOCK_MIN_DIM, ll._BLOCK_MIN_DIM + 35])
+def test_svt_that_keeps_nothing_passes_no_warm_start(d):
+    # the cold rule, on the LAPACK and the block route: an SVT that kept
+    # nothing stopped once its values were certified below the threshold,
+    # converged or not, so the next block starts cold. Warmed from such a
+    # block, APG on corrupted_low_rank(160, 240, 1) certified a Ritz value of
+    # 0.546 eps at its 20th SVT where sigma_1 = 1.0016 eps, and kept nothing
+    W = with_spectrum(d + 20, d, list(np.linspace(10.0, 2.0, 5)) + [0.5] * (d - 5), 36)
+    assert svt_triplets(W, 11.0, 6)[3] is None
+    kept, svp, _, block = svt_triplets(W, 9.0, 6)
+    assert svp == 1 and block.shape == (d, d if d <= ll._BLOCK_MIN_DIM else 16)
+    assert np.array_equal(block[:, :1], kept.V)
+
+
 def test_block_svt_saturation_past_fraction_falls_back_to_full():
     # 60 values above eps from a hint of 8: the block doubles in place to 16
     # and 32, then 64 passes 20% of 200 and the full SVD takes all 200 values
     s = list(np.linspace(10.0, 2.0, 60)) + list(np.linspace(0.5, 0.0, 140))
     W = with_spectrum(250, 200, s, 22)
     with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
-        kept, svp, s_raw = svt_triplets(W, 1.0, 8)
+        kept, svp, s_raw, _ = svt_triplets(W, 1.0, 8)
     assert full.call_count == 1
     assert svp == 60 and len(s_raw) == 200
     assert_matches_full(W, 1.0, 8)
@@ -402,7 +416,7 @@ def test_block_svt_saturation_within_fraction_grows_in_place():
     s = list(np.linspace(10.0, 2.0, 30)) + list(np.linspace(0.5, 0.0, 170))
     W = with_spectrum(200, 220, s, 23)
     with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
-        _, svp, s_raw = svt_triplets(W, 1.0, 5)
+        _, svp, s_raw, _ = svt_triplets(W, 1.0, 5)
     assert full.call_count == 0
     assert svp == 30 and len(s_raw) == 40
     assert_matches_full(W, 1.0, 5)
@@ -413,7 +427,7 @@ def test_block_svt_step_cap_falls_back_to_full(monkeypatch):
     W = rng(24).standard_normal((260, 240))
     eps = 0.8 * np.linalg.svd(W, compute_uv=False)[0]
     with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
-        _, svp, s_raw = svt_triplets(W, eps, 10)
+        _, svp, s_raw, _ = svt_triplets(W, eps, 10)
     # one LAPACK SVD, which gives all 240 values
     assert full.call_count == 1
     assert svp == 26 and len(s_raw) == 240
@@ -430,7 +444,7 @@ def test_block_route_starts_just_above_its_gate(tall):
         W = with_spectrum(*shape, s, 34)
         with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full, \
                 mock.patch.object(ll, "_block_svd", wraps=ll._block_svd) as block:
-            _, svp, _ = svt_triplets(W, 1.0, 6)
+            _, svp, _, _ = svt_triplets(W, 1.0, 6)
         assert (full.call_count, block.call_count) == routes
         assert svp == 5
 
@@ -486,7 +500,7 @@ def test_full_svt_takes_every_value_from_one_decomposition():
     s = list(np.linspace(10.0, 2.0, 10)) + list(np.linspace(0.5, 0.0, 30))
     W = with_spectrum(60, 40, s, 33)
     with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full:
-        kept, svp, s_raw = svt_triplets(W, 1.0, 3)
+        kept, svp, s_raw, _ = svt_triplets(W, 1.0, 3)
     assert full.call_count == 1
     assert svp == 10 and len(s_raw) == 40
     assert np.allclose(s_raw, s, rtol=1e-12, atol=1e-14)
@@ -517,7 +531,7 @@ def test_svt_hint_is_saturated_only_at_full_dimension(route, r_frac, hint_frac, 
     W = with_spectrum(*((d + extra, d) if tall else (d, d + extra)), s, seed)
     with mock.patch.object(ll, "_full_svd", wraps=ll._full_svd) as full, \
             mock.patch.object(ll, "_block_svd", wraps=ll._block_svd) as block:
-        _, svp, s_raw = svt_triplets(W, 1.0, hint)
+        _, svp, s_raw, _ = svt_triplets(W, 1.0, hint)
     assert (block.call_count, full.call_count) == calls
     assert svp == r
     assert svp < len(s_raw) or len(s_raw) == d
@@ -539,11 +553,11 @@ def test_block_svt_null_vector_power_step(eps):
 
     with mock.patch.object(ll, "_rayleigh_ritz", spy), \
             mock.patch.object(ll, "_orth_rows", wraps=ll._orth_rows) as orth:
-        kept, svp, s_raw = svt_triplets(W, eps, 3)
+        kept, svp, s_raw, _ = svt_triplets(W, eps, 3)
     powered = [Zt for _, s, _, Zt, _ in steps if s[-1] == 0.0]
     assert any(call.args[0] is Zt for call in orth.call_args_list for Zt in powered)
     with mock.patch.object(ll, "_BLOCK_MIN_DIM", 100):
-        ref, ref_svp, _ = svt_triplets(W, eps, 3)
+        ref, ref_svp, _, _ = svt_triplets(W, eps, 3)
     assert svp == ref_svp == (1 if eps < 3.0 else 0)
     assert s_raw[0] == pytest.approx(3.0, rel=1e-14)
     assert np.allclose(kept.s, ref.s, rtol=1e-14)
@@ -564,6 +578,20 @@ def test_block_svt_stale_warm_starts():
         assert_matches_full(W, 1.0, 13, v0=v0)
 
 
+def test_block_svt_restarted_from_its_block_takes_one_rayleigh_ritz_step():
+    # a call restarted from the block it returned, oversampling vectors
+    # included, on the same matrix stops at its first Rayleigh-Ritz step (a
+    # cold start takes four)
+    s = list(np.linspace(10.0, 2.0, 12)) + list(np.linspace(0.5, 0.0, 180))
+    W = with_spectrum(230, 192, s, 25)
+    first = svt_triplets(W, 1.0, 13)
+    with mock.patch.object(ll, "_rayleigh_ritz", wraps=ll._rayleigh_ritz) as rr:
+        kept, svp, s_raw, block = svt_triplets(W, 1.0, 13, v0=first[3])
+    assert rr.call_count == 1
+    assert svp == first[1] == 12 and len(s_raw) == 13 and block.shape == (192, 23)
+    assert_matches_full(W, 1.0, 13, v0=first[3])
+
+
 def test_block_svt_warm_start_wrong_length_rejected():
     W = rng(27).standard_normal((200, 180))
     with pytest.raises(ValueError):
@@ -577,7 +605,14 @@ def test_block_svt_is_bit_reproducible():
     a = svt_triplets(W, 1.0, 16, v0=v0)
     b = svt_triplets(W.copy(), 1.0, 16, v0=v0.copy())
     assert a[1] == b[1]
-    for x, y in ((a[0].U, b[0].U), (a[0].s, b[0].s), (a[0].V, b[0].V), (a[2], b[2])):
+    for x, y in ((a[0].U, b[0].U), (a[0].s, b[0].s), (a[0].V, b[0].V), (a[2], b[2]),
+                 (a[3], b[3])):
+        assert np.array_equal(x, y)
+    # and so is a call restarted from the block
+    c = svt_triplets(W, 1.0, 16, v0=a[3])
+    d = svt_triplets(W.copy(), 1.0, 16, v0=b[3].copy())
+    assert c[1] == d[1]
+    for x, y in zip((c[0].U, c[0].s, c[0].V, c[2], c[3]), (d[0].U, d[0].s, d[0].V, d[2], d[3])):
         assert np.array_equal(x, y)
 
 

@@ -247,7 +247,8 @@ def test_it_needs_orders_of_magnitude_more_iterations():
 def test_each_record_is_one_svt_with_a_predicted_hint_and_warm_start(solver, monkeypatch):
     # every solver makes one SVT per record, EALM's sweeps included: the first
     # hint is the solver's SV0_DEFAULTS entry, each later one comes from
-    # predict_rank, and each call starts from the previous V. A record's
+    # predict_rank, and each call starts from the block the previous call
+    # returned, which is None after an SVT that kept nothing. A record's
     # sv_pred is min(m, n) exactly where its SVT took the full LAPACK SVD
     import lowrank.linalg as ll
     import lowrank.rpca as rpca
@@ -269,10 +270,10 @@ def test_each_record_is_one_svt_with_a_predicted_hint_and_warm_start(solver, mon
     res = solver(inst.d, RpcaConfig(max_iter=30))
     assert len(calls) == len(res.trace) == res.iterations == res.svd_count
     assert calls[0][0] == rpca.SV0_DEFAULTS[res.algorithm] and calls[0][1] is None
-    for (_, _, (kept, svp, s_raw)), nxt, rec in zip(calls, calls[1:], res.trace):
+    for (_, _, (kept, svp, s_raw, block)), nxt, rec in zip(calls, calls[1:], res.trace):
         assert rec.sv_pred == len(s_raw) and rec.svp == svp
         assert nxt[0] == predict_rank(svp, len(s_raw), 100)
-        assert nxt[1] is kept.V
+        assert nxt[1] is block and (block is None) == (svp == 0)
     assert [rec.sv_pred == 100 for rec in res.trace] == [i in lapack for i in range(len(calls))]
     assert lapack or res.algorithm != "ealm"
 
