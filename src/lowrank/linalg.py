@@ -373,6 +373,8 @@ def _block_svd(W, eps, k, v0):
     cold = nv == 0
     steps = 0
     while steps < _BLOCK_MAX_STEPS:
+        # drop the last step's blocks before this one allocates as many again
+        Ut = Vt = Zt = X = X_prev = None
         Ut, s, Vt, Zt, res = _rayleigh_ritz(W, Qt)
         steps += 1
         if s[k - 1] > eps:

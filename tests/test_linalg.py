@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -420,6 +421,26 @@ def test_block_svt_saturation_within_fraction_grows_in_place():
     assert full.call_count == 0
     assert svp == 30 and len(s_raw) == 40
     assert_matches_full(W, 1.0, 5)
+
+
+def test_block_svt_releases_each_steps_blocks_before_the_next():
+    # a Rayleigh-Ritz step allocates several b x max(m, n) blocks; with the
+    # last step's Ut, Vt, Zt and filter blocks still alive, this doubling
+    # from 10 to 80 (b = 90) peaked at 12.0 such blocks, and peaks at 7.9
+    s = list(np.linspace(10.0, 2.0, 60)) + list(np.linspace(0.5, 0.0, 440))
+    W = with_spectrum(500, 600, s, 37)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        t = ll._block_svd(W, 1.0, 10, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert t.s.size == 90
+    assert peak <= 9.5 * 90 * 600 * 8
 
 
 def test_block_svt_step_cap_falls_back_to_full(monkeypatch):
