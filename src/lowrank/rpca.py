@@ -140,9 +140,11 @@ class Iterate:
 @dataclass
 class SolveResult:
     """Any solver's outcome, with at least one trace record, a recovery solve's
-    ``lam`` and EALM's or IALM's multiplier ``Y``. Completion (``"mc-ialm"``)
-    holds ``A`` as a ``TruncatedSVD`` (``A.s`` the thresholded singular values,
-    ``A.compose()`` the dense matrix) and no ``E``, ``Y`` or ``lam``."""
+    ``lam`` and EALM's or IALM's multiplier ``Y`` and penalty growth ``rho``
+    (IALM's with the dual tolerance ``eps2`` that gates it). Completion
+    (``"mc-ialm"``) holds ``A`` as a ``TruncatedSVD`` (``A.s`` the thresholded
+    singular values, ``A.compose()`` the dense matrix) and no ``E``, ``Y``,
+    ``lam``, ``rho`` or ``eps2``."""
 
     A: np.ndarray
     E: np.ndarray | None
@@ -152,6 +154,8 @@ class SolveResult:
     Y: np.ndarray | None = None
     iterates: list[Iterate] | None = None
     lam: float | None = None
+    rho: float | None = None
+    eps2: float | None = None
 
     @property
     def iterations(self):
@@ -175,9 +179,10 @@ class SolveResult:
 
     def report(self, config=None, a_star=None):
         """The ``lowrank.solve.v1`` dict: config echo, counts (``e_card`` only
-        with a dense ``E``), final residuals and the full trace. A nonzero
-        final ``Y`` adds its gauge values against the solve's ``lam``;
-        ``a_star`` adds the relative error of ``A``."""
+        with a dense ``E``), final residuals and the full trace. The penalty
+        schedule the solve ran (``rho``, ``eps2``) adds a ``schedule`` block,
+        and a nonzero final ``Y`` its gauge values against the solve's
+        ``lam``; ``a_star`` adds the relative error of ``A``."""
         last = self.trace[-1]
         out = {
             "schema": "lowrank.solve.v1",
@@ -192,6 +197,9 @@ class SolveResult:
         }
         if config is not None:
             out["config"] = config.to_dict()
+        schedule = {k: v for k, v in (("rho", self.rho), ("eps2", self.eps2)) if v is not None}
+        if schedule:
+            out["schedule"] = schedule
         Y = self.Y
         if Y is not None and Y.any():
             out["final"]["spectral_y"] = spectral_norm(Y)
@@ -377,7 +385,8 @@ def solve_ealm(D, cfg=None):
         return rec, True, _grow(mu, rho), lambda: Iterate(A, E, Y, mu)
 
     converged, trace, iterates = _loop(step, cfg, mu, d, "ealm")
-    return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates, lam=lam)
+    return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates, lam=lam,
+                       rho=rho)
 
 
 def solve_ialm(D, cfg=None):
@@ -428,7 +437,8 @@ def solve_ialm(D, cfg=None):
                 lambda: Iterate(A.copy(), E.copy(), Y.copy(), mu))
 
     converged, trace, iterates = _loop(step, cfg, mu, d, "ialm")
-    return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates, lam=lam)
+    return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates, lam=lam,
+                       rho=rho, eps2=cfg.eps2)
 
 
 def _loop(step, cfg, mu, d, algorithm):

@@ -211,6 +211,7 @@ def test_verify_report_dual_feasibility_bands(inst20, sp, li, status):
 @pytest.mark.parametrize("block, field", [
     ("trace", "feas"), ("trace", "dual_est"), ("trace", "mu"), ("trace", "rank_a"),
     ("config", "eps1"), ("config", "eps2"), ("config", "rho"),
+    ("schedule", "rho"), ("schedule", "eps2"),
     ("final", "spectral_y"), ("final", "linf_y_over_lambda"),
 ])
 def test_verify_report_refuses_booleans_as_numbers(inst20, block, field):
@@ -222,6 +223,21 @@ def test_verify_report_refuses_booleans_as_numbers(inst20, block, field):
     where = f"trace[{len(rep['trace']) - 1}]" if block == "trace" else block
     with pytest.raises(ValueError, match=re.escape(f"'{where}.{field}'")):
         verify_report(rep)
+
+
+@pytest.mark.parametrize("cfg", [RpcaConfig(rho=2.0), RpcaConfig(eps2=1e-4)])
+def test_verify_report_reads_the_schedule_the_ialm_solve_ran(cfg):
+    # a bare report carries the rho and eps2 the solve ran, so a correct solve
+    # with non-default ones passes without config=; without that block the
+    # check falls back to the defaults and reads fail
+    res = solve_ialm(gen_rpca(60, 3, 0.05, 1).d, cfg)
+    bare = res.report()
+    assert bare["schedule"] == {"rho": cfg.rho or 1.6, "eps2": cfg.eps2}
+    assert (res.rho, res.eps2) == (cfg.rho or 1.6, cfg.eps2)
+    for rep, want in ((bare, "pass"), (res.report(config=cfg), "pass"),
+                      ({k: v for k, v in bare.items() if k != "schedule"}, "fail")):
+        by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
+        assert by_name["mu_adaptive_rule"] == want
 
 
 def test_verify_report_catches_tampered_mu(inst20):
@@ -238,6 +254,7 @@ def test_verify_report_checks_the_ealm_penalty_path(inst20):
     # steps, never lowered
     cfg = RpcaConfig()
     rep = solve_ealm(inst20.d, cfg).report(config=cfg)
+    assert rep["schedule"] == {"rho": 6.0}
     by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
     assert by_name["mu_nondecreasing"] == "pass"
     rep["trace"][-1]["mu"] = rep["trace"][0]["mu"] / 2
