@@ -108,8 +108,8 @@ def _check(name, status, detail):
 def _report_fields(report, manifest):
     """The trace, config, schedule and final block of a report, once every
     field that :func:`verify_report` reads holds its JSON type; ``ValueError``
-    names the first that is missing or mistyped. A JSON boolean is not a number here,
-    though Python's ``bool`` is an ``int``."""
+    names the first that is missing or mistyped. A JSON boolean is not a
+    number here, though Python's ``bool`` is an ``int``."""
     def need(ok, field, kind):
         if not ok:
             raise ValueError(f"report field {field!r} must be {kind}")

@@ -434,13 +434,15 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     thresholded triplets and ``s_raw`` the raw singular values computed: every
     one on the LAPACK route, those at the final hint on the block route (where
     the values below ``eps`` are only certified to be below it). ``block``
-    warm-starts the next call: the whole right Ritz block the block route
-    stopped on, its oversampling vectors included, or the LAPACK SVD's ``V``
-    (n x min(m, n)). It is None when nothing was kept,
-    so the next block starts cold: such a call stops once every Ritz value is
-    certified below its threshold, converged or not, so its block need not
-    hold the top singular vectors, and a block warm-started from it can
-    certify below ``eps`` off its first Rayleigh-Ritz step a value above it.
+    warm-starts the next call: the leading right vectors of the Ritz block the
+    block route stopped on, or of the LAPACK SVD, as many as a block at the
+    hint ``svp + 1`` that :func:`~lowrank.rpca.predict_rank` gives next holds,
+    oversampling vectors included. It is a copy, so the decomposition's
+    factors are freed. It is None when nothing was kept, so the next block
+    starts cold: such a call stops once every Ritz value is certified below
+    its threshold, converged or not, so its block need not hold the top
+    singular vectors, and a block warm-started from it can certify below
+    ``eps`` off its first Rayleigh-Ritz step a value above it.
     """
     if not eps >= 0:
         raise ValueError("svt threshold must be nonnegative")
@@ -458,7 +460,8 @@ def svt_triplets(W, eps, sv_hint, v0=None):
         n_raw = t.s.size - _BLOCK_OVERSAMPLE
     svp = int((t.s > eps).sum())
     kept = TruncatedSVD(t.U[:, :svp].copy(), t.s[:svp] - eps, t.V[:, :svp].copy())
-    return kept, svp, t.s[:n_raw], t.V if svp else None
+    block = t.V[:, :min(svp + 1 + _BLOCK_OVERSAMPLE, d)].copy() if svp else None
+    return kept, svp, t.s[:n_raw], block
 
 
 def spectral_norm(W):

@@ -396,8 +396,10 @@ def test_svt_that_keeps_nothing_passes_no_warm_start(d):
     # 0.546 eps at its 20th SVT where sigma_1 = 1.0016 eps, and kept nothing
     W = with_spectrum(d + 20, d, list(np.linspace(10.0, 2.0, 5)) + [0.5] * (d - 5), 36)
     assert svt_triplets(W, 11.0, 6)[3] is None
+    # otherwise the block is as wide as one at the next hint, svp + 1, and
+    # owns its memory, so the decomposition it came from is freed
     kept, svp, _, block = svt_triplets(W, 9.0, 6)
-    assert svp == 1 and block.shape == (d, d if d <= ll._BLOCK_MIN_DIM else 16)
+    assert svp == 1 and block.shape == (d, 2 + ll._BLOCK_OVERSAMPLE) and block.flags.owndata
     assert np.array_equal(block[:, :1], kept.V)
 
 
