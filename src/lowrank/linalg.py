@@ -434,15 +434,14 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     thresholded triplets and ``s_raw`` the raw singular values computed: every
     one on the LAPACK route, those at the final hint on the block route (where
     the values below ``eps`` are only certified to be below it). ``block``
-    warm-starts the next call: the leading right vectors of the Ritz block the
-    block route stopped on, or of the LAPACK SVD, as many as a block at the
-    hint ``svp + 1`` that :func:`~lowrank.rpca.predict_rank` gives next holds,
-    oversampling vectors included. It is a copy, so the decomposition's
-    factors are freed. It is None when nothing was kept, so the next block
-    starts cold: such a call stops once every Ritz value is certified below
-    its threshold, converged or not, so its block need not hold the top
-    singular vectors, and a block warm-started from it can certify below
-    ``eps`` off its first Rayleigh-Ritz step a value above it.
+    warm-starts the next call: a copy of the leading right vectors of the
+    final Ritz block or of the LAPACK SVD, as many as a block at the next
+    hint, ``svp + 1`` (:func:`~lowrank.rpca.predict_rank`), holds, its
+    oversampling vectors included. It is None when nothing was kept, so the
+    next block starts cold: such a call stopped once its Ritz values were
+    certified below its threshold, converged or not, and a block warm-started
+    from them can certify a value above ``eps`` below it off its first
+    Rayleigh-Ritz step.
     """
     if not eps >= 0:
         raise ValueError("svt threshold must be nonnegative")
