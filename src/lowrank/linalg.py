@@ -330,11 +330,26 @@ def _rayleigh_ritz(W, Qt):
     return Ut, s, Vt, Zt, np.linalg.norm(Zt - s[:, None] * Vt, axis=1)
 
 
+@dataclass(frozen=True)
+class _RitzBlock(TruncatedSVD):
+    """The top-k triplets of a block iteration, and ``block`` (n x b), the
+    right Ritz vectors of the whole block of b = :func:`_block_width` columns
+    they came from."""
+
+    block: np.ndarray
+
+
+def _block_width(k, d):
+    """Columns of the block iteration at hint ``k``: ``k`` +
+    :data:`_BLOCK_OVERSAMPLE`, at most ``d``."""
+    return min(k + _BLOCK_OVERSAMPLE, d)
+
+
 def _block_svd(W, eps, k, v0):
     """Top-``k`` triplets of dense ``W`` for thresholding at ``eps``, by
     Chebyshev-filtered block subspace iteration with Rayleigh-Ritz.
 
-    The block has ``k + _BLOCK_OVERSAMPLE`` columns: the leading ones are
+    The block has :func:`_block_width` columns: the leading ones are
     ``v0`` (a guess of the right singular subspace, e.g. the block the
     previous SVT returned; may be None, narrower or wider than the block, or
     rank deficient), the rest Gaussian from a Philox stream keyed by
@@ -350,9 +365,9 @@ def _block_svd(W, eps, k, v0):
     above ``eps`` proves the hint saturated: ``k`` doubles and the block grows
     in place.
 
-    Returns every Ritz triplet of the block it stopped on as a
-    :class:`TruncatedSVD`: the top ``k`` at the final ``k``, then the others
-    (``_BLOCK_OVERSAMPLE`` of them once min(m, n) > 12). It returns None
+    Returns the top ``k`` Ritz triplets at the final ``k`` as a
+    :class:`_RitzBlock`, whose ``block`` holds the right Ritz vectors of the
+    whole block it stopped on, oversampling vectors included. It returns None
     when ``k`` would pass the :data:`_FULL_SVD_FRACTION` share of min(m, n) or
     the filter has spent ``_BLOCK_MAX_STEPS`` products with ``W.T @ W`` (the
     caller then takes the full decomposition). The values past the last one
@@ -362,7 +377,7 @@ def _block_svd(W, eps, k, v0):
     m, n = W.shape
     d = min(m, n)
     rng = np.random.Generator(np.random.Philox(key=_BLOCK_KEY))
-    b = min(k + _BLOCK_OVERSAMPLE, d)
+    b = _block_width(k, d)
     if v0 is None:
         v0 = np.zeros((n, 0))
     v0 = as_matrix(v0, "v0")
@@ -381,14 +396,14 @@ def _block_svd(W, eps, k, v0):
             k = min(2 * k, d)
             if k > _FULL_SVD_FRACTION * d:
                 return None
-            grown = min(k + _BLOCK_OVERSAMPLE, d)
+            grown = _block_width(k, d)
             Qt = _orth_rows(np.vstack([Vt, rng.standard_normal((grown - b, n))]))
             b = grown
             continue
         tol = _BLOCK_TOL * s[0]
         lagging = (res[:k] > tol) & ((s[:k] > eps) | (s[:k] + res[:k] >= eps) | cold)
         if not lagging.any():
-            return TruncatedSVD(Ut.T, s, Vt.T)
+            return _RitzBlock(Ut[:k].T, s[:k], Vt[:k].T, Vt.T)
         cold = False  # a power or filter step follows
         if s[-1] == 0.0:
             # the block holds a null vector of W, so the filter interval
@@ -434,10 +449,10 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     thresholded triplets and ``s_raw`` the raw singular values computed: every
     one on the LAPACK route, those at the final hint on the block route (where
     the values below ``eps`` are only certified to be below it). ``block``
-    warm-starts the next call: a copy of the leading right vectors of the
-    final Ritz block or of the LAPACK SVD, as many as a block at the next
-    hint, ``svp + 1`` (:func:`~lowrank.rpca.predict_rank`), holds, its
-    oversampling vectors included. It is None when nothing was kept, so the
+    warm-starts the next call: the right vectors of the whole Ritz block the
+    block route stopped on, oversampling vectors included, or a copy of the
+    LAPACK SVD's leading right vectors, as many as a block at the largest hint
+    the block route runs. It is None when nothing was kept, so the
     next block starts cold: such a call stopped once its Ritz values were
     certified below its threshold, converged or not, and a block warm-started
     from them can certify a value above ``eps`` below it off its first
@@ -452,15 +467,15 @@ def svt_triplets(W, eps, sv_hint, v0=None):
     if d > _BLOCK_MIN_DIM and sv <= _FULL_SVD_FRACTION * d:
         t = _block_svd(W, eps, sv, v0)
     if t is None:
-        t, n_raw = _full_svd(W, d), d
+        t = _full_svd(W, d)
+        # a copy, so the decomposition is freed: as many right vectors as a
+        # block takes at the largest hint the block route runs
+        block = t.V[:, :_block_width(int(_FULL_SVD_FRACTION * d), d)].copy()
     else:
-        # the block has k + _BLOCK_OVERSAMPLE columns: k is within a fifth of
-        # d > _BLOCK_MIN_DIM, so the sum is below d
-        n_raw = t.s.size - _BLOCK_OVERSAMPLE
+        block = t.block
     svp = int((t.s > eps).sum())
     kept = TruncatedSVD(t.U[:, :svp].copy(), t.s[:svp] - eps, t.V[:, :svp].copy())
-    block = t.V[:, :min(svp + 1 + _BLOCK_OVERSAMPLE, d)].copy() if svp else None
-    return kept, svp, t.s[:n_raw], block
+    return kept, svp, t.s, block if svp else None
 
 
 def spectral_norm(W):

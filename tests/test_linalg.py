@@ -396,10 +396,14 @@ def test_svt_that_keeps_nothing_passes_no_warm_start(d):
     # 0.546 eps at its 20th SVT where sigma_1 = 1.0016 eps, and kept nothing
     W = with_spectrum(d + 20, d, list(np.linspace(10.0, 2.0, 5)) + [0.5] * (d - 5), 36)
     assert svt_triplets(W, 11.0, 6)[3] is None
-    # otherwise the block is as wide as one at the next hint, svp + 1, and
-    # owns its memory, so the decomposition it came from is freed
+    # otherwise the block route passes its whole block, at the hint 6, and the
+    # LAPACK route as many vectors as a block at the largest hint, a fifth of
+    # d; neither holds on to more memory, so the decomposition it came from is
+    # freed
     kept, svp, _, block = svt_triplets(W, 9.0, 6)
-    assert svp == 1 and block.shape == (d, 2 + ll._BLOCK_OVERSAMPLE) and block.flags.owndata
+    width = 6 if d > ll._BLOCK_MIN_DIM else int(0.2 * d)
+    assert svp == 1 and block.shape == (d, width + ll._BLOCK_OVERSAMPLE)
+    assert (block if block.base is None else block.base).nbytes == block.nbytes
     assert np.array_equal(block[:, :1], kept.V)
 
 
@@ -441,7 +445,7 @@ def test_block_svt_releases_each_steps_blocks_before_the_next():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert t.s.size == 90
+    assert t.s.size == 80 and t.block.shape == (600, 90)
     assert peak <= 9.5 * 90 * 600 * 8
 
 
