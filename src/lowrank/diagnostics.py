@@ -106,10 +106,10 @@ def _check(name, status, detail):
 
 
 def _report_fields(report, manifest):
-    """The trace, config, schedule and final block of a report, once every
-    field that :func:`verify_report` reads holds its JSON type; ``ValueError``
-    names the first that is missing or mistyped. A JSON boolean is not a
-    number here, though Python's ``bool`` is an ``int``."""
+    """The trace, config and final block of a report, once every field that
+    :func:`verify_report` reads holds its JSON type; ``ValueError`` names the
+    first that is missing or mistyped. A JSON boolean is not a number here,
+    though Python's ``bool`` is an ``int``."""
     def need(ok, field, kind):
         if not ok:
             raise ValueError(f"report field {field!r} must be {kind}")
@@ -120,21 +120,18 @@ def _report_fields(report, manifest):
     if not isinstance(report, dict) or not isinstance(manifest, (dict, type(None))):
         raise ValueError("the report and the manifest must be JSON objects")
     trace, cfg, final = report.get("trace", []), report.get("config") or {}, report.get("final", {})
-    schedule = report.get("schedule") or {}
     need(isinstance(trace, list), "trace", "a list")
     for i, rec in enumerate(trace):
         need(isinstance(rec, dict), f"trace[{i}]", "an object")
         for k in ("feas", "dual_est", "mu", "rank_a"):
             need(number(rec.get(k)), f"trace[{i}].{k}", "a number")
-    for name, block, keys in (("config", cfg, ("eps1", "eps2", "rho")),
-                              ("schedule", schedule, ("rho", "eps2"))):
-        need(isinstance(block, dict), name, "an object")
-        for k in keys:
-            need(block.get(k) is None or number(block.get(k)), f"{name}.{k}", "a number or null")
+    need(isinstance(cfg, dict), "config", "an object")
+    for k in ("eps1", "eps2", "rho"):
+        need(cfg.get(k) is None or number(cfg.get(k)), f"config.{k}", "a number or null")
     need(isinstance(final, dict), "final", "an object")
     for k in ("spectral_y", "linf_y_over_lambda") if "spectral_y" in final else ():
         need(number(final.get(k)), f"final.{k}", "a number")
-    return trace, cfg, schedule, final
+    return trace, cfg, final
 
 
 def verify_report(report, manifest=None):
@@ -147,7 +144,7 @@ def verify_report(report, manifest=None):
     observation (warn only). A malformed report or manifest is a ``ValueError``.
     """
     checks = []
-    trace, cfg, schedule, final = _report_fields(report, manifest)
+    trace, cfg, final = _report_fields(report, manifest)
     algorithm = report.get("algorithm", "?")
     feas = [r["feas"] for r in trace]
     dual = [r["dual_est"] for r in trace]
@@ -164,9 +161,8 @@ def verify_report(report, manifest=None):
                              f"mu range [{min(mus):.3g}, {max(mus):.3g}]"))
 
     if algorithm == "ialm" and len(mus) > 1:
-        # the schedule the solve ran, else the config's, else the defaults
-        rho = schedule.get("rho") or cfg.get("rho") or IALM_RHO
-        eps2 = schedule.get("eps2") or cfg.get("eps2") or RpcaConfig.eps2
+        rho = cfg.get("rho") or IALM_RHO
+        eps2 = cfg.get("eps2") or RpcaConfig.eps2
         ok = True
         for k in range(len(mus) - 1):
             ratio = mus[k + 1] / mus[k]

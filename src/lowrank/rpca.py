@@ -11,7 +11,7 @@ All four share one config, result and trace model, and one loop
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -139,12 +139,12 @@ class Iterate:
 
 @dataclass
 class SolveResult:
-    """Any solver's outcome, with at least one trace record, a recovery solve's
-    ``lam`` and EALM's or IALM's multiplier ``Y`` and penalty growth ``rho``
-    (IALM's with the dual tolerance ``eps2`` that gates it). Completion
-    (``"mc-ialm"``) holds ``A`` as a ``TruncatedSVD`` (``A.s`` the thresholded
-    singular values, ``A.compose()`` the dense matrix) and no ``E``, ``Y``,
-    ``lam``, ``rho`` or ``eps2``."""
+    """Any solver's outcome, with at least one trace record, EALM's or IALM's
+    multiplier ``Y``, and a recovery solve's ``config``: the one it ran, with
+    the ``lam``, ``mu0`` and ``rho`` it took in place of the defaults (a zero
+    D resolves ``lam`` alone). Completion (``"mc-ialm"``) holds ``A`` as a
+    ``TruncatedSVD`` (``A.s`` the thresholded singular values, ``A.compose()``
+    the dense matrix) and no ``E``, ``Y`` or ``config``."""
 
     A: np.ndarray
     E: np.ndarray | None
@@ -153,9 +153,12 @@ class SolveResult:
     algorithm: str
     Y: np.ndarray | None = None
     iterates: list[Iterate] | None = None
-    lam: float | None = None
-    rho: float | None = None
-    eps2: float | None = None
+    config: RpcaConfig | None = None
+
+    @property
+    def lam(self):
+        """The sparsity weight of a recovery solve; None for completion."""
+        return self.config.lam if self.config is not None else None
 
     @property
     def iterations(self):
@@ -178,11 +181,11 @@ class SolveResult:
         return self.trace[-1].objective
 
     def report(self, config=None, a_star=None):
-        """The ``lowrank.solve.v1`` dict: config echo, counts (``e_card`` only
-        with a dense ``E``), final residuals and the full trace. The penalty
-        schedule the solve ran (``rho``, ``eps2``) adds a ``schedule`` block,
-        and a nonzero final ``Y`` its gauge values against the solve's
-        ``lam``; ``a_star`` adds the relative error of ``A``."""
+        """The ``lowrank.solve.v1`` dict: config echo (``config``, else the
+        result's own), counts (``e_card`` only with a dense ``E``), final
+        residuals and the full trace. A nonzero final ``Y`` adds its gauge
+        values against the solve's ``lam``; ``a_star`` adds the relative error
+        of ``A``."""
         last = self.trace[-1]
         out = {
             "schema": "lowrank.solve.v1",
@@ -195,11 +198,9 @@ class SolveResult:
             "final": {"feas": last.feas, "dual_est": last.dual_est, "objective": last.objective},
             "trace": [r.to_dict() for r in self.trace],
         }
+        config = config if config is not None else self.config
         if config is not None:
             out["config"] = config.to_dict()
-        schedule = {k: v for k, v in (("rho", self.rho), ("eps2", self.eps2)) if v is not None}
-        if schedule:
-            out["schedule"] = schedule
         Y = self.Y
         if Y is not None and Y.any():
             out["final"]["spectral_y"] = spectral_norm(Y)
@@ -239,9 +240,9 @@ def _fro_norm(X, name):
 
 
 def _start(D, cfg, algorithm):
-    """``(cfg, D, lam, ||D||_F, min(m, n))`` with the defaults of
-    ``algorithm``; ||D||_F is 0 only for a zero D. An empty D is a ``ValueError``,
-    and so is ``keep_iterates`` for IT and APG, which have no ALM multiplier."""
+    """``(cfg, D, lam, ||D||_F, min(m, n))``, ``cfg`` with ``lam`` resolved;
+    ||D||_F is 0 only for a zero D. An empty D is a ``ValueError``, and so is
+    ``keep_iterates`` for IT and APG, which have no ALM multiplier."""
     cfg = cfg or RpcaConfig()
     if cfg.keep_iterates and algorithm not in _ALM:
         raise ValueError(f"{algorithm} cannot keep_iterates; EALM, IALM and completion can")
@@ -249,7 +250,7 @@ def _start(D, cfg, algorithm):
     if not min(D.shape):
         raise ValueError(f"D must have positive dimensions, got shape {D.shape}")
     lam = cfg.lam if cfg.lam is not None else _default_lam(D.shape[0])
-    return cfg, D, lam, _fro_norm(D, "D"), min(D.shape)
+    return replace(cfg, lam=lam), D, lam, _fro_norm(D, "D"), min(D.shape)
 
 
 def _record(k, mu, feas, dual, kept, svp, sv, E, lam, work=None):
@@ -265,12 +266,12 @@ def _dual_start(X, norm2, lam):
     return X / max(norm2, np.abs(X).max() / lam)
 
 
-def _zero_result(D, algorithm, lam):
+def _zero_result(D, algorithm, cfg):
     Z = np.zeros_like(D)
     rec = IterRecord(iter=1, mu=0.0, feas=0.0, dual_est=0.0, rank_a=0,
                      e_card=0, sv_pred=0, svp=0, objective=0.0)
     Y = Z.copy() if algorithm in _ALM else None
-    return SolveResult(Z, Z.copy(), True, [rec], algorithm, Y=Y, lam=lam)
+    return SolveResult(Z, Z.copy(), True, [rec], algorithm, Y=Y, config=cfg)
 
 
 def solve_it(D, cfg=None):
@@ -287,7 +288,7 @@ def solve_it(D, cfg=None):
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "it")
     if not dnorm:
-        return _zero_result(D, "it", lam)
+        return _zero_result(D, "it", cfg)
     tau = IT_TAU_FACTOR * spectral_norm(D)
     A = E = Y = np.zeros_like(D)
     block = None
@@ -305,7 +306,7 @@ def solve_it(D, cfg=None):
         return _record(k, tau, feas, dual, kept, svp, len(s_raw), E, lam), True, tau, None
 
     converged, trace, _ = _loop(step, cfg, tau, d, "it")
-    return SolveResult(A, E, converged, trace, "it", lam=lam)
+    return SolveResult(A, E, converged, trace, "it", config=cfg)
 
 
 def solve_apg(D, cfg=None):
@@ -320,8 +321,8 @@ def solve_apg(D, cfg=None):
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "apg")
     if not dnorm:
-        return _zero_result(D, "apg", lam)
-    mu = cfg.mu0 if cfg.mu0 is not None else 0.99 * spectral_norm(D)
+        return _zero_result(D, "apg", cfg)
+    mu = mu0 = cfg.mu0 if cfg.mu0 is not None else 0.99 * spectral_norm(D)
     mu_bar = APG_MU_BAR_FACTOR * mu
     A = A_prev = E = E_prev = np.zeros_like(D)
     t = t_prev = 1.0
@@ -343,7 +344,7 @@ def solve_apg(D, cfg=None):
         return rec, True, max(APG_ETA * mu, mu_bar), None
 
     converged, trace, _ = _loop(step, cfg, mu, d, "apg")
-    return SolveResult(A, E, converged, trace, "apg", lam=lam)
+    return SolveResult(A, E, converged, trace, "apg", config=replace(cfg, mu0=mu0))
 
 
 def solve_ealm(D, cfg=None):
@@ -359,10 +360,10 @@ def solve_ealm(D, cfg=None):
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "ealm")
     if not dnorm:
-        return _zero_result(D, "ealm", lam)
+        return _zero_result(D, "ealm", cfg)
     sgn = np.sign(D)
     Y = _dual_start(sgn, spectral_norm(sgn), lam)
-    mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / spectral_norm(D)
+    mu = mu0 = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / spectral_norm(D)
     rho = cfg.rho if cfg.rho is not None else 6.0
     A = E = E_k = np.zeros_like(D)
     block = None
@@ -385,8 +386,8 @@ def solve_ealm(D, cfg=None):
         return rec, True, _grow(mu, rho), lambda: Iterate(A, E, Y, mu)
 
     converged, trace, iterates = _loop(step, cfg, mu, d, "ealm")
-    return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates, lam=lam,
-                       rho=rho)
+    return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates,
+                       config=replace(cfg, mu0=mu0, rho=rho))
 
 
 def solve_ialm(D, cfg=None):
@@ -400,9 +401,9 @@ def solve_ialm(D, cfg=None):
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "ialm")
     if not dnorm:
-        return _zero_result(D, "ialm", lam)
+        return _zero_result(D, "ialm", cfg)
     norm2 = spectral_norm(D)
-    mu = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / norm2
+    mu = mu0 = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / norm2
     rho = cfg.rho if cfg.rho is not None else IALM_RHO
     Y = _dual_start(D, norm2, lam)
     A, E, T = np.zeros(D.shape), np.zeros(D.shape), np.empty(D.shape)
@@ -437,8 +438,8 @@ def solve_ialm(D, cfg=None):
                 lambda: Iterate(A.copy(), E.copy(), Y.copy(), mu))
 
     converged, trace, iterates = _loop(step, cfg, mu, d, "ialm")
-    return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates, lam=lam,
-                       rho=rho, eps2=cfg.eps2)
+    return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates,
+                       config=replace(cfg, mu0=mu0, rho=rho))
 
 
 def _loop(step, cfg, mu, d, algorithm):

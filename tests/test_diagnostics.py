@@ -13,7 +13,7 @@ from lowrank.diagnostics import (
     verify_report,
 )
 from lowrank.problems import gen_rpca
-from lowrank.rpca import Iterate, RpcaConfig, solve_ealm, solve_ialm
+from lowrank.rpca import Iterate, RpcaConfig, solve_apg, solve_ealm, solve_ialm
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,6 @@ def test_verify_report_dual_feasibility_bands(inst20, sp, li, status):
 @pytest.mark.parametrize("block, field", [
     ("trace", "feas"), ("trace", "dual_est"), ("trace", "mu"), ("trace", "rank_a"),
     ("config", "eps1"), ("config", "eps2"), ("config", "rho"),
-    ("schedule", "rho"), ("schedule", "eps2"),
     ("final", "spectral_y"), ("final", "linf_y_over_lambda"),
 ])
 def test_verify_report_refuses_booleans_as_numbers(inst20, block, field):
@@ -225,19 +224,26 @@ def test_verify_report_refuses_booleans_as_numbers(inst20, block, field):
         verify_report(rep)
 
 
-@pytest.mark.parametrize("cfg", [RpcaConfig(rho=2.0), RpcaConfig(eps2=1e-4)])
-def test_verify_report_reads_the_schedule_the_ialm_solve_ran(cfg):
-    # a bare report carries the rho and eps2 the solve ran, so a correct solve
-    # with non-default ones passes without config=; without that block the
-    # check falls back to the defaults and reads fail
-    res = solve_ialm(gen_rpca(60, 3, 0.05, 1).d, cfg)
+@pytest.mark.parametrize("solver, cfg, check", [
+    (solve_ialm, RpcaConfig(rho=2.0), "mu_adaptive_rule"),
+    (solve_ialm, RpcaConfig(eps2=1e-4), "mu_adaptive_rule"),
+    (solve_ialm, RpcaConfig(eps1=1e-4), "converged_feasibility"),
+    (solve_apg, RpcaConfig(eps1=1e-4), "converged_feasibility"),
+])
+def test_verify_report_reads_the_config_the_solve_ran(solver, cfg, check):
+    # a bare report echoes the config the solve ran, its defaults resolved, so
+    # a correct solve with a non-default rho, eps2 or eps1 passes without
+    # config=; without that block the check falls back to the defaults and
+    # reads fail
+    res = solver(gen_rpca(60, 3, 0.05, 1).d, cfg)
     bare = res.report()
-    assert bare["schedule"] == {"rho": cfg.rho or 1.6, "eps2": cfg.eps2}
-    assert (res.rho, res.eps2) == (cfg.rho or 1.6, cfg.eps2)
+    assert bare["config"] == res.config.to_dict()
+    assert {k: bare["config"][k] for k in ("eps1", "eps2")} == {"eps1": cfg.eps1, "eps2": cfg.eps2}
+    assert bare["config"]["rho"] == (cfg.rho or 1.6 if solver is solve_ialm else None)
     for rep, want in ((bare, "pass"), (res.report(config=cfg), "pass"),
-                      ({k: v for k, v in bare.items() if k != "schedule"}, "fail")):
+                      ({k: v for k, v in bare.items() if k != "config"}, "fail")):
         by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
-        assert by_name["mu_adaptive_rule"] == want
+        assert by_name[check] == want
 
 
 def test_verify_report_catches_tampered_mu(inst20):
@@ -253,8 +259,9 @@ def test_verify_report_checks_the_ealm_penalty_path(inst20):
     # EALM's trace shows the penalty of every sweep: held between multiplier
     # steps, never lowered
     cfg = RpcaConfig()
-    rep = solve_ealm(inst20.d, cfg).report(config=cfg)
-    assert rep["schedule"] == {"rho": 6.0}
+    res = solve_ealm(inst20.d, cfg)
+    rep = res.report(config=cfg)
+    assert res.report()["config"]["rho"] == 6.0
     by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
     assert by_name["mu_nondecreasing"] == "pass"
     rep["trace"][-1]["mu"] = rep["trace"][0]["mu"] / 2
