@@ -2,10 +2,11 @@
 """Paired benchmark runs of a parent commit and this checkout, in one BENCH file.
 
     python tools/pairs.py --parent REV --out BENCH_N.json \\
-        --run rpca-small-batch:1:10 --run rpca-ialm-1000:1:5 [--seconds 25]
+        --run rpca-small-batch:1:10 --run rpca-ialm-1000:1:5
 
 Each ``--run NAME:SEED:PAIRS`` runs ``perfbench/run.py --workload NAME --seed
-SEED --trace 0`` PAIRS times on each tree, alternating which tree goes first
+SEED --trace 0`` PAIRS times on each tree, for ``BENCHMARK.json``'s
+``run_seconds`` each, alternating which tree goes first
 (pair i runs the parent first when i is even), then once more per tree with
 ``--trace 1`` for the per-layer counts: iterations, SVT calls and the like.
 The parent is ``git archive REV`` of this repository, extracted into a
@@ -13,13 +14,16 @@ temporary directory; the change is this checkout's working tree. perfbench
 pins BLAS to one thread in its workers, and this tool pins it for the
 fingerprint runs too.
 
-The file records every run and, for each end-to-end metric of
-``BENCHMARK.json``, each side's median and quartiles, the pairs the change
-won, lost and tied by the metric's direction, the change of the median
-relative to the parent's, and whether that stays within the metric's bound
-and whether it is a gain (won at least nine pairs in ten, by more than the
-parent's interquartile range). It also records both trees' ``path=`` digests
-from this checkout's ``tools/fingerprint.py``, run in each tree.
+The file records every run, each side's failed operations and whether every
+run was correct, and, for each end-to-end metric of ``BENCHMARK.json``, each
+side's median and quartiles, the pairs the change won, lost and tied by the
+metric's direction out of every pair run (a pair where either run errored is a
+loss), the change of the median relative to the parent's, and whether that
+stays within the metric's bound and whether it is a gain: won at least nine
+pairs in ten, by more than the parent's interquartile range, with every run
+correct and no more operations failed on the change than on the parent. It
+also records both trees' ``path=`` digests from this checkout's
+``tools/fingerprint.py``, run in each tree.
 """
 
 from __future__ import annotations
@@ -90,31 +94,44 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def failed(runs):
+    """Operations failed over ``runs``, and whether every run was correct (a
+    run that errored was not)."""
+    return {"failed": sum(r.get("failed", 0) for r in runs),
+            "all_correct": all(r.get("correct") is True for r in runs)}
+
+
 def compare(parent, change, metrics):
-    """Per end-to-end metric: each side's spread over the runs that reported
-    it, the paired wins, and the bound and gain verdicts."""
+    """Per end-to-end metric: each side's spread over the pairs where both
+    runs reported it, the paired wins, losses and ties out of every pair run,
+    a pair that lacks the metric on either side counting as a loss, and the
+    bound and gain verdicts. No metric is a gain unless every run was correct
+    and the change failed no more operations than the parent."""
+    run = len(parent)
+    p_fail, c_fail = failed(parent), failed(change)
+    sound = (p_fail["all_correct"] and c_fail["all_correct"]
+             and c_fail["failed"] <= p_fail["failed"])
     out = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                  for p, c in zip(parent, change)
                  if name in p.get("metrics", {}) and name in c.get("metrics", {})]
+        out[name] = {"unit": m["unit"], "better": m["better"], "pairs_run": run,
+                     "pairs": len(pairs), "bound": m["bound"]}
         if not pairs:
+            out[name].update(wins=0, losses=run, ties=0, within_bound=False, gain=False)
             continue
         sign = 1.0 if higher else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in pairs)
-        losses = sum(sign * (c - p) < 0 for p, c in pairs)
+        losses = sum(sign * (c - p) < 0 for p, c in pairs) + run - len(pairs)
         ps, cs = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
         gain = sign * (cs["median"] - ps["median"])
         rel = (cs["median"] - ps["median"]) / ps["median"] if ps["median"] else 0.0
-        out[name] = {
-            "unit": m["unit"], "better": m["better"], "pairs": len(pairs),
-            "parent": ps, "change": cs,
-            "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
-            "median_rel_change": rel,
-            "bound": m["bound"], "within_bound": -sign * rel <= m["bound"],
-            "gain": wins >= WIN_SHARE * len(pairs) and gain > ps["q3"] - ps["q1"],
-        }
+        out[name].update(
+            parent=ps, change=cs, wins=wins, losses=losses, ties=run - wins - losses,
+            median_rel_change=rel, within_bound=-sign * rel <= m["bound"],
+            gain=sound and wins >= WIN_SHARE * run and gain > ps["q3"] - ps["q1"])
     return out
 
 
@@ -130,10 +147,9 @@ def main(argv=None):
     p.add_argument("--parent", required=True, help="git revision of the parent")
     p.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     p.add_argument("--run", action="append", required=True, metavar="NAME:SEED:PAIRS")
-    p.add_argument("--seconds", type=float,
-                   default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     runs = []
     for r in args.run:
         name, seed, pairs = r.split(":")
@@ -145,7 +161,7 @@ def main(argv=None):
         "change": git("rev-parse", "HEAD").decode().strip(),
         "change_tree_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "pair_order": "pair i runs the parent first when i is even, the change first when odd",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "host": host(),
         "workloads": {},
     }
@@ -156,12 +172,13 @@ def main(argv=None):
             got = {"parent": [], "change": []}
             for i in range(pairs):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    got[side].append(bench(trees[side], name, seed, args.seconds, 0))
+                    got[side].append(bench(trees[side], name, seed, seconds, 0))
                     print(f"{name} seed {seed} pair {i} {side}: "
                           f"{json.dumps(got[side][-1].get('metrics', got[side][-1]))}",
                           file=sys.stderr, flush=True)
-            traced = {side: bench(trees[side], name, seed, args.seconds, 1) for side in trees}
+            traced = {side: bench(trees[side], name, seed, seconds, 1) for side in trees}
             result["workloads"].setdefault(name, {})[str(seed)] = {
+                "failed": {side: failed(runs) for side, runs in got.items()},
                 "metrics": compare(got["parent"], got["change"], spec["end_to_end"]),
                 "runs": got, "traced": traced}
         digests = {side: paths(tree) for side, tree in trees.items()}
