@@ -289,19 +289,27 @@ def _strictly_lower(n):
     return mask
 
 
+@functools.lru_cache(maxsize=None)
+def _qr_lwork(m, n):
+    """The ``geqrf`` and ``orgqr`` workspace sizes LAPACK asks for at an m x n
+    ``A``: a workspace query reads only the shape."""
+    a = np.zeros((m, n), order="F")
+    return int(_GEQRF(a, lwork=-1)[2][0]), int(_ORGQR(a, np.zeros(n), lwork=-1)[1][0])
+
+
 def _qr(A):
     """``scipy.linalg.qr(A, mode="economic", overwrite_a=True)`` for a tall
     float64 ``A`` (Fortran order avoids a copy), as direct LAPACK calls. Each
-    routine gets the workspace it asks for: a smaller one can take LAPACK's
-    unblocked path and change the bits. ``R`` is zeroed through a cached mask,
-    a quarter of ``np.triu``'s cost at block sizes."""
+    routine gets the workspace it asks for, queried once per shape
+    (:func:`_qr_lwork`): a smaller one can take LAPACK's unblocked path and
+    change the bits. ``R`` is zeroed through a cached mask, a quarter of
+    ``np.triu``'s cost at block sizes."""
     n = A.shape[1]
-    lwork = _GEQRF(A, lwork=-1, overwrite_a=True)[2][0]
-    qr, tau, _, _ = _GEQRF(A, lwork=int(lwork), overwrite_a=True)
+    geqrf_lwork, orgqr_lwork = _qr_lwork(*A.shape)
+    qr, tau, _, _ = _GEQRF(A, lwork=geqrf_lwork, overwrite_a=True)
     R = qr[:n].copy()
     R[_strictly_lower(n)] = 0.0
-    lwork = _ORGQR(qr, tau, lwork=-1, overwrite_a=True)[1][0]
-    return _ORGQR(qr, tau, lwork=int(lwork), overwrite_a=True)[0], R
+    return _ORGQR(qr, tau, lwork=orgqr_lwork, overwrite_a=True)[0], R
 
 
 def _orth_rows(X):
@@ -353,7 +361,7 @@ def _block_svd(W, eps, k, v0):
     ``v0`` (a guess of the right singular subspace, e.g. the block the
     previous SVT returned; may be None, narrower or wider than the block, or
     rank deficient), the rest Gaussian from a Philox stream keyed by
-    ``_BLOCK_KEY``. It stops
+    ``_BLOCK_KEY``, which each call builds afresh on its first draw. It stops
     when every Ritz triplet among the top ``k`` with value above ``eps`` has
     residual at most ``_BLOCK_TOL`` times the largest value, and every one at
     or below ``eps`` has that residual too or satisfies ``s + res < eps``, the
@@ -376,7 +384,14 @@ def _block_svd(W, eps, k, v0):
     """
     m, n = W.shape
     d = min(m, n)
-    rng = np.random.Generator(np.random.Philox(key=_BLOCK_KEY))
+    rng = None
+
+    def gaussian(rows, top):
+        # ``top`` over ``rows`` Gaussian rows; the call's first draw builds its stream
+        nonlocal rng
+        rng = rng or np.random.Generator(np.random.Philox(key=_BLOCK_KEY))
+        return np.vstack([top, rng.standard_normal((rows, n))])
+
     b = _block_width(k, d)
     if v0 is None:
         v0 = np.zeros((n, 0))
@@ -384,7 +399,8 @@ def _block_svd(W, eps, k, v0):
     if v0.shape[0] != n:
         raise ValueError(f"v0 must have {n} rows, got {v0.shape[0]}")
     nv = min(v0.shape[1], b)
-    Qt = _orth_rows(np.vstack([v0[:, :nv].T, rng.standard_normal((b - nv, n))]))
+    top = v0[:, :nv].T
+    Qt = _orth_rows(gaussian(b - nv, top) if nv < b else np.ascontiguousarray(top))
     cold = nv == 0
     steps = 0
     while steps < _BLOCK_MAX_STEPS:
@@ -397,7 +413,7 @@ def _block_svd(W, eps, k, v0):
             if k > _FULL_SVD_FRACTION * d:
                 return None
             grown = _block_width(k, d)
-            Qt = _orth_rows(np.vstack([Vt, rng.standard_normal((grown - b, n))]))
+            Qt = _orth_rows(gaussian(grown - b, Vt))
             b = grown
             continue
         tol = _BLOCK_TOL * s[0]

@@ -324,23 +324,33 @@ def solve_apg(D, cfg=None):
         return _zero_result(D, "apg", cfg)
     mu = mu0 = cfg.mu0 if cfg.mu0 is not None else 0.99 * spectral_norm(D)
     mu_bar = APG_MU_BAR_FACTOR * mu
-    A = A_prev = E = E_prev = np.zeros_like(D)
+    A, A_prev, E, E_prev = (np.zeros(D.shape) for _ in range(4))
+    YA, YE, T = (np.empty(D.shape) for _ in range(3))
     t = t_prev = 1.0
     block = None
 
     def step(k, mu, sv):
-        nonlocal A, A_prev, E, E_prev, t, t_prev, block
+        # in place over seven arrays, each value formed in the order of the
+        # formulas YA = A + coef * (A - A_prev), half = 0.5 * (YA + YE - D),
+        # YA - half and YE - half, so the bits are theirs; T holds no result
+        nonlocal A, A_prev, E, E_prev, YA, YE, T, t, t_prev, block
         coef = (t_prev - 1.0) / t
-        YA = A + coef * (A - A_prev)
-        YE = E + coef * (E - E_prev)
-        half = 0.5 * (YA + YE - D)
-        kept, svp, s_raw, block = svt_triplets(YA - half, mu / 2.0, sv, v0=block)
-        A_prev, A = A, kept.compose()
-        E_prev, E = E, shrink(YE - half, lam * mu / 2.0)
+        np.add(A, np.multiply(np.subtract(A, A_prev, out=YA), coef, out=YA), out=YA)
+        np.add(E, np.multiply(np.subtract(E, E_prev, out=YE), coef, out=YE), out=YE)
+        np.add(YA, YE, out=T)
+        T -= D
+        T *= 0.5
+        YA -= T
+        kept, svp, s_raw, block = svt_triplets(YA, mu / 2.0, sv, v0=block)
+        A_prev, A = A, kept.compose(out=A_prev)
+        YE -= T
+        E_prev, E = E, shrink(YE, lam * mu / 2.0, out=E_prev)
         t_prev, t = t, t_next(t)
-        feas = float(np.linalg.norm(D - A - E) / dnorm)
-        dual = float(mu * np.linalg.norm(E - E_prev) / dnorm)
-        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
+        np.subtract(D, A, out=T)
+        T -= E
+        feas = float(np.linalg.norm(T) / dnorm)
+        dual = float(mu * np.linalg.norm(np.subtract(E, E_prev, out=T)) / dnorm)
+        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam, work=T)
         return rec, True, max(APG_ETA * mu, mu_bar), None
 
     converged, trace, _ = _loop(step, cfg, mu, d, "apg")
@@ -361,29 +371,40 @@ def solve_ealm(D, cfg=None):
     cfg, D, lam, dnorm, d = _start(D, cfg, "ealm")
     if not dnorm:
         return _zero_result(D, "ealm", cfg)
-    sgn = np.sign(D)
-    Y = _dual_start(sgn, spectral_norm(sgn), lam)
+    Y = np.sign(D)
+    Y = _dual_start(Y, spectral_norm(Y), lam)  # and sign(D) is freed
     mu = mu0 = cfg.mu0 if cfg.mu0 is not None else ALM_MU0_FACTOR / spectral_norm(D)
     rho = cfg.rho if cfg.rho is not None else 6.0
-    A = E = E_k = np.zeros_like(D)
+    A, E, E_k = (np.zeros(D.shape) for _ in range(3))
+    T, X = np.empty(D.shape), np.empty(D.shape)
     block = None
 
     def step(k, mu, sv):
-        nonlocal A, E, E_k, Y, block
-        kept, svp, s_raw, block = svt_triplets(D - E + Y / mu, 1.0 / mu, sv, v0=block)
-        A_next = kept.compose()
-        E_next = shrink(D - A_next + Y / mu, lam / mu)
-        solved = (np.linalg.norm(A_next - A) / dnorm < cfg.inner_tol
-                  and np.linalg.norm(E_next - E) / dnorm < cfg.inner_tol)
-        A, E = A_next, E_next
-        R = D - A - E
-        feas = float(np.linalg.norm(R) / dnorm)
-        dual = float(mu * np.linalg.norm(E - E_k) / dnorm)
-        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam)
+        # in place over A, E, E_k, Y and two work arrays, each value formed in
+        # the order of D - E + Y / mu, D - A + Y / mu, R = D - A - E and
+        # Y + mu * R, so the bits are theirs; T holds no result
+        nonlocal A, E, Y, T, X, block
+        np.subtract(D, E, out=T)
+        T += np.divide(Y, mu, out=X)
+        kept, svp, s_raw, block = svt_triplets(T, 1.0 / mu, sv, v0=block)
+        kept.compose(out=X)
+        solved = np.linalg.norm(np.subtract(X, A, out=T)) / dnorm < cfg.inner_tol
+        A, X = X, A
+        np.subtract(D, A, out=T)
+        T += np.divide(Y, mu, out=X)
+        shrink(T, lam / mu, out=X)
+        solved = solved and np.linalg.norm(np.subtract(X, E, out=T)) / dnorm < cfg.inner_tol
+        E, X = X, E
+        np.subtract(D, A, out=T)
+        T -= E
+        feas = float(np.linalg.norm(T) / dnorm)
+        dual = float(mu * np.linalg.norm(np.subtract(E, E_k, out=X)) / dnorm)
+        rec = _record(k, mu, feas, dual, kept, svp, len(s_raw), E, lam, work=X)
         if not solved:
             return rec, False, mu, None
-        Y, E_k = Y + mu * R, E
-        return rec, True, _grow(mu, rho), lambda: Iterate(A, E, Y, mu)
+        Y += np.multiply(T, mu, out=T)
+        np.copyto(E_k, E)
+        return rec, True, _grow(mu, rho), lambda: Iterate(A.copy(), E.copy(), Y.copy(), mu)
 
     converged, trace, iterates = _loop(step, cfg, mu, d, "ealm")
     return SolveResult(A, E, converged, trace, "ealm", Y=Y, iterates=iterates,
@@ -451,7 +472,7 @@ def _loop(step, cfg, mu, d, algorithm):
     dual_ok, mu_next, snapshot)``: the step owns its penalty schedule. The loop
     keeps the trace and, with ``cfg.keep_iterates``, ``snapshot()`` where it is
     not None (called before the next step, so a solver that updates its arrays
-    in place, as IALM does, snapshots copies of them), takes the next
+    in place, as EALM and IALM do, snapshots copies of them), takes the next
     size from ``predict_rank``, stops once ``record.feas < cfg.eps1`` and
     ``dual_ok``, and else goes on at ``mu_next``, ending unconverged where
     that is not a finite double. Returns ``(converged, trace, iterates)``."""

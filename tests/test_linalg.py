@@ -514,11 +514,17 @@ def test_block_svt_counts_match_lapack_through_solves(shape, solver):
 
 @pytest.mark.parametrize("shape", [(40, 1), (40, 7), (100, 21), (300, 30), (17, 17)])
 def test_qr_matches_scipy_economic_bit_for_bit(shape):
-    A = rng(35).standard_normal(shape)
-    Q, R = ll._qr(np.array(A, order="F"))  # a copy: _qr overwrites its input
-    Q_ref, R_ref = scipy.linalg.qr(A, mode="economic")
-    assert Q.shape == Q_ref.shape and R.shape == R_ref.shape
-    assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+    # the workspace sizes are queried once per shape: the first call queries
+    # them, the repeats and the call after another shape's take the cached ones
+    ll._qr_lwork.cache_clear()
+    g = rng(35)
+    for s in (shape, shape, (60, 9), shape):
+        A = g.standard_normal(s)
+        Q, R = ll._qr(np.array(A, order="F"))  # a copy: _qr overwrites its input
+        Q_ref, R_ref = scipy.linalg.qr(A, mode="economic")
+        assert Q.shape == Q_ref.shape and R.shape == R_ref.shape
+        assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+    assert ll._qr_lwork.cache_info().misses == 2
 
 
 def test_full_svt_takes_every_value_from_one_decomposition():
@@ -641,6 +647,46 @@ def test_block_svt_is_bit_reproducible():
     assert c[1] == d[1]
     for x, y in zip((c[0].U, c[0].s, c[0].V, c[2], c[3]), (d[0].U, d[0].s, d[0].V, d[2], d[3])):
         assert np.array_equal(x, y)
+
+
+def test_block_svt_warm_block_that_fills_the_width_builds_no_generator():
+    s = list(np.linspace(10.0, 2.0, 12)) + list(np.linspace(0.5, 0.0, 180))
+    W = with_spectrum(230, 192, s, 25)
+    first = ll._block_svd(W, 1.0, 13, None)
+    with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+        t = ll._block_svd(W, 1.0, 13, first.block)
+    assert first.block.shape == (192, 23) and philox.call_count == 0
+    assert np.array_equal(t.s, ll._block_svd(W, 1.0, 13, first.block).s)
+
+
+@pytest.mark.parametrize("nv", [0, 3, 15])
+def test_block_svt_draws_each_calls_columns_from_the_start_of_one_stream(nv):
+    # the Gaussian rows come from one fresh Philox stream per call, built on
+    # its first draw: a cold block (nv = 0) or a narrower warm one takes the
+    # stream's first rows, each hint doubling the next ones, and a warm block
+    # that fills the width (nv = 15 at k = 5) draws first at its doubling
+    s = list(np.linspace(10.0, 2.0, 30)) + list(np.linspace(0.5, 0.0, 170))
+    W = with_spectrum(200, 220, s, 23)
+    v0 = np.linalg.svd(W)[2][:nv].T
+    stream = np.random.Generator(np.random.Philox(key=ll._BLOCK_KEY)).standard_normal((50, 220))
+    seen, orth = [], ll._orth_rows
+
+    def spy(X):
+        seen.append(np.array(X))
+        return orth(X)
+
+    with mock.patch.object(ll, "_orth_rows", side_effect=spy), \
+            mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+        t = ll._block_svd(W, 1.0, 5, v0)
+    assert t.s.size == 40 and philox.call_count == 1
+    b, drawn = 15, 15 - nv
+    assert np.array_equal(seen[0], np.vstack([v0.T, stream[:drawn]]))
+    for X in seen[1:]:
+        if X.shape[0] > b:  # a doubling: the old block's vectors, then new rows
+            grown = X.shape[0]
+            assert np.array_equal(X[b:], stream[drawn:drawn + grown - b])
+            drawn, b = drawn + grown - b, grown
+    assert (b, drawn) == (50, 50 - nv)
 
 
 @pytest.mark.parametrize("shape", [(300, 200), (200, 300), (400, 400)])
