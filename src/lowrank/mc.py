@@ -14,7 +14,7 @@ factors' size: nothing of size m x n, and nothing of size |Omega| x k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,7 +183,8 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     SVD size follows ``rpca.predict_rank``. The dual test is damped:
     min(mu, sqrt(mu)) * ||dE||_F / ||D||_F < ``eps2``, or a step below the
     resolution of the step formula, ``DE_RESOLUTION`` * ||A||_F. ``A`` is the
-    last SVT's ``TruncatedSVD``; the result has no ``E`` or ``Y``.
+    last SVT's ``TruncatedSVD``; the result has no ``E`` or ``Y``, and its
+    ``config`` is ``cfg`` with the ``mu0`` and ``rho`` the solve took.
     """
     cfg = cfg or McConfig()
     if observed.size == 0:
@@ -201,13 +202,13 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
     dnorm = float(_fro_norm(vals, "values"))
     if dnorm == 0.0:
         rec = IterRecord(1, 0.0, 0.0, 0.0, 0, comp, 0, 0, 0.0)
-        return SolveResult(A, None, True, [rec], "mc-ialm")
+        return SolveResult(A, None, True, [rec], "mc-ialm", config=cfg)
 
     rho = cfg.rho if cfg.rho is not None else rho_from_density(observed.size / (m * n))
-    mu = cfg.mu0
-    if mu is None:
+    mu0 = cfg.mu0
+    if mu0 is None:
         probe = SparsePlusLowRank(observed.to_csr(vals), A.U, A.V)
-        mu = 1.0 / truncated_svd(probe, 1).s[0]
+        mu0 = 1.0 / truncated_svd(probe, 1).s[0]
     # the multiplier and the iterate on the samples, and one work vector:
     # the whole sample-length state, updated in place
     Y = np.zeros(observed.size)
@@ -243,5 +244,6 @@ def solve_mc_ialm(observed: ObservedSet, values, cfg=None):
         rec = IterRecord(k, mu, feas, dual, svn, comp, sv, svp, obj)
         return rec, dual_ok, _grow(mu, rho), lambda: Iterate(A, None, Y.copy(), mu)
 
-    converged, trace, iterates = _loop(step, cfg, mu, d, "mc-ialm")
-    return SolveResult(A, None, converged, trace, "mc-ialm", iterates=iterates)
+    converged, trace, iterates = _loop(step, cfg, mu0, d, "mc-ialm")
+    return SolveResult(A, None, converged, trace, "mc-ialm", iterates=iterates,
+                       config=replace(cfg, mu0=mu0, rho=rho))

@@ -140,11 +140,11 @@ class Iterate:
 @dataclass
 class SolveResult:
     """Any solver's outcome, with at least one trace record, EALM's or IALM's
-    multiplier ``Y``, and a recovery solve's ``config``: the one it ran, with
-    the ``lam``, ``mu0`` and ``rho`` it took in place of the defaults (a zero
-    D resolves ``lam`` alone). Completion (``"mc-ialm"``) holds ``A`` as a
-    ``TruncatedSVD`` (``A.s`` the thresholded singular values, ``A.compose()``
-    the dense matrix) and no ``E``, ``Y`` or ``config``."""
+    multiplier ``Y``, and the ``config`` the solve ran, with the ``lam`` (a
+    recovery solve's), ``mu0`` and ``rho`` it took in place of the defaults (a
+    zero D resolves ``lam`` alone). Completion (``"mc-ialm"``) holds ``A`` as
+    a ``TruncatedSVD`` (``A.s`` the thresholded singular values,
+    ``A.compose()`` the dense matrix), no ``E`` or ``Y``, and an ``McConfig``."""
 
     A: np.ndarray
     E: np.ndarray | None
@@ -153,12 +153,12 @@ class SolveResult:
     algorithm: str
     Y: np.ndarray | None = None
     iterates: list[Iterate] | None = None
-    config: RpcaConfig | None = None
+    config: _Config | None = None
 
     @property
     def lam(self):
         """The sparsity weight of a recovery solve; None for completion."""
-        return self.config.lam if self.config is not None else None
+        return getattr(self.config, "lam", None)
 
     @property
     def iterations(self):

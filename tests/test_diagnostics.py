@@ -12,7 +12,8 @@ from lowrank.diagnostics import (
     objective_rate_check,
     verify_report,
 )
-from lowrank.problems import gen_rpca
+from lowrank.mc import McConfig, solve_mc_ialm
+from lowrank.problems import gen_mc, gen_rpca
 from lowrank.rpca import Iterate, RpcaConfig, solve_apg, solve_ealm, solve_ialm
 
 
@@ -244,6 +245,24 @@ def test_verify_report_reads_the_config_the_solve_ran(solver, cfg, check):
                       ({k: v for k, v in bare.items() if k != "config"}, "fail")):
         by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
         assert by_name[check] == want
+
+
+def test_verify_report_reads_the_config_a_completion_solve_ran():
+    # a completion result carries its McConfig, mu0 and rho resolved, so the
+    # bare report of a correct solve with a loose eps1 passes; judged against
+    # the recovery default eps1 = 1e-7 it read fail
+    inst = gen_mc(300, 5, 17850, 1)
+    cfg = McConfig(eps1=1e-3, eps2=1e-1)
+    res = solve_mc_ialm(inst.omega, inst.d_values, cfg)
+    bare = res.report()
+    assert res.converged and 1e-7 < res.trace[-1].feas < 1e-3
+    assert res.lam is None and isinstance(res.config, McConfig)
+    assert bare["config"] == res.config.to_dict()
+    assert res.config.mu0 == res.trace[0].mu and res.trace[1].mu == res.config.rho * res.config.mu0
+    assert bare["config"]["eps1"] == 1e-3
+    for rep, want in ((bare, "pass"), ({k: v for k, v in bare.items() if k != "config"}, "fail")):
+        by_name = {c["invariant"]: c["status"] for c in verify_report(rep)}
+        assert by_name["converged_feasibility"] == want
 
 
 def test_verify_report_catches_tampered_mu(inst20):
