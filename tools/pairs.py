@@ -22,8 +22,10 @@ loss), the change of the median relative to the parent's, and whether that
 stays within the metric's bound and whether it is a gain: won at least nine
 pairs in ten, by more than the parent's interquartile range, with every run
 correct and no more operations failed on the change than on the parent. It
-also records both trees' ``path=`` digests from this checkout's
-``tools/fingerprint.py``, run in each tree.
+also records both trees' digests from this checkout's ``tools/fingerprint.py``,
+run in each tree: every line's full, ``arrays=``, ``trace=`` and ``path=``
+digests, how many lines are byte-identical between the trees, how many keep
+each kind of digest, and which digests moved on each line that differs.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ def bench(tree, name, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
-def paths(tree):
-    """label -> ``path=`` digest of each fingerprint line (None where the line
-    has no path digest); this checkout's fingerprint file runs in ``tree``."""
+def fingerprint(tree):
+    """label -> {kind: digest} of each fingerprint line, the kinds being
+    ``full`` and those the line names (``arrays``, ``trace``, ``path``); this
+    checkout's fingerprint file runs in ``tree``."""
     script = Path(tree) / "tools" / "fingerprint.py"
     script.parent.mkdir(exist_ok=True)
     if script.resolve() != (ROOT / "tools" / "fingerprint.py").resolve():
@@ -82,9 +85,32 @@ def paths(tree):
     for line in out.splitlines():
         words = line.split()
         first = next(i for i, w in enumerate(words) if len(w) == 64)
-        path = [w[len("path="):] for w in words if w.startswith("path=")]
-        digests[" ".join(words[:first])] = path[0] if path else None
+        digests[" ".join(words[:first])] = {
+            "full": words[first], **dict(w.split("=", 1) for w in words[first + 1:])}
     return digests
+
+
+def same_bits(parent, change):
+    """Both trees' fingerprint lines compared: how many are byte-identical,
+    how many keep each kind of digest out of those that carry it, and which
+    digests moved on each line that differs (a line new to the change moved
+    in all of its digests)."""
+    kinds = ("full", "arrays", "trace", "path")
+
+    def moved(label):
+        old, new = parent.get(label, {}), change[label]
+        return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+    diff = {label: moved(label) for label in change}
+    return {
+        "lines": len(change),
+        "identical": sum(not m for m in diff.values()),
+        "kept": {k: sum(k in change[label] and k not in m for label, m in diff.items())
+                 for k in kinds},
+        "carrying": {k: sum(k in d for d in change.values()) for k in kinds},
+        "moved": {label: m for label, m in diff.items() if m},
+        "only_in_parent": sorted(parent.keys() - change.keys()),
+        "digests": {"parent": parent, "change": change}}
 
 
 def spread(values):
@@ -181,16 +207,7 @@ def main(argv=None):
                 "failed": {side: failed(runs) for side, runs in got.items()},
                 "metrics": compare(got["parent"], got["change"], spec["end_to_end"]),
                 "runs": got, "traced": traced}
-        digests = {side: paths(tree) for side, tree in trees.items()}
-    same = [k for k, v in digests["change"].items()
-            if v is not None and digests["parent"].get(k) == v]
-    result["fingerprint_path"] = {
-        "lines": len(digests["change"]), "with_path": sum(v is not None
-                                                         for v in digests["change"].values()),
-        "identical": len(same),
-        "differing": sorted(k for k, v in digests["change"].items()
-                            if v is not None and k not in same),
-        "digests": digests}
+        result["fingerprint"] = same_bits(fingerprint(parent), fingerprint(str(ROOT)))
     args.out.write_text(json.dumps(result, indent=1) + "\n")
 
 
