@@ -655,8 +655,7 @@ def test_block_svt_warm_block_that_fills_the_width_builds_no_generator():
     first = ll._block_svd(W, 1.0, 13, None)
     with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
         t = ll._block_svd(W, 1.0, 13, first.block)
-    assert first.block.shape == (192, 23) and philox.call_count == 0
-    assert np.array_equal(t.s, ll._block_svd(W, 1.0, 13, first.block).s)
+    assert first.block.shape == (192, 23) and t.s.size == 13 and philox.call_count == 0
 
 
 @pytest.mark.parametrize("nv", [0, 3, 15])
