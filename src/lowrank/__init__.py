@@ -1,10 +1,10 @@
 """Low-rank plus sparse matrix recovery and matrix completion.
 
 Solvers for the convex program min ||A||_* + lam ||E||_1 s.t. A + E = D
-(iterative thresholding, accelerated proximal gradient, exact and inexact
-augmented Lagrange multiplier methods), an inexact-ALM matrix completion
-solver with factored iterates, deterministic synthetic instance generation,
-convergence diagnostics and a CLI benchmark harness.
+(accelerated proximal gradient, exact and inexact augmented Lagrange
+multiplier methods), an inexact-ALM matrix completion solver with factored
+iterates, deterministic synthetic instance generation, convergence
+diagnostics and a CLI benchmark harness.
 
 Events worth a user's attention, such as a matrix-free operator densified for
 a full SVD, go to the ``lowrank`` logger, which has a ``NullHandler``.
@@ -25,7 +25,6 @@ from .rpca import (
     solve_apg,
     solve_ealm,
     solve_ialm,
-    solve_it,
 )
 from .mc import (
     McConfig,
@@ -51,7 +50,6 @@ __all__ = [
     "solve_apg",
     "solve_ealm",
     "solve_ialm",
-    "solve_it",
     "McConfig",
     "solve_mc_ialm",
     "divergence_demo",

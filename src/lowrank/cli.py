@@ -19,10 +19,10 @@ from . import io as mio
 from .diagnostics import verify_report
 from .mc import McConfig, solve_mc_ialm
 from .problems import degrees_of_freedom, gen_mc, gen_rpca, round_half_up
-from .rpca import RpcaConfig, solve_apg, solve_ealm, solve_ialm, solve_it
+from .rpca import RpcaConfig, solve_apg, solve_ealm, solve_ialm
 
 BENCH_SCHEMA = "lowrank-bench-v1"
-RPCA_SOLVERS = {"it": solve_it, "apg": solve_apg, "ealm": solve_ealm, "ialm": solve_ialm}
+RPCA_SOLVERS = {"apg": solve_apg, "ealm": solve_ealm, "ialm": solve_ialm}
 
 
 def _add_common_solver_flags(p):
@@ -168,11 +168,11 @@ def _config(cls, args):
                   if getattr(args, n, None) is not None})
 
 
-def _finish_solve(args, res, cfg):
-    """Write the solve report where ``--trace`` asks, print the summary line
-    and return the exit code."""
+def _finish_solve(args, res):
+    """Write the solve report, with the config the solve ran, where ``--trace``
+    asks, print the summary line and return the exit code."""
     a_star = _read_dense(args.truth) if args.truth else None
-    report = res.report(config=cfg, a_star=a_star)
+    report = res.report(a_star=a_star)
     if args.trace:
         _write_text(args.trace, json.dumps(report, indent=2) + "\n")
     line = report["algorithm"] + ":" + "".join(
@@ -186,22 +186,20 @@ def _finish_solve(args, res, cfg):
 
 def _cmd_solve_rpca(args):
     D = _read_dense(args.input)
-    cfg = _config(RpcaConfig, args)
-    res = RPCA_SOLVERS[args.alg](D, cfg)
+    res = RPCA_SOLVERS[args.alg](D, _config(RpcaConfig, args))
     if args.output_a:
         mio.write_dense_csv(args.output_a, res.A)
     if args.output_e:
         mio.write_dense_csv(args.output_e, res.E)
-    return _finish_solve(args, res, cfg)
+    return _finish_solve(args, res)
 
 
 def _cmd_solve_mc(args):
     omega, values = mio.read_observed(args.input)
-    cfg = _config(McConfig, args)
-    res = solve_mc_ialm(omega, values, cfg)
+    res = solve_mc_ialm(omega, values, _config(McConfig, args))
     if args.dense_output:
         mio.write_dense_csv(args.dense_output, res.A.compose())
-    return _finish_solve(args, res, cfg)
+    return _finish_solve(args, res)
 
 
 def _bench_row(inst, algorithm, solve):

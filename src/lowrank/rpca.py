@@ -1,12 +1,11 @@
-"""Four solvers for the low-rank plus sparse decomposition program
+"""Three solvers for the low-rank plus sparse decomposition program
 
     min ||A||_* + lam * ||E||_1   subject to   A + E = D:
 
-dual-ascent iterative thresholding (``solve_it``), an accelerated proximal
-gradient method with continuation (``solve_apg``), and exact / inexact
-augmented Lagrange multiplier methods (``solve_ealm`` / ``solve_ialm``).
-All four share one config, result and trace model, and one loop
-(:func:`_loop`), with the completion solver.
+an accelerated proximal gradient method with continuation (``solve_apg``),
+and exact / inexact augmented Lagrange multiplier methods (``solve_ealm`` /
+``solve_ialm``). All three share one config, result and trace model, and one
+loop (:func:`_loop`), with the completion solver.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "SolveResult",
     "predict_rank",
     "t_next",
-    "solve_it",
     "solve_apg",
     "solve_ealm",
     "solve_ialm",
@@ -35,13 +33,10 @@ __all__ = [
 # soft thresholding produces exact zeros, so this is a safety margin only.
 ZERO_TOL = 1e-12
 
-MAX_ITER_DEFAULTS = {"it": 100_000, "apg": 1000, "ealm": 10_000, "ialm": 1000, "mc-ialm": 500}
-SV0_DEFAULTS = {"it": 5, "apg": 5, "ealm": 10, "ialm": 10, "mc-ialm": 5}
+MAX_ITER_DEFAULTS = {"apg": 1000, "ealm": 10_000, "ialm": 1000, "mc-ialm": 500}
+SV0_DEFAULTS = {"apg": 5, "ealm": 10, "ialm": 10, "mc-ialm": 5}
 # predict_rank's step once the kept count fills the partial-SVD size just used.
 SV_JUMP = 10
-# Iterative thresholding: tau = IT_TAU_FACTOR * ||D||_2, multiplier step IT_DELTA.
-IT_TAU_FACTOR = 20.0
-IT_DELTA = 1.0
 # EALM and IALM: mu0 = ALM_MU0_FACTOR / ||D||_2, which scales with D. IALM's mu
 # grows by IALM_RHO when the dual surrogate < eps2.
 ALM_MU0_FACTOR = 1.25
@@ -49,7 +44,7 @@ IALM_RHO = 1.6
 # APG continuation: mu decays by APG_ETA per iteration down to APG_MU_BAR_FACTOR * mu0.
 APG_ETA = 0.9
 APG_MU_BAR_FACTOR = 1e-9
-# The solvers with a multiplier of the program (IT's Y is its tau-relaxation's).
+# The solvers with a multiplier of the program.
 _ALM = ("ealm", "ialm")
 
 
@@ -86,14 +81,13 @@ class RpcaConfig(_Config):
     * ``ealm``: mu0 = 1.25 / ||D||_2, rho = 6, inner_tol = 1e-6
     * ``apg``:  mu0 = 0.99 * ||D||_2
 
-    ``lam`` defaults to ``1/sqrt(rows)``. APG's eta and mu_bar and IT's tau
-    and delta come from the module constants :data:`APG_ETA`,
-    :data:`APG_MU_BAR_FACTOR`, :data:`IT_TAU_FACTOR` and :data:`IT_DELTA`.
+    ``lam`` defaults to ``1/sqrt(rows)``. APG's eta and mu_bar come from the
+    module constants :data:`APG_ETA` and :data:`APG_MU_BAR_FACTOR`.
     ``max_iter`` counts SVTs, for every solver. ``keep_iterates`` makes EALM
-    and IALM keep one ``Iterate`` per multiplier step; IT and APG refuse it,
-    having no ALM multiplier for the Lyapunov check. A solver ignores the
-    fields it does not read: EALM never reads ``eps2``, APG reads neither
-    ``rho`` nor ``eps2``, and IT reads only ``lam``, ``eps1`` and ``max_iter``.
+    and IALM keep one ``Iterate`` per multiplier step; APG refuses it, having
+    no ALM multiplier for the Lyapunov check. A solver ignores the fields it
+    does not read: EALM never reads ``eps2``, and APG reads neither ``rho``
+    nor ``eps2``.
     """
 
     lam: float | None = None
@@ -211,7 +205,7 @@ class SolveResult:
 
 
 def predict_rank(svp, sv, d):
-    """Next partial-SVD dimension, for all five solvers: ``svp + 1`` while the
+    """Next partial-SVD dimension, for all four solvers: ``svp + 1`` while the
     kept count ``svp`` is below the size ``sv`` just used, else ``svp +``
     :data:`SV_JUMP`, capped at ``d``. Recovery's SVT doubles a saturated hint
     inside the call, so its count fills ``sv`` only at ``sv == d``, where
@@ -242,7 +236,7 @@ def _fro_norm(X, name):
 def _start(D, cfg, algorithm):
     """``(cfg, D, lam, ||D||_F, min(m, n))``, ``cfg`` with ``lam`` resolved;
     ||D||_F is 0 only for a zero D. An empty D is a ``ValueError``, and so is
-    ``keep_iterates`` for IT and APG, which have no ALM multiplier."""
+    ``keep_iterates`` for APG, which has no ALM multiplier."""
     cfg = cfg or RpcaConfig()
     if cfg.keep_iterates and algorithm not in _ALM:
         raise ValueError(f"{algorithm} cannot keep_iterates; EALM, IALM and completion can")
@@ -272,41 +266,6 @@ def _zero_result(D, algorithm, cfg):
                      e_card=0, sv_pred=0, svp=0, objective=0.0)
     Y = Z.copy() if algorithm in _ALM else None
     return SolveResult(Z, Z.copy(), True, [rec], algorithm, Y=Y, config=cfg)
-
-
-def solve_it(D, cfg=None):
-    """Dual-ascent iterative thresholding on the quadratically relaxed program,
-    run by :func:`_loop` at the fixed penalty tau = :data:`IT_TAU_FACTOR` * ||D||_2.
-
-    Each sweep applies singular value thresholding (threshold tau, with APG's
-    predicted hint and warm start) and soft thresholding (threshold lam * tau)
-    to the running multiplier, then takes a step of size :data:`IT_DELTA`
-    along the constraint violation (step-size choice for this method is known
-    to be difficult; it is included for completeness, not speed).
-    Stops once the scaled feasibility residual drops below ``eps1``; hitting
-    ``max_iter`` returns ``converged=False`` with the full trace.
-    """
-    cfg, D, lam, dnorm, d = _start(D, cfg, "it")
-    if not dnorm:
-        return _zero_result(D, "it", cfg)
-    tau = IT_TAU_FACTOR * spectral_norm(D)
-    A = E = Y = np.zeros_like(D)
-    block = None
-
-    def step(k, tau, sv):
-        nonlocal A, E, Y, block
-        kept, svp, s_raw, block = svt_triplets(Y, tau, sv, v0=block)
-        A = kept.compose()
-        E_next = shrink(Y, lam * tau)
-        R = D - A - E_next
-        Y = Y + IT_DELTA * R
-        feas = float(np.linalg.norm(R) / dnorm)
-        dual = float(np.linalg.norm(E_next - E) / dnorm)
-        E = E_next
-        return _record(k, tau, feas, dual, kept, svp, len(s_raw), E, lam), True, tau, None
-
-    converged, trace, _ = _loop(step, cfg, tau, d, "it")
-    return SolveResult(A, E, converged, trace, "it", config=cfg)
 
 
 def solve_apg(D, cfg=None):
@@ -464,18 +423,18 @@ def solve_ialm(D, cfg=None):
 
 
 def _loop(step, cfg, mu, d, algorithm):
-    """The loop of all five solvers, which owns the run: it starts at the SVD
+    """The loop of all four solvers, which owns the run: it starts at the SVD
     size ``SV0_DEFAULTS[algorithm]``, at most ``d`` = min(m, n), and takes at
     most ``cfg.max_iter`` steps, or ``MAX_ITER_DEFAULTS[algorithm]`` for None.
-    ``step(k, mu, sv)`` runs step k, one SVT,
-    at penalty ``mu`` (IT's tau) from an SVD of size ``sv`` and returns ``(record,
-    dual_ok, mu_next, snapshot)``: the step owns its penalty schedule. The loop
-    keeps the trace and, with ``cfg.keep_iterates``, ``snapshot()`` where it is
-    not None (called before the next step, so a solver that updates its arrays
-    in place, as EALM and IALM do, snapshots copies of them), takes the next
-    size from ``predict_rank``, stops once ``record.feas < cfg.eps1`` and
-    ``dual_ok``, and else goes on at ``mu_next``, ending unconverged where
-    that is not a finite double. Returns ``(converged, trace, iterates)``."""
+    ``step(k, mu, sv)`` runs step k, one SVT, at penalty ``mu`` from an SVD
+    of size ``sv`` and returns ``(record, dual_ok, mu_next, snapshot)``: the
+    step owns its penalty schedule. The loop keeps the trace and, with
+    ``cfg.keep_iterates``, ``snapshot()`` where it is not None (called before
+    the next step, so a solver that updates its arrays in place, as EALM and
+    IALM do, snapshots copies of them), takes the next size from
+    ``predict_rank``, stops once ``record.feas < cfg.eps1`` and ``dual_ok``,
+    and else goes on at ``mu_next``, ending unconverged where that is not a
+    finite double. Returns ``(converged, trace, iterates)``."""
     trace = []
     iterates = [] if cfg.keep_iterates else None
     sv = min(SV0_DEFAULTS[algorithm], d)

@@ -7,6 +7,7 @@ from lowrank import io as mio
 from lowrank.cli import main
 from lowrank.linalg import ObservedSet
 from lowrank.problems import gen_rpca
+from lowrank.rpca import solve_ealm
 
 
 def run(*argv):
@@ -96,18 +97,15 @@ def test_solve_rpca_nan_tolerance_exits_two(tmp_path, capsys):
 
 
 # EALM is left out: its multiplier's |Y|_2 reads 1.17 on this instance, the
-# gauge's known gap on correct EALM solves (ROADMAP item 7). IT returns no
-# multiplier, since its Y, of the tau-relaxed program, would fail
-# dual_feasibility (|Y|_2 = 7,649 after 50 iterations)
-@pytest.mark.parametrize("alg, flags", [("it", ("--max-iter", "50")), ("apg", ()), ("ialm", ())],
-                         ids=["it", "apg", "ialm"])
-def test_check_verdict_on_solve_trace(tmp_path, alg, flags):
+# gauge's known gap on correct EALM solves (ROADMAP item 7)
+@pytest.mark.parametrize("alg", ["apg", "ialm"])
+def test_check_verdict_on_solve_trace(tmp_path, alg):
     out = tmp_path / "inst"
     run("gen", "--kind", "rpca", "--m", "30", "--r", "2",
         "--frac", "0.05", "--seed", "11", "--out", str(out))
     trace = tmp_path / "trace.json"
     run("solve-rpca", "--alg", alg, "--input", str(out / "d.csv"),
-        "--trace", str(trace), *flags)
+        "--trace", str(trace))
     verdict = tmp_path / "verdict.json"
     assert run("check", "--trace", str(trace),
                "--manifest", str(out / "manifest.json"),
@@ -116,6 +114,25 @@ def test_check_verdict_on_solve_trace(tmp_path, alg, flags):
     assert v["ok"]
     assert alg != "ialm" or any(c["invariant"] == "mu_adaptive_rule" and c["status"] == "pass"
                                 for c in v["checks"])
+
+
+def test_solve_trace_echoes_the_config_the_solve_ran(tmp_path):
+    # the flags leave lam, mu0 and rho unset; the trace records the values
+    # the solve resolved them to, as its result carries them
+    out = tmp_path / "inst"
+    run("gen", "--kind", "rpca", "--m", "30", "--r", "2",
+        "--frac", "0.05", "--seed", "11", "--out", str(out))
+    trace = tmp_path / "trace.json"
+    assert run("solve-rpca", "--alg", "ealm", "--input", str(out / "d.csv"),
+               "--trace", str(trace)) == 0
+    res = solve_ealm(mio.read_dense_csv(out / "d.csv"))
+    assert json.loads(trace.read_text())["config"] == res.config.to_dict()
+    out = tmp_path / "mc"
+    run("gen", "--kind", "mc", "--m", "30", "--r", "2",
+        "--p-ratio", "5", "--seed", "3", "--out", str(out))
+    assert run("solve-mc", "--input", str(out / "observed.mtx"), "--trace", str(trace)) == 0
+    config = json.loads(trace.read_text())["config"]
+    assert config["mu0"] is not None and config["rho"] is not None
 
 
 def test_solve_rpca_wrong_shaped_truth_exits_two(tmp_path, capsys):
@@ -244,6 +261,18 @@ def test_bench_rows_sorted_deterministically(tmp_path):
 def test_unknown_flag_exits_two():
     assert run("solve-rpca", "--alg", "ialm", "--no-such-flag") == 2
     assert run("bogus-subcommand") == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve-rpca", "--alg", "it"), "invalid choice: 'it'"),
+    (("bench", "--table", "1", "--scale", "20", "--algs", "it"), "unknown solver 'it'"),
+], ids=["solve-rpca", "bench"])
+def test_retired_solver_exits_two(tmp_path, capsys, argv, message):
+    # iterative thresholding is no longer a recovery solver
+    d = tmp_path / "d.csv"
+    mio.write_dense_csv(d, gen_rpca(20, 2, 0.05, 5).d)
+    assert run(*argv, *(("--input", str(d)) if argv[0] == "solve-rpca" else ())) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_input_exits_two(tmp_path):

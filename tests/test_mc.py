@@ -19,8 +19,7 @@ from lowrank.mc import (
     solve_mc_ialm,
 )
 from lowrank.problems import degrees_of_freedom, gen_mc, gen_rpca
-from lowrank.rpca import (SV0_DEFAULTS, SV_JUMP, RpcaConfig, predict_rank, solve_apg, solve_ealm,
-                          solve_ialm, solve_it)
+from lowrank.rpca import SV0_DEFAULTS, SV_JUMP, predict_rank, solve_apg, solve_ealm, solve_ialm
 
 
 def _mask(omega):
@@ -421,21 +420,19 @@ def test_mc_solve_and_report_stay_below_one_dense_matrix():
     assert peak < m * m * 8
 
 
-@pytest.mark.parametrize("kind", ["mc-ialm", "ialm", "ealm", "it", "apg"])
+@pytest.mark.parametrize("kind", ["mc-ialm", "ialm", "ealm", "apg"])
 def test_loop_predicts_rank_through_predict_rank(kind):
-    # all five solvers take their SVD sizes from the one outer loop and its
+    # all four solvers take their SVD sizes from the one outer loop and its
     # one rule
     from unittest import mock
 
-    solvers = {"ialm": solve_ialm, "ealm": solve_ealm, "it": solve_it, "apg": solve_apg}
+    solvers = {"ialm": solve_ialm, "ealm": solve_ealm, "apg": solve_apg}
     with mock.patch("lowrank.rpca.predict_rank", wraps=predict_rank) as spy:
         if kind == "mc-ialm":
             inst = gen_mc(50, 2, 5 * degrees_of_freedom(50, 2), 12)
             res = solve_mc_ialm(inst.omega, inst.d_values)
         else:
-            # IT converges in far more iterations; 300 of them take 0.3 s
-            cfg = RpcaConfig(max_iter=300 if kind == "it" else None)
-            res = solvers[kind](gen_rpca(50, 2, 0.05, 12).d, cfg)
+            res = solvers[kind](gen_rpca(50, 2, 0.05, 12).d)
     # the loop is the only caller, once per record, and each record is one SVT
     calls = spy.call_args_list
     assert len(calls) == res.iterations == res.svd_count

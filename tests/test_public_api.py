@@ -20,7 +20,6 @@ PUBLIC = [
     "solve_apg",
     "solve_ealm",
     "solve_ialm",
-    "solve_it",
     "McConfig",
     "solve_mc_ialm",
     "divergence_demo",

@@ -18,11 +18,10 @@ from lowrank.rpca import (
     solve_apg,
     solve_ealm,
     solve_ialm,
-    solve_it,
     t_next,
 )
 
-ALL_SOLVERS = [solve_it, solve_apg, solve_ealm, solve_ialm]
+ALL_SOLVERS = [solve_apg, solve_ealm, solve_ialm]
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +92,11 @@ def test_zero_input_short_circuits(solver):
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
 def test_only_alm_solvers_return_a_multiplier(solver, small_instance):
-    # IT's Y is the dual variable of its tau-relaxed program, not a dual
-    # point of the program, so IT returns none, as APG does; so does the
-    # zero-input result of either, and every result records its lam
+    # APG keeps no multiplier, so it returns none, on a zero input too, and
+    # every result records its lam
     for D in (small_instance.d, np.zeros_like(small_instance.d)):
         res = solver(D)
-        assert (res.Y is None) == (res.algorithm in ("it", "apg"))
+        assert (res.Y is None) == (res.algorithm == "apg")
         assert res.lam == small_instance.lam
 
 
@@ -215,35 +213,7 @@ def test_converged_results_respect_eps1(small_instance, small_solutions):
         assert res.A.shape == D.shape and res.E.shape == D.shape
 
 
-# ------------------------------------------------- iterative thresholding
-
-def test_it_matches_ealm_oracle_on_small_instance():
-    # high-accuracy exact-ALM solve is the oracle; the relaxed dual-ascent
-    # solver should land within 1e-3 of it (jointly over the (A, E) pair)
-    inst = gen_rpca(10, 1, 0.05, 7)
-    oracle = solve_ealm(inst.d, RpcaConfig(eps1=1e-10, inner_tol=1e-9))
-    res = solve_it(inst.d, RpcaConfig(max_iter=50_000))
-    base = np.sqrt(np.linalg.norm(oracle.A) ** 2 + np.linalg.norm(oracle.E) ** 2)
-    gap = np.sqrt(np.linalg.norm(res.A - oracle.A) ** 2
-                  + np.linalg.norm(res.E - oracle.E) ** 2)
-    assert gap / base < 1e-3
-
-
-def test_it_needs_orders_of_magnitude_more_iterations():
-    # characterization, not a fixed count: at m=100 scale the dual-ascent
-    # solver is still unconverged after 100x the inexact-ALM budget while
-    # clearly progressing
-    inst = gen_rpca(100, 5, 0.05, 2)
-    ialm = solve_ialm(inst.d)
-    assert ialm.converged
-    budget = 100 * ialm.iterations
-    it = solve_it(inst.d, RpcaConfig(max_iter=budget))
-    assert not it.converged
-    assert it.iterations == budget
-    assert it.trace[-1].feas < it.trace[0].feas
-
-
-@pytest.mark.parametrize("solver", [solve_it, solve_apg, solve_ealm, solve_ialm])
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
 def test_each_record_is_one_svt_with_a_predicted_hint_and_warm_start(solver, monkeypatch):
     # every solver makes one SVT per record, EALM's sweeps included: the first
     # hint is the solver's SV0_DEFAULTS entry, each later one comes from
@@ -530,10 +500,10 @@ def test_recovery_is_equivariant_under_power_of_two_scaling(scaled_solutions, so
         assert np.array_equal(res.E, np.ldexp(ref.E, k)), k
 
 
-@pytest.mark.parametrize("solver", [solve_it, solve_apg])
+@pytest.mark.parametrize("solver", [solve_apg])
 def test_keep_iterates_refused_without_alm_multiplier(solver, small_instance):
-    # snapshots are kept by EALM, IALM and completion only; the others refuse
-    # the flag instead of silently returning no iterates
+    # snapshots are kept by EALM, IALM and completion only; APG refuses the
+    # flag instead of silently returning no iterates
     with pytest.raises(ValueError, match="EALM, IALM and completion can"):
         solver(small_instance.d, RpcaConfig(keep_iterates=True))
     with pytest.raises(ValueError, match="keep_iterates"):

@@ -8,8 +8,8 @@ diff tells a moved result from a moved trace, and both from a moved
 ``rel_error``, which only the report with ``a_star`` carries. ``path=``
 digests the solve's path alone: ``converged`` and each record's ``rank_a``,
 ``svp`` and ``e_card``, so the iteration count and the rank and support
-sequences, without the SVD sizes (``sv_pred``) or any float. Five lines
-cover solves capped at ``max_iter=3`` (IT, APG, EALM, IALM and completion),
+sequences, without the SVD sizes (``sv_pred``) or any float. Four lines
+cover solves capped at ``max_iter=3`` (APG, EALM, IALM and completion),
 which end unconverged at the loop's iteration cap. Three more
 digests cover every ``Iterate`` of an IALM, an EALM and a completion solve
 with ``keep_iterates``, and two more the sampled sets alone at sizes where
@@ -94,7 +94,6 @@ def _rpca_cases():
     for s in range(20):
         for name, solve in solvers.items():
             yield name, (100, 5, 0.05, 41000 + s), solve
-    yield "it", (30, 2, 0.05, 11), lowrank.solve_it
     yield "ialm", (300, 15, 0.05, 1), lowrank.solve_ialm
     yield "ialm", (1000, 50, 0.05, 201000), lowrank.solve_ialm
 
@@ -109,8 +108,8 @@ def main():
     args = (100, 5, 0.05, 41000)
     inst = lowrank.gen_rpca(*args)
     cfg = lowrank.RpcaConfig(max_iter=3)
-    for name, solve in (("it", lowrank.solve_it), ("apg", lowrank.solve_apg),
-                        ("ealm", lowrank.solve_ealm), ("ialm", lowrank.solve_ialm)):
+    for name, solve in (("apg", lowrank.solve_apg), ("ealm", lowrank.solve_ealm),
+                        ("ialm", lowrank.solve_ialm)):
         res = solve(inst.d, cfg)
         print(f"{name} max_iter=3 gen_rpca{args} {_digest(res, cfg, inst.a_star)}")
     args = (300, 5, 17850, 1)

@@ -26,6 +26,7 @@ also records both trees' digests from this checkout's ``tools/fingerprint.py``,
 run in each tree: every line's full, ``arrays=``, ``trace=`` and ``path=``
 digests, how many lines are byte-identical between the trees, how many keep
 each kind of digest, and which digests moved on each line that differs.
+:func:`print_moved` prints that last part for two saved fingerprint outputs.
 """
 
 from __future__ import annotations
@@ -71,18 +72,21 @@ def bench(tree, name, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
-def fingerprint(tree):
-    """label -> {kind: digest} of each fingerprint line, the kinds being
-    ``full`` and those the line names (``arrays``, ``trace``, ``path``); this
-    checkout's fingerprint file runs in ``tree``."""
+def run_fingerprint(tree):
+    """The output of this checkout's fingerprint file, run in ``tree``."""
     script = Path(tree) / "tools" / "fingerprint.py"
     script.parent.mkdir(exist_ok=True)
     if script.resolve() != (ROOT / "tools" / "fingerprint.py").resolve():
         script.write_bytes((ROOT / "tools" / "fingerprint.py").read_bytes())
-    out = subprocess.run([sys.executable, str(script)], check=True, capture_output=True,
-                         text=True, env={**os.environ, **PIN}).stdout
+    return subprocess.run([sys.executable, str(script)], check=True, capture_output=True,
+                          text=True, env={**os.environ, **PIN}).stdout
+
+
+def parse_fingerprint(text):
+    """label -> {kind: digest} of each line of a fingerprint output, the kinds
+    being ``full`` and those the line names (``arrays``, ``trace``, ``path``)."""
     digests = {}
-    for line in out.splitlines():
+    for line in text.splitlines():
         words = line.split()
         first = next(i for i, w in enumerate(words) if len(w) == 64)
         digests[" ".join(words[:first])] = {
@@ -111,6 +115,19 @@ def same_bits(parent, change):
         "moved": {label: m for label, m in diff.items() if m},
         "only_in_parent": sorted(parent.keys() - change.keys()),
         "digests": {"parent": parent, "change": change}}
+
+
+def print_moved(parent_file, change_file):
+    """For two fingerprint output files, print ``moved: label: kinds`` with
+    the kinds of digest that moved on each line that differs, ``added`` or
+    ``removed`` in place of the kinds for a line only one file has."""
+    same = same_bits(*(parse_fingerprint(Path(f).read_text())
+                       for f in (parent_file, change_file)))
+    for label, kinds in same["moved"].items():
+        moved = ", ".join(kinds) if label in same["digests"]["parent"] else "added"
+        print(f"moved: {label}: {moved}")
+    for label in same["only_in_parent"]:
+        print(f"moved: {label}: removed")
 
 
 def spread(values):
@@ -207,7 +224,8 @@ def main(argv=None):
                 "failed": {side: failed(runs) for side, runs in got.items()},
                 "metrics": compare(got["parent"], got["change"], spec["end_to_end"]),
                 "runs": got, "traced": traced}
-        result["fingerprint"] = same_bits(fingerprint(parent), fingerprint(str(ROOT)))
+        result["fingerprint"] = same_bits(*(parse_fingerprint(run_fingerprint(tree))
+                                            for tree in (parent, str(ROOT))))
     args.out.write_text(json.dumps(result, indent=1) + "\n")
 
 
