@@ -107,9 +107,9 @@ def _check(name, status, detail):
 
 def _report_fields(report, manifest):
     """The trace, config and final block of a report, once every field that
-    :func:`verify_report` reads holds its JSON type; ``ValueError`` names the
-    first that is missing or mistyped. A JSON boolean is not a number here,
-    though Python's ``bool`` is an ``int``."""
+    :func:`verify_report` reads holds its JSON type, a trace record included;
+    ``ValueError`` names the first that is not. A JSON boolean is not a number
+    here, though Python's ``bool`` is an ``int``."""
     def need(ok, field, kind):
         if not ok:
             raise ValueError(f"report field {field!r} must be {kind}")
@@ -131,6 +131,9 @@ def _report_fields(report, manifest):
     need(isinstance(final, dict), "final", "an object")
     for k in ("spectral_y", "linf_y_over_lambda") if "spectral_y" in final else ():
         need(number(final.get(k)), f"final.{k}", "a number")
+    need(trace, "trace", "a non-empty list")
+    need(isinstance(report.get("converged"), bool), "converged", "a JSON boolean")
+    need(isinstance(report.get("algorithm"), str), "algorithm", "a string")
     return trace, cfg, final
 
 
@@ -145,7 +148,7 @@ def verify_report(report, manifest=None):
     """
     checks = []
     trace, cfg, final = _report_fields(report, manifest)
-    algorithm = report.get("algorithm", "?")
+    algorithm = report["algorithm"]
     feas = [r["feas"] for r in trace]
     dual = [r["dual_est"] for r in trace]
     mus = [r["mu"] for r in trace]
@@ -174,7 +177,7 @@ def verify_report(report, manifest=None):
         checks.append(_check("mu_adaptive_rule", "pass" if ok else "fail",
                              f"rho={rho}, eps2={eps2}"))
 
-    if report.get("converged") and trace:
+    if report["converged"]:
         eps1 = cfg.get("eps1") or RpcaConfig.eps1
         ok = feas[-1] < eps1
         checks.append(_check("converged_feasibility", "pass" if ok else "fail",
@@ -192,12 +195,11 @@ def verify_report(report, manifest=None):
                              f"|Y|_2={sp:.6f}, |Y|_inf/lam={li:.6f}"))
 
     ranks = [r["rank_a"] for r in trace]
-    if ranks:
-        monotone = all(b >= a for a, b in zip(ranks, ranks[1:]))
-        checks.append(_check("rank_monotone", "pass" if monotone else "warn",
-                             f"rank path {ranks[:3]}...{ranks[-3:]}"))
+    monotone = all(b >= a for a, b in zip(ranks, ranks[1:]))
+    checks.append(_check("rank_monotone", "pass" if monotone else "warn",
+                         f"rank path {ranks[:3]}...{ranks[-3:]}"))
 
-    if manifest is not None and trace:
+    if manifest is not None:
         want = manifest.get("r")
         if want is not None:
             got = report.get("rank")

@@ -5,8 +5,8 @@
 an accelerated proximal gradient method with continuation (``solve_apg``),
 and exact / inexact augmented Lagrange multiplier methods (``solve_ealm`` /
 ``solve_ialm``). All three share one config, result and trace model, and one
-loop (:func:`_loop`), with the completion solver.
-"""
+loop (:func:`_loop`), with the completion solver; both ALM methods run one
+sweep (:func:`_sweep`)."""
 
 from __future__ import annotations
 
@@ -321,11 +321,11 @@ def solve_ealm(D, cfg=None):
 
     The multiplier starts at sign(D) scaled into the dual-feasible set, and
     the penalty at mu0 = :data:`ALM_MU0_FACTOR` / ||D||_2, as in IALM. Each
-    step is one sweep from the last A and E: SVT of D - E + Y / mu at 1 / mu,
-    then shrinkage at lam / mu. A sweep that moves A and E by less than
-    ``inner_tol`` * ||D||_F has solved the subproblem: it alone takes the exact
-    multiplier step, grows the penalty by ``rho`` and can end the solve.
-    ``dual_est`` measures E against E_k, the E of the last multiplier step.
+    step is IALM's sweep (:func:`_sweep`) from the last A and E. A sweep that
+    moves A and E by less than ``inner_tol`` * ||D||_F has solved the
+    subproblem: it alone takes the exact multiplier step, grows the penalty by
+    ``rho`` and can end the solve. ``dual_est`` measures E against E_k, the E
+    of the last multiplier step.
     """
     cfg, D, lam, dnorm, d = _start(D, cfg, "ealm")
     if not dnorm:
@@ -339,21 +339,12 @@ def solve_ealm(D, cfg=None):
     block = None
 
     def step(k, mu, sv):
-        # in place over A, E, E_k, Y and two work arrays, each value formed in
-        # the order of D - E + Y / mu, D - A + Y / mu, R = D - A - E and
-        # Y + mu * R, so the bits are theirs; T holds no result
-        nonlocal A, E, Y, T, X, block
-        np.subtract(D, E, out=T)
-        T += np.divide(Y, mu, out=X)
-        kept, svp, s_raw, block = svt_triplets(T, 1.0 / mu, sv, v0=block)
-        kept.compose(out=X)
-        solved = np.linalg.norm(np.subtract(X, A, out=T)) / dnorm < cfg.inner_tol
-        A, X = X, A
-        np.subtract(D, A, out=T)
-        T += np.divide(Y, mu, out=X)
-        shrink(T, lam / mu, out=X)
-        solved = solved and np.linalg.norm(np.subtract(X, E, out=T)) / dnorm < cfg.inner_tol
-        E, X = X, E
+        # the new E lands in the spare X, so the old A survives for ||dA||;
+        # then R = D - A - E and, on a solved sweep, Y + mu * R, in that order
+        nonlocal A, E, X, Y, T, block
+        kept, svp, s_raw, block, de_norm = _sweep(D, A, E, X, Y, T, mu, lam, sv, block)
+        A, E, X = E, X, A
+        solved = max(np.linalg.norm(np.subtract(A, X, out=T)), de_norm) / dnorm < cfg.inner_tol
         np.subtract(D, A, out=T)
         T -= E
         feas = float(np.linalg.norm(T) / dnorm)
@@ -372,7 +363,7 @@ def solve_ealm(D, cfg=None):
 
 def solve_ialm(D, cfg=None):
     """Inexact augmented Lagrange multiplier method, run by :func:`_loop`: each
-    sweep shrinks E against the previous A, thresholds A,
+    sweep (:func:`_sweep`) shrinks E against the previous A and thresholds A,
     then steps the multiplier by mu_k along the residual. The dual surrogate
     mu_k * ||E_{k+1} - E_k||_F / ||D||_F below ``eps2`` grows the penalty by
     ``rho`` and meets the dual half of the stopping test. Besides D and the
@@ -390,21 +381,11 @@ def solve_ialm(D, cfg=None):
     block = None
 
     def step(k, mu, sv):
-        # one sweep in place over A, E, Y and the work matrix T, allocating no
-        # full-size array of its own: each value is formed in the order
-        # shrink(D - A + Y / mu), D - E + Y / mu and Y + mu * R would form it,
-        # so the bits are theirs. The new E lands in the old A's array and the
-        # new A in the old E's; T holds no result
+        # the sweep in place, then R = D - A - E and Y + mu * R formed in
+        # that order, so the bits are theirs; T holds no result
         nonlocal A, E, Y, T, block
-        np.subtract(D, A, out=T)
-        T += np.divide(Y, mu, out=A)
-        shrink(T, lam / mu, out=A)
-        de_norm = np.linalg.norm(np.subtract(A, E, out=T))
+        kept, svp, s_raw, block, de_norm = _sweep(D, A, E, A, Y, T, mu, lam, sv, block)
         A, E = E, A
-        np.subtract(D, E, out=T)
-        T += np.divide(Y, mu, out=A)
-        kept, svp, s_raw, block = svt_triplets(T, 1.0 / mu, sv, v0=block)
-        kept.compose(out=A)
         np.subtract(D, A, out=T)
         T -= E
         r_norm = np.linalg.norm(T)
@@ -420,6 +401,23 @@ def solve_ialm(D, cfg=None):
     converged, trace, iterates = _loop(step, cfg, mu, d, "ialm")
     return SolveResult(A, E, converged, trace, "ialm", Y=Y, iterates=iterates,
                        config=replace(cfg, mu0=mu0, rho=rho))
+
+
+def _sweep(D, A, E, W, Y, T, mu, lam, sv, block):
+    """One alternating sweep of EALM and IALM, in place with ``T`` as workspace:
+    E' = shrink(D - A + Y / mu) at lam / mu into ``W`` (which may be ``A``,
+    read first), then A' = SVT(D - E' + Y / mu) at 1 / mu into E's array, each
+    value formed in the order of those formulas, so the bits are theirs.
+    Returns the SVT's ``(kept, svp, s_raw, block)`` and ||E' - E||_F."""
+    np.subtract(D, A, out=T)
+    T += np.divide(Y, mu, out=W)
+    shrink(T, lam / mu, out=W)
+    de_norm = np.linalg.norm(np.subtract(W, E, out=T))
+    np.subtract(D, W, out=T)
+    T += np.divide(Y, mu, out=E)
+    kept, svp, s_raw, block = svt_triplets(T, 1.0 / mu, sv, v0=block)
+    kept.compose(out=E)
+    return kept, svp, s_raw, block, de_norm
 
 
 def _loop(step, cfg, mu, d, algorithm):

@@ -155,6 +155,12 @@ def test_solve_rpca_wrong_shaped_truth_exits_two(tmp_path, capsys):
     ({"config": {"eps1": False}}, "'config.eps1'"),
     ({"final": {"spectral_y": 0.5, "linf_y_over_lambda": True}},
      "'final.linf_y_over_lambda'"),
+    ({}, "'trace'"),
+    ({"trace": [], "converged": True, "algorithm": "ialm"}, "'trace'"),
+    ({"trace": [{"feas": 0, "dual_est": 0, "mu": 1, "rank_a": 0}], "converged": "no",
+      "algorithm": "ialm"}, "'converged'"),
+    ({"trace": [{"feas": 0, "dual_est": 0, "mu": 1, "rank_a": 0}], "converged": True},
+     "'algorithm'"),
 ])
 def test_check_malformed_report_exits_two(tmp_path, capsys, report, field):
     # a report the checks cannot read is bad input (2), not a failed check (1)

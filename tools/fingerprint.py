@@ -95,6 +95,7 @@ def _rpca_cases():
         for name, solve in solvers.items():
             yield name, (100, 5, 0.05, 41000 + s), solve
     yield "ialm", (300, 15, 0.05, 1), lowrank.solve_ialm
+    yield "ealm", (300, 15, 0.05, 1), lowrank.solve_ealm
     yield "ialm", (1000, 50, 0.05, 201000), lowrank.solve_ialm
 
 
