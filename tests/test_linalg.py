@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import lowrank.linalg as ll
@@ -376,6 +376,28 @@ def test_block_svt_clustered_and_repeated_values_around_eps(copies, delta, tall,
     W = with_spectrum(m, n, s, seed)
     _, svp, _ = assert_matches_full(W, eps, 3 + copies)
     assert svp == 3 + copies
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_top=st.floats(4.0, 6.0), above=st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1]),
+       tall=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(log_top=6.0, above=1e-4, tall=False, seed=1)
+@example(log_top=5.0, above=1e-3, tall=True, seed=2)
+def test_block_svt_keeps_a_value_just_above_eps_below_a_steep_top(log_top, above, tall,
+                                                                 seed):
+    # five values 1e4..1e6 times eps, one just above eps and a dense tail just
+    # below it. Filtered along with the lagging rows, the five converged ones
+    # grew past 1e40 and their rounding swamped the sixth direction, whose
+    # Ritz value then read below eps with s + res < eps: the SVT kept five
+    # (both examples, and most draws at 1e5 and above)
+    eps = 1.0
+    top = 10.0 ** log_top
+    tail = np.sort(rng(seed).uniform(0.4, 0.7, 70))[::-1]
+    s = list(np.geomspace(top, top / 2, 5)) + [eps * (1 + above)] + list(tail)
+    m, n = (96, 76) if tall else (76, 96)
+    W = with_spectrum(m, n, s, seed)
+    _, svp, _ = assert_matches_full(W, eps, 6)
+    assert svp == 6
 
 
 @pytest.mark.parametrize("shape", [(300, 200), (200, 300)])
