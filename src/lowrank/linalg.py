@@ -4,9 +4,10 @@ matrix-free sparse-plus-low-rank operator. Each SVD entry point takes one
 input kind: :func:`truncated_svd` the operator (completion),
 :func:`svt_triplets` and :func:`spectral_norm` a dense matrix (recovery).
 A :class:`TruncatedSVD` gives its entries on a sample set
-(:meth:`TruncatedSVD.values_at`) in workspace of ``VALUES_BUDGET`` entries,
-without forming the dense matrix. :func:`spectral_norm`'s result does not
-depend on the memory layout of its input.
+(:meth:`TruncatedSVD.values_at`) in workspace of ``U * s`` and
+``VALUES_BUDGET`` entries, without forming the dense matrix.
+:func:`spectral_norm`'s result does not depend on the memory layout of its
+input.
 
 The two dense size gates price different algorithms. :data:`_FULL_SVD_DIM`
 (150) is where ARPACK's top-1 Lanczos run starts to beat LAPACK
@@ -52,16 +53,21 @@ _FULL_SVD_FRACTION = 0.2
 # the threshold, the largest Chebyshev filter degree between two Rayleigh-Ritz
 # steps, and the number of products with W^T W after which it gives up and
 # takes the full LAPACK decomposition. At 1e-13 a permuted or transposed D
-# gives the same A to 3.6e-13 relative over 300 draws per solver.
-_BLOCK_OVERSAMPLE = 10
+# gives the same A to 3.6e-13 relative over 300 draws per solver. The width
+# k + 6 and the cap 8 come from a sweep of oversampling 3..10 and caps 4, 8 and
+# 16 on m=100 solves, audited by tools/svt_audit.py: at 3 or 4 columns with a
+# cap of 4 or 8, and at 5 or 6 with a cap of 16, a warm block lost a value just
+# above the threshold, and every pair of 5 or more columns and a cap of at most
+# 8 kept LAPACK's count. Fewer columns are faster; 6 keeps a column of margin.
+_BLOCK_OVERSAMPLE = 6
 _BLOCK_TOL = 1e-13
-_BLOCK_MAX_DEGREE = 4
+_BLOCK_MAX_DEGREE = 8
 _BLOCK_MAX_STEPS = 100
 # Philox key of the Gaussian columns that fill the block past the warm start.
 _BLOCK_KEY = 20100918
 # Factor entries gathered per operand in TruncatedSVD.values_at: a chunk of
-# VALUES_BUDGET // k samples, so its extra memory is bounded whatever k and
-# |Omega| are.
+# VALUES_BUDGET // k samples, so its extra memory past one copy of U is bounded
+# whatever k and |Omega| are.
 VALUES_BUDGET = 2**15
 
 _log = logging.getLogger("lowrank")
@@ -156,21 +162,21 @@ class TruncatedSVD:
     def values_at(self, omega, out=None):
         """Entries of ``U @ diag(s) @ V.T`` on an :class:`ObservedSet`, into
         ``out`` (a float64 vector of ``omega.size``) when given, without
-        composing it: the rows of ``U * s`` and ``V`` of ``VALUES_BUDGET // k``
-        samples (at least one) at a time, gathered into two reused buffers.
-        Each entry is one row-by-row dot product, so the bits do not depend on
-        the chunk size."""
+        composing it: ``U * s``, formed once, and the rows of it and of ``V``
+        for ``VALUES_BUDGET // k`` samples (at least one) at a time, gathered
+        into two reused buffers. Each entry is one row-by-row dot product, so
+        the bits do not depend on the chunk size."""
         if out is None:
             out = np.empty(omega.size)
         k = self.s.size
         chunk = max(1, min(VALUES_BUDGET // max(k, 1), omega.size))
         left, right = np.empty((chunk, k)), np.empty((chunk, k))
+        Us = self.U * self.s
         for lo in range(0, omega.size, chunk):
             rows, cols = omega.row_idx[lo:lo + chunk], omega.col_idx[lo:lo + chunk]
             # the set's indices are in range, so "clip" changes none of them;
             # unlike the default mode it writes into ``out`` without a buffer
-            L = self.U.take(rows, axis=0, out=left[:rows.size], mode="clip")
-            L *= self.s
+            L = Us.take(rows, axis=0, out=left[:rows.size], mode="clip")
             R = self.V.take(cols, axis=0, out=right[:rows.size], mode="clip")
             np.einsum("ij,ij->i", L, R, out=out[lo:lo + chunk])
         return out

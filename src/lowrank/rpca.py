@@ -252,7 +252,7 @@ def _record(k, mu, feas, dual, kept, svp, sv, E, lam, work=None):
     |E|, made into ``work`` when given."""
     abs_e = np.abs(E, out=work)
     obj = float(kept.s.sum() + lam * float(abs_e.sum()))
-    return IterRecord(k, mu, feas, dual, svp, int((abs_e > ZERO_TOL).sum()), sv, svp, obj)
+    return IterRecord(k, mu, feas, dual, svp, int(np.count_nonzero(abs_e > ZERO_TOL)), sv, svp, obj)
 
 
 def _dual_start(X, norm2, lam):

@@ -452,9 +452,10 @@ def test_block_svt_saturation_within_fraction_grows_in_place():
 
 
 def test_block_svt_releases_each_steps_blocks_before_the_next():
-    # a Rayleigh-Ritz step allocates several b x max(m, n) blocks; with the
-    # last step's Ut, Vt, Zt and filter blocks still alive, this doubling
-    # from 10 to 80 (b = 90) peaked at 12.0 such blocks, and peaks at 7.9
+    # a Rayleigh-Ritz step allocates several b x max(m, n) blocks, b the
+    # width at the final hint; with the last step's Ut, Vt, Zt and filter
+    # blocks still alive, this doubling from 10 to 80 peaked at 12.0 such
+    # blocks at b = 90, and peaks at 8.1 at b = 86
     s = list(np.linspace(10.0, 2.0, 60)) + list(np.linspace(0.5, 0.0, 440))
     W = with_spectrum(500, 600, s, 37)
     tracing = tracemalloc.is_tracing()
@@ -467,8 +468,9 @@ def test_block_svt_releases_each_steps_blocks_before_the_next():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert t.s.size == 80 and t.block.shape == (600, 90)
-    assert peak <= 9.5 * 90 * 600 * 8
+    b = ll._block_width(80, 500)
+    assert t.s.size == 80 and t.block.shape == (600, b)
+    assert peak <= 9.5 * b * 600 * 8
 
 
 def test_block_svt_step_cap_falls_back_to_full(monkeypatch):
@@ -508,15 +510,9 @@ def corrupted_low_rank(m, n, seed):
     return W
 
 
-@pytest.mark.parametrize("solver", ["ialm", "ealm", "apg"])
-@pytest.mark.parametrize("shape", [(160, 160), (160, 240), (160, 120)])
-def test_block_svt_counts_match_lapack_through_solves(shape, solver):
-    # every block call of a recovery solve keeps exactly the values LAPACK
-    # puts above the threshold; a cold block (no warm start, e.g. after an
-    # SVT that kept nothing) must not certify a value below it off its first
-    # Rayleigh-Ritz step (APG on the wide and tall shapes came back short)
-    import lowrank.rpca as rpca
-
+def audit_block_calls(solve, D):
+    """Solve ``D`` with every block SVT call audited: the call count, and the
+    (kept, LAPACK's) counts above the threshold of each call that differ."""
     wrong = []
     block = ll._block_svd
 
@@ -529,9 +525,39 @@ def test_block_svt_counts_match_lapack_through_solves(shape, solver):
         return t
 
     with mock.patch.object(ll, "_block_svd", side_effect=audited) as spy:
-        getattr(rpca, f"solve_{solver}")(corrupted_low_rank(*shape, 1))
-    assert spy.call_count > 0
+        solve(D)
+    return spy.call_count, wrong
+
+
+@pytest.mark.parametrize("solver", ["ialm", "ealm", "apg"])
+@pytest.mark.parametrize("shape", [(160, 160), (160, 240), (160, 120)])
+def test_block_svt_counts_match_lapack_through_solves(shape, solver):
+    # every block call of a recovery solve keeps exactly the values LAPACK
+    # puts above the threshold; a cold block (no warm start, e.g. after an
+    # SVT that kept nothing) must not certify a value below it off its first
+    # Rayleigh-Ritz step (APG on the wide and tall shapes came back short)
+    import lowrank.rpca as rpca
+
+    calls, wrong = audit_block_calls(getattr(rpca, f"solve_{solver}"),
+                                     corrupted_low_rank(*shape, 1))
+    assert calls > 0
     assert wrong == []
+
+
+def test_block_svt_counts_match_lapack_on_a_warm_block_near_eps():
+    # EALM on two m=100 draws whose warm block took its 6th Ritz value as
+    # certified below eps by s + res < eps while LAPACK's 6th value is just
+    # above it, so the SVT kept 5 values of 6: seed 2016 at 4 oversampling
+    # columns (or 6 with a filter degree cap of 16), 0.434 eps with residual
+    # 0.52 eps against 1.049 eps; seed 2036 at 3 columns (or 5 with a cap of
+    # 16), 0.390 eps with residual 0.46 eps against 1.076 eps
+    from lowrank.problems import gen_rpca
+    from lowrank.rpca import solve_ealm
+
+    for seed in (2016, 2036):
+        calls, wrong = audit_block_calls(solve_ealm, gen_rpca(100, 5, 0.05, seed).d)
+        assert calls > 0
+        assert wrong == [], seed
 
 
 @pytest.mark.parametrize("shape", [(40, 1), (40, 7), (100, 21), (300, 30), (17, 17)])
@@ -643,7 +669,8 @@ def test_block_svt_restarted_from_its_block_takes_one_rayleigh_ritz_step():
     with mock.patch.object(ll, "_rayleigh_ritz", wraps=ll._rayleigh_ritz) as rr:
         kept, svp, s_raw, block = svt_triplets(W, 1.0, 13, v0=first[3])
     assert rr.call_count == 1
-    assert svp == first[1] == 12 and len(s_raw) == 13 and block.shape == (192, 23)
+    assert svp == first[1] == 12 and len(s_raw) == 13
+    assert block.shape == (192, ll._block_width(13, 192))
     assert_matches_full(W, 1.0, 13, v0=first[3])
 
 
@@ -677,19 +704,21 @@ def test_block_svt_warm_block_that_fills_the_width_builds_no_generator():
     first = ll._block_svd(W, 1.0, 13, None)
     with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
         t = ll._block_svd(W, 1.0, 13, first.block)
-    assert first.block.shape == (192, 23) and t.s.size == 13 and philox.call_count == 0
+    assert first.block.shape == (192, ll._block_width(13, 192))
+    assert t.s.size == 13 and philox.call_count == 0
 
 
-@pytest.mark.parametrize("nv", [0, 3, 15])
+@pytest.mark.parametrize("nv", [0, 3, pytest.param(ll._block_width(5, 200), id="width")])
 def test_block_svt_draws_each_calls_columns_from_the_start_of_one_stream(nv):
     # the Gaussian rows come from one fresh Philox stream per call, built on
     # its first draw: a cold block (nv = 0) or a narrower warm one takes the
     # stream's first rows, each hint doubling the next ones, and a warm block
-    # that fills the width (nv = 15 at k = 5) draws first at its doubling
+    # that fills the width (nv = the width at k = 5) draws first at its doubling
     s = list(np.linspace(10.0, 2.0, 30)) + list(np.linspace(0.5, 0.0, 170))
     W = with_spectrum(200, 220, s, 23)
     v0 = np.linalg.svd(W)[2][:nv].T
-    stream = np.random.Generator(np.random.Philox(key=ll._BLOCK_KEY)).standard_normal((50, 220))
+    last = ll._block_width(40, 200)
+    stream = np.random.Generator(np.random.Philox(key=ll._BLOCK_KEY)).standard_normal((last, 220))
     seen, orth = [], ll._orth_rows
 
     def spy(X):
@@ -700,14 +729,15 @@ def test_block_svt_draws_each_calls_columns_from_the_start_of_one_stream(nv):
             mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
         t = ll._block_svd(W, 1.0, 5, v0)
     assert t.s.size == 40 and philox.call_count == 1
-    b, drawn = 15, 15 - nv
+    b = ll._block_width(5, 200)
+    drawn = b - nv
     assert np.array_equal(seen[0], np.vstack([v0.T, stream[:drawn]]))
     for X in seen[1:]:
         if X.shape[0] > b:  # a doubling: the old block's vectors, then new rows
             grown = X.shape[0]
             assert np.array_equal(X[b:], stream[drawn:drawn + grown - b])
             drawn, b = drawn + grown - b, grown
-    assert (b, drawn) == (50, 50 - nv)
+    assert (b, drawn) == (last, last - nv)
 
 
 @pytest.mark.parametrize("shape", [(300, 200), (200, 300), (400, 400)])
